@@ -297,7 +297,8 @@ def _cmd_synth(args) -> int:
         seen.add(sid)
         series = generate_synthetic(spec, subject_id=sid)
         report._write(args.out / f"{sid}.csv", serialize_triaxial_csv(series))
-        manifest_lines.append(f"{sid},{group.value},{sid}.csv")
+        manifest_lines.append(f"{report.csv_field(sid)},{group.value},"
+                              f"{report.csv_field(sid + '.csv')}")
     report._write(args.out / "manifest.csv", "\n".join(manifest_lines) + "\n")
     print(f"wrote {len(rows)} subjects and manifest.csv to {args.out}")
     return 0

@@ -2,15 +2,23 @@
 
 Stage 1 projects the (optionally log1p-transformed) activity onto a 24 h
 cosine by linear least squares. Stage 2 refines the sigmoidally transformed
-cosine by Levenberg-Marquardt over an unconstrained reparameterization:
-amplitude = exp(w), alpha = tanh(u), beta = exp(v); min and phase are free
-and phase is reported mod 24.
+cosine by Levenberg-Marquardt with its closed-form Jacobian, over an
+unconstrained reparameterization: amplitude = exp(w), alpha = tanh(u),
+beta = exp(v); min and phase are free and phase is reported mod 24.
+
+Both stages fit the minute-of-day mean profile weighted by day count rather
+than every valid minute. The model is 24 h-periodic and every sample sits
+at a minute midpoint t = 24d + (m + 1/2)/60, so for any mask
+sum (y - f)^2 = sum_m n_m (ybar_m - f(t_m))^2 + C, where C is the
+within-minute sum of squares: the fits are those of the full data, and the
+reported rss adds C back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +26,7 @@ from . import curve
 from .curve import antilogistic  # re-exported; stable sigmoid
 from .errors import InsufficientSpan
 from .nls import NlsOptions, ResidualProblem, levenberg_marquardt, linear_least_squares
-from .preprocess import ActivitySeries
+from .preprocess import MINUTES_PER_DAY, ActivitySeries
 
 __all__ = [
     "FitConfig", "LinearCosinorFit", "SigmoidalCosinorFit", "antilogistic",
@@ -41,7 +49,6 @@ _FIT_OPTIONS = NlsOptions(max_iterations=400, gradient_tolerance=1e-12,
 @dataclass(frozen=True)
 class FitConfig:
     transform: str = "log1p"
-    epoch_hours: float = 1.0 / 60.0
     multistart: int = 1
     options: NlsOptions = _FIT_OPTIONS
 
@@ -87,6 +94,26 @@ def _fit_data(series: ActivitySeries, config: FitConfig) -> tuple[np.ndarray, np
     return t, y
 
 
+class _Profile(NamedTuple):
+    """Transformed valid minutes binned by minute of day (populated bins)."""
+
+    t: np.ndarray          # bin midpoint, hours in (0, 24)
+    counts: np.ndarray     # n_m, samples in the bin
+    means: np.ndarray      # ybar_m
+    within_ss: float       # C = sum of (y - ybar_m)^2 over all samples
+
+
+def _minute_profile(t: np.ndarray, y: np.ndarray) -> _Profile:
+    minute = np.rint(t * 60.0 - 0.5).astype(np.intp) % MINUTES_PER_DAY
+    counts = np.bincount(minute, minlength=MINUTES_PER_DAY)
+    means = np.bincount(minute, weights=y, minlength=MINUTES_PER_DAY)
+    populated = counts > 0
+    means[populated] /= counts[populated]
+    within_ss = float(np.sum((y - means[minute]) ** 2))
+    bins = np.flatnonzero(populated)
+    return _Profile((bins + 0.5) / 60.0, counts[bins], means[bins], within_ss)
+
+
 def fit_linear_cosinor(series: ActivitySeries,
                        config: FitConfig = FitConfig()) -> LinearCosinorFit:
     """Least-squares projection onto [1, cos, sin] of 24 h period."""
@@ -94,8 +121,12 @@ def fit_linear_cosinor(series: ActivitySeries,
     if t.size < 3 or (t.max() - t.min()) <= 12.0:
         raise InsufficientSpan(
             "need at least 3 valid minutes spanning more than 12 hours")
-    design = np.column_stack([np.ones(t.size), np.cos(_OMEGA * t), np.sin(_OMEGA * t)])
-    b0, bc, bs = linear_least_squares(design, y)
+    profile = _minute_profile(t, y)
+    weight = np.sqrt(profile.counts)
+    angle = _OMEGA * profile.t
+    design = weight[:, None] * np.column_stack(
+        [np.ones(angle.size), np.cos(angle), np.sin(angle)])
+    b0, bc, bs = linear_least_squares(design, weight * profile.means)
     amplitude = math.hypot(bc, bs)
     if amplitude <= 1e-12 * max(1.0, abs(b0)):
         acrophase = 0.0
@@ -125,12 +156,44 @@ def _degenerate_fit(y: np.ndarray, config: FitConfig, n_points: int) -> Sigmoida
                                transform=config.transform)
 
 
+def _profile_problem(profile: _Profile) -> ResidualProblem:
+    """Residual sqrt(n_m) * (ybar_m - f(t_m)) over (min, w, phase, u, v),
+    with its closed-form Jacobian."""
+    t = profile.t
+    weight = np.sqrt(profile.counts)
+    weighted_means = weight * profile.means
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        min_, w, phase, u, v = p
+        return weighted_means - weight * curve.evaluate(
+            t, min_, np.exp(w), np.tanh(u), np.exp(v), phase)
+
+    def jac(p: np.ndarray) -> np.ndarray:
+        _, w, phase, u, v = p
+        amplitude, alpha, beta = np.exp(w), np.tanh(u), np.exp(v)
+        angle = (t - phase) * _OMEGA
+        cos = np.cos(angle)
+        s = antilogistic(cos, alpha, beta)
+        slope = amplitude * s * (1.0 - s) * beta
+        df = np.column_stack([
+            np.ones(t.size),                          # d/d min
+            amplitude * s,                            # d/dw
+            slope * _OMEGA * np.sin(angle),           # d/d phase
+            -slope * (1.0 - alpha * alpha),           # d/du
+            slope * (cos - alpha),                    # d/dv
+        ])
+        return -weight[:, None] * df
+
+    return ResidualProblem(residual, 5, t.size, jac=jac)
+
+
 def fit_sigmoidal_cosinor(series: ActivitySeries,
                           config: FitConfig = FitConfig()) -> SigmoidalCosinorFit:
     """Two-stage fit of the sigmoidally transformed cosine.
 
     A fit whose amplitude collapses below 1e-9 of the data range is returned
-    with degenerate=True and converged=False rather than raised.
+    with degenerate=True and converged=False rather than raised. Fewer than
+    5 populated minutes of day raise InsufficientSpan.
     """
     t, y = _fit_data(series, config)
     data_range = float(y.max() - y.min()) if y.size else 0.0
@@ -138,14 +201,13 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
         return _degenerate_fit(y, config, int(y.size))
 
     linear = fit_linear_cosinor(series, config)
+    profile = _minute_profile(t, y)
+    if profile.t.size < 5:
+        raise InsufficientSpan("need at least 5 distinct valid minutes of day")
     seed = initial_sigmoidal_params(linear, config.transform)
     amp0 = max(seed[1], 1e-3 * data_range)  # log reparameterization needs > 0
 
-    def residual(p: np.ndarray) -> np.ndarray:
-        min_, w, phase, u, v = p
-        return y - curve.evaluate(t, min_, np.exp(w), np.tanh(u), np.exp(v), phase)
-
-    problem = ResidualProblem(residual, 5, int(y.size))
+    problem = _profile_problem(profile)
     best = None
     for k in range(config.multistart):
         phase0 = seed[2] + 24.0 * k / config.multistart
@@ -164,7 +226,8 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     at_bound = abs(u) > _BOUND_LIMIT or abs(v) > _BOUND_LIMIT
     return SigmoidalCosinorFit(
         min=float(min_), amplitude=amplitude, alpha=alpha, beta=beta,
-        phase=phase, mesor=float(min_) + amplitude / 2.0, rss=float(best.rss),
+        phase=phase, mesor=float(min_) + amplitude / 2.0,
+        rss=float(best.rss) + profile.within_ss,
         converged=bool(best.converged and not degenerate),
         n_points=int(y.size), degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)

@@ -1,5 +1,8 @@
-"""Dense nonlinear least squares: linear solver, central-difference
-Jacobian, and a Levenberg-Marquardt loop with Marquardt (diagonal) scaling.
+"""Dense nonlinear least squares: linear solver, Jacobian, and a
+Levenberg-Marquardt loop with Marquardt (diagonal) scaling.
+
+A problem may supply its Jacobian in closed form (``ResidualProblem.jac``);
+otherwise the loop uses central differences (``numeric_jacobian``).
 
 The damping factor is multiplied by 10 on a rejected step and divided by 10
 on an accepted one, clamped to [1e-12, 1e12]. Accepted steps strictly
@@ -23,11 +26,13 @@ _DAMP_MAX = 1e12
 @dataclass(frozen=True)
 class ResidualProblem:
     """A residual map r(p): R^n_params -> R^n_residuals, finite on the
-    feasible region, with n_residuals >= n_params."""
+    feasible region, with n_residuals >= n_params. ``jac``, when given,
+    returns the n_residuals x n_params matrix dr/dp."""
 
     fun: Callable[[np.ndarray], np.ndarray]
     n_params: int
     n_residuals: int
+    jac: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.n_params < 1 or self.n_residuals < self.n_params:
@@ -99,6 +104,16 @@ def numeric_jacobian(problem: ResidualProblem, params: np.ndarray,
     return _jacobian(problem.fun, params, rel_step)
 
 
+def _problem_jacobian(problem: ResidualProblem, params: np.ndarray,
+                      rel_step: float) -> np.ndarray:
+    if problem.jac is None:
+        return _jacobian(problem.fun, params, rel_step)
+    J = np.asarray(problem.jac(params), dtype=float)
+    if not np.all(np.isfinite(J)):
+        raise NonFiniteResidual("non-finite analytic Jacobian")
+    return J
+
+
 def _step_small(delta: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.abs(delta) <= tol * (np.abs(x) + tol)))
 
@@ -108,10 +123,12 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
                         rel_step: float = 1e-6) -> NlsResult:
     """Minimize ||r(p)||^2 from x0.
 
-    Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration. A trial
-    point with non-finite residuals is treated as a rejected step. If no
-    acceptable step exists even at maximum damping the solve stops at the
-    current (best) point with a STEP_SMALL termination.
+    Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration, with J
+    from ``problem.jac`` or else central differences of step
+    rel_step*max(|p_i|, 1). A trial point with non-finite residuals is
+    treated as a rejected step. If no acceptable step exists even at maximum
+    damping the solve stops at the current (best) point with a STEP_SMALL
+    termination.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n_params,):
@@ -127,7 +144,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
 
     for it in range(1, opts.max_iterations + 1):
         iterations = it
-        J = _jacobian(problem.fun, x, rel_step)
+        J = _problem_jacobian(problem, x, rel_step)
         g = J.T @ r
         if np.max(np.abs(g)) < opts.gradient_tolerance:
             termination = Termination.GRADIENT_SMALL

@@ -8,6 +8,8 @@ for identical inputs.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +42,14 @@ Z_95 = 1.96
 
 def _fmt(x: float) -> str:
     return "%.6g" % x
+
+
+def csv_field(text: str) -> str:
+    """One CSV field, quoted only when it needs to be (csv.QUOTE_MINIMAL).
+    The default "\r\n" terminator makes both CR and LF force quoting."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow([text])
+    return buf.getvalue()[:-2]
 
 
 @dataclass(frozen=True)
@@ -297,7 +307,7 @@ def features_csv(records: Sequence[SubjectRecord]) -> str:
     lines = ["subject_id,group," + ",".join(ActivityFeatures.FIELDS)]
     for rec in records:
         f = rec.features
-        lines.append(f"{rec.subject_id},{rec.group.value},"
+        lines.append(f"{csv_field(rec.subject_id)},{rec.group.value},"
                      + ",".join(_fmt(getattr(f, name))
                                 for name in ActivityFeatures.FIELDS))
     return "\n".join(lines) + "\n"
@@ -309,7 +319,7 @@ def cosinor_csv(records: Sequence[SubjectRecord]) -> str:
     for rec in records:
         fit = rec.fit
         lines.append(
-            f"{rec.subject_id},{rec.group.value},{_fmt(fit.min)},"
+            f"{csv_field(rec.subject_id)},{rec.group.value},{_fmt(fit.min)},"
             f"{_fmt(fit.amplitude)},{_fmt(fit.alpha)},{_fmt(fit.beta)},"
             f"{_fmt(fit.phase)},{_fmt(fit.mesor)},{_fmt(fit.rss)},"
             f"{'true' if fit.converged else 'false'},{fit.transform}")
@@ -366,8 +376,9 @@ def curves_csv(curves: Sequence[GroupCurve]) -> str:
 def overlays_csv(overlays: Sequence[CurveOverlay]) -> str:
     lines = ["subject_id,group,minute,observed,fitted"]
     for ov in overlays:
+        sid = csv_field(ov.subject_id)
         for i in range(ov.observed.size):
-            lines.append(f"{ov.subject_id},{ov.group.value},{i},"
+            lines.append(f"{sid},{ov.group.value},{i},"
                          f"{_fmt(ov.observed[i])},{_fmt(ov.fitted[i])}")
     return "\n".join(lines) + "\n"
 
@@ -376,7 +387,7 @@ def skips_csv(skipped: Sequence[tuple[str, str, str]]) -> str:
     lines = ["subject_id,group,reason"]
     for sid, group, reason in skipped:
         reason = reason.replace('"', "'")
-        lines.append(f'{sid},{group},"{reason}"')
+        lines.append(f'{csv_field(sid)},{group},"{reason}"')
     return "\n".join(lines) + "\n"
 
 

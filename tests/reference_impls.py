@@ -146,3 +146,48 @@ def model_partials(t, min_, amplitude, alpha, beta, phase):
 def hours_apart(a, b, period=24.0):
     d = abs(a - b) % period
     return min(d, period - d)
+
+
+def full_data_sigmoidal_fit(t, y, iterations=400):
+    """Two-stage sigmoidal cosinor fit on every sample: least squares onto
+    [1, cos, sin] seeds a Levenberg-Marquardt loop over (min, log amplitude,
+    phase, artanh alpha, log beta) with central-difference derivatives.
+    Returns the natural parameters (min, amplitude, alpha, beta, phase)."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    omega = 2.0 * np.pi / 24.0
+    design = np.column_stack([np.ones(t.size), np.cos(omega * t), np.sin(omega * t)])
+    b0, bc, bs = np.linalg.lstsq(design, y, rcond=None)[0]
+    amplitude = math.hypot(bc, bs)
+    x = np.array([b0 - amplitude, math.log(2.0 * amplitude),
+                  math.atan2(bs, bc) / omega, 0.0, math.log(2.0)])
+
+    def residual(p):
+        return y - sigmoid_curve(t, p[0], math.exp(p[1]), math.tanh(p[3]),
+                                 math.exp(p[4]), p[2])
+
+    r = residual(x)
+    damping = 1e-3
+    for _ in range(iterations):
+        columns = []
+        for i in range(5):
+            h = 1e-6 * max(abs(x[i]), 1.0)
+            step = np.zeros(5)
+            step[i] = h
+            columns.append((residual(x + step) - residual(x - step)) / (2.0 * h))
+        J = np.column_stack(columns)
+        A = J.T @ J
+        g = J.T @ r
+        while True:
+            delta = np.linalg.solve(A + damping * np.diag(np.diag(A)), -g)
+            r_try = residual(x + delta)
+            if r_try @ r_try < r @ r or damping > 1e12:
+                break
+            damping *= 10.0
+        if r_try @ r_try >= r @ r:
+            break
+        x, r = x + delta, r_try
+        damping = max(damping / 10.0, 1e-12)
+        if np.all(np.abs(delta) <= 1e-14 * (np.abs(x) + 1e-14)):
+            break
+    return (x[0], math.exp(x[1]), math.tanh(x[3]), math.exp(x[4]), x[2] % 24.0)

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from actirhythm.cli import main
@@ -105,6 +107,32 @@ def test_synth_then_run_roundtrip(tmp_path, capsys):
     for name in ("features.csv", "cosinor.csv", "comparison.csv", "curves.svg",
                  "overlays.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_subject_id_with_comma_round_trips_through_compare(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(
+        "subject_id,group,min,amplitude,alpha,beta,phase,noise_sd,days,seed\n"
+        '"a1,x",cci,20,150,0.1,6,11,5,6,1\n'
+        "a2,cci,25,160,0.0,8,12,5,6,2\n"
+        "b1,rr,30,170,-0.1,10,13,5,6,3\n"
+        "b2,rr,35,180,0.2,12,14,5,6,4\n",
+        encoding="utf-8")
+    synth_dir = tmp_path / "synth"
+    assert main(["synth", "--spec", str(spec), "--out", str(synth_dir)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(synth_dir / "manifest.csv"),
+                 "--out", str(out), "--transform", "raw"]) == 0
+    for name in ("features.csv", "cosinor.csv", "overlays.csv"):
+        with (out / name).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == len(rows[0]) for row in rows), name
+        assert "a1,x" in {row[0] for row in rows[1:]}, name
+    cmp_out = tmp_path / "cmp"
+    assert main(["compare", "--features", str(out / "features.csv"),
+                 "--cosinor", str(out / "cosinor.csv"),
+                 "--out", str(cmp_out)]) == 0
+    assert "cci (n=2)" in (cmp_out / "comparison.txt").read_text()
 
 
 def test_synth_rejects_bad_spec(tmp_path, capsys):

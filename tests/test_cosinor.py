@@ -1,11 +1,13 @@
+import dataclasses
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actirhythm import errors
+from actirhythm import cosinor, errors
 from actirhythm.cosinor import (
     FitConfig,
     LinearCosinorFit,
@@ -16,8 +18,9 @@ from actirhythm.cosinor import (
     initial_sigmoidal_params,
     model_value,
 )
+from actirhythm.nls import numeric_jacobian
 from conftest import make_series, make_window
-from reference_impls import hours_apart, sigmoid_curve
+from reference_impls import full_data_sigmoidal_fit, hours_apart, sigmoid_curve
 
 RAW = FitConfig(transform="raw")
 
@@ -226,3 +229,84 @@ class TestExportCurve:
         assert samples.shape == (1440, 2)
         assert np.all(samples[:, 1] >= fit.min - 1e-9)
         assert np.all(samples[:, 1] <= fit.min + fit.amplitude + 1e-9)
+
+
+def partial_series_with_invalid_day(rng):
+    """Starts at 09:37, one middle day masked invalid, ends at 05:00."""
+    start = datetime(2016, 5, 1, 9, 37)
+    n = (1440 - 577) + 4 * 1440 + 300
+    series = make_series(np.zeros(n), start=start)
+    t = series.time_hours()
+    y = sigmoid_curve(t, 1.0, 3.5, 0.2, 6.0, 14.5) + rng.normal(0, 0.4, n)
+    valid = np.ones(series.n_days, dtype=bool)
+    valid[2] = False
+    return dataclasses.replace(series, values=np.maximum(np.expm1(y), 0.0),
+                               day_valid=valid)
+
+
+class TestProfileReduction:
+    def captured_problem(self, series, monkeypatch):
+        problems = []
+        solve = cosinor.levenberg_marquardt
+
+        def capture(problem, x0, opts):
+            problems.append(problem)
+            return solve(problem, x0, opts)
+
+        monkeypatch.setattr(cosinor, "levenberg_marquardt", capture)
+        fit_sigmoidal_cosinor(series)
+        return problems[0]
+
+    def test_jacobian_matches_central_differences(self, rng, monkeypatch):
+        problem = self.captured_problem(partial_series_with_invalid_day(rng),
+                                        monkeypatch)
+        points = [np.array([rng.uniform(-1, 2), rng.uniform(-1, 2),
+                            rng.uniform(0, 24), rng.uniform(-2, 2),
+                            rng.uniform(-1, 3)]) for _ in range(20)]
+        for u, v in ((19.5, 1.0), (-19.5, 1.0), (0.4, 19.5), (0.4, -19.5),
+                     (-19.5, -19.5)):
+            points.append(np.array([0.5, 1.2, 13.3, u, v]))
+        for p in points:
+            analytic = problem.jac(p)
+            numeric = numeric_jacobian(problem, p)
+            scale = max(1.0, float(np.max(np.abs(numeric))))
+            assert np.max(np.abs(analytic - numeric)) < 1e-6 * scale, p
+
+    def test_matches_full_data_fit(self, rng):
+        series = partial_series_with_invalid_day(rng)
+        mask = series.valid_minutes_mask()
+        t = series.time_hours()[mask]
+        y = np.log1p(series.values[mask])
+        fit = fit_sigmoidal_cosinor(series)
+        mn, amp, alpha, beta, phase = full_data_sigmoidal_fit(t, y)
+        assert fit.converged
+        assert fit.n_points == t.size
+        assert fit.min == pytest.approx(mn, rel=1e-7, abs=1e-7)
+        assert fit.amplitude == pytest.approx(amp, rel=1e-7)
+        assert fit.alpha == pytest.approx(alpha, rel=1e-7, abs=1e-7)
+        assert fit.beta == pytest.approx(beta, rel=1e-7)
+        assert hours_apart(fit.phase, phase) < 1e-7
+        full_rss = float(np.sum((y - model_value(t, fit)) ** 2))
+        assert fit.rss == pytest.approx(full_rss, rel=1e-9)
+
+    def test_linear_stage_matches_full_data_projection(self, rng):
+        series = partial_series_with_invalid_day(rng)
+        mask = series.valid_minutes_mask()
+        t = series.time_hours()[mask]
+        omega = 2 * np.pi / 24
+        design = np.column_stack([np.ones(t.size), np.cos(omega * t),
+                                  np.sin(omega * t)])
+        b0, bc, bs = np.linalg.lstsq(design, np.log1p(series.values[mask]),
+                                     rcond=None)[0]
+        fit = fit_linear_cosinor(series)
+        assert fit.mesor == pytest.approx(b0, rel=1e-12)
+        assert fit.amplitude == pytest.approx(math.hypot(bc, bs), rel=1e-12)
+        assert fit.acrophase == pytest.approx(math.atan2(bs, bc) / omega % 24, rel=1e-12)
+
+    def test_fewer_than_five_minutes_of_day(self):
+        # 23:58 start: two minutes, one invalid day, then two minutes, so
+        # the span exceeds 12 h but only four minutes of day are populated
+        series = make_series(np.arange(1444.0) % 7, start=datetime(2016, 5, 1, 23, 58))
+        series = dataclasses.replace(series, day_valid=np.array([True, False, True]))
+        with pytest.raises(errors.InsufficientSpan):
+            fit_sigmoidal_cosinor(series, RAW)

@@ -132,6 +132,33 @@ class TestLevenbergMarquardt:
         assert scaled.rss == pytest.approx(k * k * base.rss, rel=1e-6)
         assert np.allclose(scaled.params, base.params, atol=1e-6)
 
+    def test_analytic_jacobian_reaches_same_optimum(self, rng):
+        t = np.linspace(0, 72, 500)
+        y = sigmoid_curve(t, 1.0, 5.0, 0.2, 3.0, 10.0) + rng.normal(0, 0.3, t.size)
+        calls = []
+
+        def jac(p):
+            calls.append(p)
+            return -model_partials(t, *p)
+
+        def residual(p):
+            return y - sigmoid_curve(t, *p)
+
+        x0 = np.array([0.0, 3.0, 0.0, 2.0, 8.0])
+        numeric = levenberg_marquardt(ResidualProblem(residual, 5, t.size), x0)
+        analytic = levenberg_marquardt(
+            ResidualProblem(residual, 5, t.size, jac=jac), x0)
+        assert analytic.converged
+        assert len(calls) == analytic.iterations
+        assert analytic.rss == pytest.approx(numeric.rss, rel=1e-10)
+        assert np.allclose(analytic.params, numeric.params, rtol=1e-6)
+
+    def test_non_finite_analytic_jacobian(self):
+        problem = ResidualProblem(lambda p: p - 1.0, 1, 1,
+                                  jac=lambda p: np.array([[np.nan]]))
+        with pytest.raises(errors.NonFiniteResidual):
+            levenberg_marquardt(problem, np.array([0.0]))
+
     def test_non_finite_start(self):
         problem = ResidualProblem(lambda p: np.array([np.inf]), 1, 1)
         with pytest.raises(errors.NonFiniteResidual):
