@@ -66,7 +66,8 @@ def _add_compare_flags(p: argparse.ArgumentParser):
     p.add_argument("--posthoc", choices=["ranksum", "dunn"], default="ranksum",
                    help="pairwise test (default ranksum)")
     p.add_argument("--exact", action="store_true",
-                   help="exact rank-sum p when both groups have n <= 12")
+                   help="exact permutation rank-sum p, from the counted "
+                        "rank-sum distribution, when both groups have n <= 12")
 
 
 def build_parser() -> _Parser:

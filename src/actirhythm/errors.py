@@ -2,7 +2,9 @@
 
 DataError subclasses indicate problems with user-supplied data and map to
 exit code 2 in the CLI; UsageError maps to exit code 1; anything else is an
-internal error (exit 3).
+internal error (exit 3). NumericFailure (the fitter breaking down on one
+subject's data) is a DataError, so the per-subject loops skip that subject
+rather than abort the cohort.
 """
 
 
@@ -76,15 +78,19 @@ class TooShort(DataError):
 
 
 # nls
-class RankDeficient(ActirhythmError):
+class NumericFailure(DataError):
     pass
 
 
-class NonFiniteResidual(ActirhythmError):
+class RankDeficient(NumericFailure):
     pass
 
 
-class SingularNormalMatrix(ActirhythmError):
+class NonFiniteResidual(NumericFailure):
+    pass
+
+
+class SingularNormalMatrix(NumericFailure):
     pass
 
 

@@ -239,6 +239,11 @@ def render_curves_svg(curves: Sequence[GroupCurve],
     return "\n".join(parts) + "\n"
 
 
+def _xml_text(text: str) -> str:
+    """Escape &, < and > for SVG character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_overlays_svg(overlays: Sequence[CurveOverlay],
                         options: SvgOptions = SvgOptions()) -> str:
     """Small-multiple panels of observed minute-of-day profile (grey) and
@@ -281,7 +286,7 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay],
         parts.append(f'<polyline points="{fit_pts}" fill="none" '
                      f'stroke="{GROUP_COLORS[ov.group]}" stroke-width="1.8"/>')
         parts.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{py0 - 4}" font-size="11" '
-                     f'text-anchor="middle" fill="#333333">{ov.subject_id} '
+                     f'text-anchor="middle" fill="#333333">{_xml_text(ov.subject_id)} '
                      f'({ov.group.value})</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -4,6 +4,7 @@ These are written independently of the package internals: plain loops and
 the textbook formulas, no shared helpers.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -89,10 +90,8 @@ def brute_zero_bouts(values, min_bout):
     return bouts
 
 
-def brute_kruskal_h(groups):
-    """Tie-corrected H via the rank-ANOVA identity
-    H = (N-1) * SS_between / SS_total on mid-ranks."""
-    pooled = [v for g in groups for v in g]
+def brute_mid_ranks(pooled):
+    """1-based ranks; tied values share the mean of the ranks they span."""
     n = len(pooled)
     order = sorted(range(n), key=lambda i: pooled[i])
     ranks = [0.0] * n
@@ -104,6 +103,15 @@ def brute_kruskal_h(groups):
         for k in range(i, j + 1):
             ranks[order[k]] = (i + j) / 2.0 + 1.0
         i = j + 1
+    return ranks
+
+
+def brute_kruskal_h(groups):
+    """Tie-corrected H via the rank-ANOVA identity
+    H = (N-1) * SS_between / SS_total on mid-ranks."""
+    pooled = [v for g in groups for v in g]
+    n = len(pooled)
+    ranks = brute_mid_ranks(pooled)
     grand = sum(ranks) / n
     ss_total = sum((r - grand) ** 2 for r in ranks)
     if ss_total == 0:
@@ -116,6 +124,25 @@ def brute_kruskal_h(groups):
         ss_between += m * (mean_g - grand) ** 2
         offset += m
     return (n - 1) * ss_between / ss_total
+
+
+def brute_mwu_exact_p(x, y):
+    """Exact two-sided Mann-Whitney p by enumerating every assignment of
+    n1 of the pooled items to the first group (ties kept as mid-ranks)."""
+    x, y = list(x), list(y)
+    n1, n2 = len(x), len(y)
+    ranks = brute_mid_ranks(x + y)
+    base = n1 * (n1 + 1) / 2.0
+    u_obs = n1 * n2 + base - float(sum(ranks[:n1]))
+    n_le = n_ge = total = 0
+    for combo in itertools.combinations(range(n1 + n2), n1):
+        u = n1 * n2 + base - sum(ranks[i] for i in combo)
+        total += 1
+        if u <= u_obs:
+            n_le += 1
+        if u >= u_obs:
+            n_ge += 1
+    return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
 def sigmoid_curve(t, min_, amplitude, alpha, beta, phase):

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from actirhythm import errors, report
 from actirhythm.cli import main
 from actirhythm.ingest import GroupLabel
 from cohorts import write_cohort
@@ -146,6 +147,47 @@ def test_run_exit_code_2_when_one_group(tmp_path, capsys):
     manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.RR: 3})
     assert main(["run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "o"), "--transform", "raw"]) == 2
+
+
+def _fit_failing_for(subject_id, error, fit):
+    def fit_or_fail(window, config):
+        if window.subject_id == subject_id:
+            raise error("injected numeric failure")
+        return fit(window, config)
+    return fit_or_fail
+
+
+@pytest.mark.parametrize("error", [errors.RankDeficient,
+                                   errors.NonFiniteResidual,
+                                   errors.SingularNormalMatrix])
+def test_run_skips_subject_with_numeric_failure(cohort, tmp_path, monkeypatch,
+                                                capsys, error):
+    monkeypatch.setattr(report, "fit_sigmoidal_cosinor",
+                        _fit_failing_for("p01", error, report.fit_sigmoidal_cosinor))
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(cohort), "--out", str(out),
+                 "--transform", "raw"]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        skips = list(csv.DictReader(fh))
+    assert [(row["subject_id"], row["reason"]) for row in skips] == \
+        [("p01", "injected numeric failure")]
+    cosinor_ids = [line.split(",")[0] for line in
+                   (out / "cosinor.csv").read_text().splitlines()[1:]]
+    assert "p01" not in cosinor_ids and len(cosinor_ids) == 7
+
+
+def test_cosinor_command_skips_subject_with_numeric_failure(
+        cohort, tmp_path, monkeypatch, capsys):
+    import actirhythm.cli as cli
+
+    monkeypatch.setattr(cli, "fit_sigmoidal_cosinor",
+                        _fit_failing_for("p01", errors.SingularNormalMatrix,
+                                         cli.fit_sigmoidal_cosinor))
+    out = tmp_path / "o"
+    assert main(["cosinor", "--manifest", str(cohort), "--out", str(out),
+                 "--transform", "raw"]) == 0
+    assert "p01" in (out / "skips.csv").read_text()
+    assert len((out / "cosinor.csv").read_text().splitlines()) == 8
 
 
 def test_internal_error_exit_code_3(cohort, tmp_path, monkeypatch, capsys):

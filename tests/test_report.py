@@ -1,12 +1,16 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
 from actirhythm import errors
 from actirhythm.ingest import GroupLabel
 from actirhythm.report import (
+    CurveOverlay,
     PipelineConfig,
     group_average_curve,
     render_curves_svg,
+    render_overlays_svg,
     run_pipeline,
 )
 from cohorts import write_cohort
@@ -95,6 +99,18 @@ class TestSvg:
                   for line in svg.splitlines()
                   if 'text-anchor="end"' in line]
         assert max(labels) >= top * 0.99
+
+    def test_overlay_subject_id_is_escaped(self):
+        profile = np.linspace(0.0, 5.0, 1440)
+        svg = render_overlays_svg([
+            CurveOverlay(subject_id="a<b&c", group=CCI, observed=profile,
+                         fitted=profile[::-1].copy()),
+            CurveOverlay(subject_id="plain", group=ICU, observed=profile,
+                         fitted=profile),
+        ])
+        ns = "{http://www.w3.org/2000/svg}"
+        labels = [t.text for t in ET.fromstring(svg).iter(ns + "text")]
+        assert labels == ["a<b&c (cci)", "plain (control_icu)"]
 
 
 class TestPipeline:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from actirhythm.stats import (
     CIRCADIAN_ORDER,
     FEATURE_ORDER,
     GroupSamples,
+    _mwu_exact_p,
     chi_square_sf,
     comparison_rows,
     kruskal_wallis,
@@ -19,7 +21,7 @@ from actirhythm.stats import (
     pairwise_ranksum,
     ranks_with_ties,
 )
-from reference_impls import brute_kruskal_h
+from reference_impls import brute_kruskal_h, brute_mwu_exact_p
 
 ICU = GroupLabel.CONTROL_ICU
 CCI = GroupLabel.CCI
@@ -183,6 +185,22 @@ class TestPairwise:
                       pairwise_dunn(samples((CCI, x), (RR, y)))):
             p = flags.get(CCI, RR).p
             assert 0.0 <= p <= 1.0
+
+
+class TestExactRankSum:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=9),
+           st.lists(st.integers(0, 5), min_size=1, max_size=9))
+    def test_matches_enumeration_with_ties(self, x, y):
+        p = _mwu_exact_p(np.array(x, float), np.array(y, float))
+        assert p == brute_mwu_exact_p(x, y)
+
+    def test_twelve_v_twelve_with_ties_matches_enumeration(self):
+        # brute_mwu_exact_p on this pair counts 563887 of the C(24, 12)
+        # assignments in the smaller tail: p = 2 * 563887 / 2704156
+        x = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
+        y = [9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4]
+        p = _mwu_exact_p(np.array(x, float), np.array(y, float))
+        assert p == float(Fraction(2 * 563887, math.comb(24, 12)))
 
 
 class TestMedianIqr:
