@@ -8,28 +8,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 import traceback
 from pathlib import Path
 
 from . import report, stats
-from .cosinor import fit_sigmoidal_cosinor
 from .errors import DataError, MalformedRow, UsageError
-from .features import compute_features
 from .ingest import (
     GroupLabel,
     SynthSpec,
-    aggregate_to_minutes,
     generate_synthetic,
     load_manifest,
-    parse_triaxial_csv,
     serialize_triaxial_csv,
 )
-from .preprocess import detect_nonwear_bouts, filter_invalid_days, to_activity_series
 
 SYNTH_COLUMNS = ("subject_id", "group", "min", "amplitude", "alpha", "beta",
                  "phase", "noise_sd", "days")
+
+_DEFAULTS = report.PipelineConfig()
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(report.PipelineConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,17 +37,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser):
-    p.add_argument("--days", type=int, default=5,
-                   help="valid complete days required per subject (default 5)")
-    p.add_argument("--nonwear-min", type=int, default=60,
-                   help="zero-run length in minutes a bout must exceed (default 60)")
-    p.add_argument("--nonwear-tolerance", type=int, default=0,
-                   help="non-zero minutes tolerated inside a bout (default 0)")
+    p.add_argument("--days", type=int, default=_DEFAULTS.days,
+                   help="valid complete days required per subject (default %(default)s)")
+    p.add_argument("--nonwear-min", type=int, default=_DEFAULTS.nonwear_min,
+                   help="zero-run length in minutes a bout must exceed (default %(default)s)")
+    p.add_argument("--nonwear-tolerance", type=int, default=_DEFAULTS.nonwear_tolerance,
+                   help="non-zero minutes tolerated inside a bout (default %(default)s)")
 
 
 def _add_feature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--immobile-threshold", type=float, default=0.0,
-                   help="counts/min at or below which a minute is immobile")
+    p.add_argument("--immobile-threshold", type=float, default=_DEFAULTS.immobile_threshold,
+                   help="counts/min at or below which a minute is immobile "
+                        "(default %(default)s)")
     p.add_argument("--per-day", action="store_true",
                    help="compute M10/L5 per day and average across days")
     p.add_argument("--ra-raw-sums", action="store_true",
@@ -56,18 +56,24 @@ def _add_feature_flags(p: argparse.ArgumentParser):
 
 
 def _add_cosinor_flags(p: argparse.ArgumentParser):
-    p.add_argument("--transform", choices=["log1p", "raw"], default="log1p",
-                   help="activity transform before fitting (default log1p)")
-    p.add_argument("--multistart", type=int, default=1,
-                   help="number of phase-rotated starting points (default 1)")
+    p.add_argument("--transform", choices=["log1p", "raw"], default=_DEFAULTS.transform,
+                   help="activity transform before fitting (default %(default)s)")
+    p.add_argument("--multistart", type=int, default=_DEFAULTS.multistart,
+                   help="number of phase-rotated starting points (default %(default)s)")
 
 
 def _add_compare_flags(p: argparse.ArgumentParser):
-    p.add_argument("--posthoc", choices=["ranksum", "dunn"], default="ranksum",
-                   help="pairwise test (default ranksum)")
+    p.add_argument("--posthoc", choices=["ranksum", "dunn"], default=_DEFAULTS.posthoc,
+                   help="pairwise test (default %(default)s)")
     p.add_argument("--exact", action="store_true",
                    help="exact permutation rank-sum p, from the counted "
                         "rank-sum distribution, when both groups have n <= 12")
+
+
+def _add_smooth_flag(p: argparse.ArgumentParser):
+    p.add_argument("--smooth", type=int, default=_DEFAULTS.smooth,
+                   help="centered moving-average window of the group curves in "
+                        "minutes, 0 for none (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -102,8 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     _add_preprocess_flags(p)
-    p.add_argument("--smooth", type=int, default=0,
-                   help="centered moving-average window, minutes (default off)")
+    _add_smooth_flag(p)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--spec", required=True, type=Path,
@@ -119,25 +124,14 @@ def build_parser() -> _Parser:
     _add_feature_flags(p)
     _add_cosinor_flags(p)
     _add_compare_flags(p)
-    p.add_argument("--smooth", type=int, default=0)
+    _add_smooth_flag(p)
 
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> report.PipelineConfig:
-    return report.PipelineConfig(
-        days=getattr(args, "days", 5),
-        nonwear_min=getattr(args, "nonwear_min", 60),
-        nonwear_tolerance=getattr(args, "nonwear_tolerance", 0),
-        immobile_threshold=getattr(args, "immobile_threshold", 0.0),
-        per_day=getattr(args, "per_day", False),
-        ra_raw_sums=getattr(args, "ra_raw_sums", False),
-        transform=getattr(args, "transform", "log1p"),
-        multistart=getattr(args, "multistart", 1),
-        posthoc=getattr(args, "posthoc", "ranksum"),
-        exact=getattr(args, "exact", False),
-        smooth=getattr(args, "smooth", 0),
-    )
+    return report.PipelineConfig(**{k: v for k, v in vars(args).items()
+                                    if k in _CONFIG_FIELDS})
 
 
 def _cmd_validate(args) -> int:
@@ -146,69 +140,46 @@ def _cmd_validate(args) -> int:
     print(f"{'subject_id':<16}{'group':<18}{'days':>6}{'bouts':>7}{'valid':>7}  status")
     all_ok = True
     for entry in sorted(manifest.entries, key=lambda e: e.subject_id):
-        path = Path(entry.source_path)
-        if not path.is_absolute():
-            path = args.manifest.parent / path
         try:
-            tri = aggregate_to_minutes(parse_triaxial_csv(path.read_bytes(),
-                                                          entry.subject_id))
-            series = to_activity_series(tri)
-            bouts = detect_nonwear_bouts(series, min_bout=config.nonwear_min,
-                                         tolerance=config.nonwear_tolerance)
-            series = filter_invalid_days(series, bouts)
-            valid = sum(1 for d in range(series.n_days)
-                        if series.day_valid[d] and series.is_complete_day(d))
-            ok = valid >= config.days
-            all_ok &= ok
-            print(f"{entry.subject_id:<16}{entry.group.value:<18}"
-                  f"{series.n_days:>6}{len(bouts):>7}{valid:>7}  "
-                  f"{'ok' if ok else 'insufficient'}")
-        except (DataError, OSError) as exc:
+            series, bouts = report.read_subject(entry, args.manifest.parent, config)
+        except DataError as exc:
             all_ok = False
             print(f"{entry.subject_id:<16}{entry.group.value:<18}"
                   f"{'-':>6}{'-':>7}{'-':>7}  error: {exc}")
+            continue
+        valid = sum(1 for d in range(series.n_days)
+                    if series.day_valid[d] and series.is_complete_day(d))
+        ok = valid >= config.days
+        all_ok &= ok
+        print(f"{entry.subject_id:<16}{entry.group.value:<18}"
+              f"{series.n_days:>6}{len(bouts):>7}{valid:>7}  "
+              f"{'ok' if ok else 'insufficient'}")
     return 0 if all_ok else 2
 
 
-def _report_skips(skipped, out_dir: Path):
-    report._write(out_dir / "skips.csv", report.skips_csv(skipped))
+def _cohort(args, **stages) -> list[report.SubjectRecord]:
+    """report.load_cohort with ``stages``; writes skips.csv under --out and
+    lists the skips on stderr. A data error if no subject survived."""
+    config = _config_from(args)
+    args.out.mkdir(parents=True, exist_ok=True)
+    records, skipped = report.load_cohort(args.manifest, config, **stages)
+    report._write(args.out / "skips.csv", report.skips_csv(skipped))
     for sid, _, reason in skipped:
         print(f"skipped {sid}: {reason}", file=sys.stderr)
+    if not records:
+        raise DataError("no subject survived")
+    return records
 
 
 def _cmd_features(args) -> int:
-    config = _config_from(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    records, skipped = report.load_cohort(args.manifest, config)
-    ok = []
-    for rec in records:
-        try:
-            rec.features = compute_features(rec.window, config.feature_config())
-            ok.append(rec)
-        except DataError as exc:
-            skipped.append((rec.subject_id, rec.group.value, str(exc)))
-    _report_skips(skipped, args.out)
-    if not ok:
-        raise DataError("no subject produced features")
-    report._write(args.out / "features.csv", report.features_csv(ok))
+    records = _cohort(args, features=True)
+    report._write(args.out / "features.csv", report.features_csv(records))
     return 0
 
 
 def _cmd_cosinor(args) -> int:
-    config = _config_from(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    records, skipped = report.load_cohort(args.manifest, config)
-    ok = []
-    for rec in records:
-        try:
-            rec.fit = fit_sigmoidal_cosinor(rec.window, config.fit_config())
-            ok.append(rec)
-        except DataError as exc:
-            skipped.append((rec.subject_id, rec.group.value, str(exc)))
-    _report_skips(skipped, args.out)
-    if not ok:
-        raise DataError("no subject produced a fit")
-    report._write(args.out / "cosinor.csv", report.cosinor_csv(ok))
+    records = _cohort(args, fit=True)
+    report._write(args.out / "cosinor.csv", report.cosinor_csv(records))
     return 0
 
 
@@ -252,16 +223,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    config = _config_from(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    records, skipped = report.load_cohort(args.manifest, config)
-    _report_skips(skipped, args.out)
-    if not records:
-        raise DataError("no subject produced an analysis window")
-    by_group = {}
-    for rec in records:
-        by_group.setdefault(rec.group, []).append(rec.window)
-    curves = report.group_average_curve(by_group, smoothing=config.smooth)
+    curves = report.cohort_curves(_cohort(args), args.smooth)
     report._write(args.out / "curves.csv", report.curves_csv(curves))
     report._write(args.out / "curves.svg", report.render_curves_svg(curves))
     return 0
@@ -280,6 +242,8 @@ def _parse_synth_row(row: dict[str, str], line_no: int, base_seed: int):
         raise MalformedRow(line_no, f"bad synth spec row: {exc}") from None
     if not sid:
         raise MalformedRow(line_no, "empty subject_id")
+    if "\r" in sid or "\n" in sid:
+        raise MalformedRow(line_no, f"line break in subject_id {sid!r}")
     return sid, group, spec
 
 
@@ -289,7 +253,7 @@ def _cmd_synth(args) -> int:
     missing = [c for c in SYNTH_COLUMNS if c not in names]
     if missing:
         raise MalformedRow(1, f"spec is missing columns {missing}")
-    manifest_lines = ["subject_id,group,path"]
+    manifest_rows = []
     seen = set()
     for line_no, row in enumerate(rows, start=2):
         sid, group, spec = _parse_synth_row(row, line_no, args.seed)
@@ -298,9 +262,9 @@ def _cmd_synth(args) -> int:
         seen.add(sid)
         series = generate_synthetic(spec, subject_id=sid)
         report._write(args.out / f"{sid}.csv", serialize_triaxial_csv(series))
-        manifest_lines.append(f"{report.csv_field(sid)},{group.value},"
-                              f"{report.csv_field(sid + '.csv')}")
-    report._write(args.out / "manifest.csv", "\n".join(manifest_lines) + "\n")
+        manifest_rows.append((sid, group.value, sid + ".csv"))
+    report._write(args.out / "manifest.csv",
+                  report.csv_text(("subject_id", "group", "path"), manifest_rows))
     print(f"wrote {len(rows)} subjects and manifest.csv to {args.out}")
     return 0
 

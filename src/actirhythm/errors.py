@@ -3,7 +3,7 @@
 DataError subclasses indicate problems with user-supplied data and map to
 exit code 2 in the CLI; UsageError maps to exit code 1; anything else is an
 internal error (exit 3). NumericFailure (the fitter breaking down on one
-subject's data) is a DataError, so the per-subject loops skip that subject
+subject's data) is a DataError, so the per-subject loop skips that subject
 rather than abort the cohort.
 """
 
@@ -61,6 +61,10 @@ class NotMinuteEpoch(DataError):
 
 
 class InsufficientData(DataError):
+    pass
+
+
+class CountOverflow(DataError):
     pass
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import curve
 from .errors import (
+    CountOverflow,
     DuplicateSubject,
     IncompatibleEpoch,
     InvalidSpec,
@@ -256,7 +257,10 @@ def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:
     per_minute = 60 // series.epoch_length
     n_minutes = len(series) // per_minute
     used = series.samples[: n_minutes * per_minute]
-    summed = used.reshape(n_minutes, per_minute, 3).sum(axis=1)
+    with np.errstate(over="ignore"):
+        summed = used.reshape(n_minutes, per_minute, 3).sum(axis=1)
+    if not np.all(np.isfinite(summed)):
+        raise CountOverflow(f"subject {series.subject_id!r}: minute sums overflow")
     return TriaxialSeries(subject_id=series.subject_id,
                           start_time=series.start_time,
                           epoch_length=60, samples=summed)
@@ -265,18 +269,22 @@ def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:
 def load_manifest(content) -> CohortManifest:
     reader = csv.reader(io.StringIO(_decode(content)))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "missing header") from None
-    if tuple(c.strip().lower() for c in header) != _MANIFEST_HEADER:
-        raise MalformedRow(1, f"unexpected header {header!r}")
+        rows = list(reader)
+    except csv.Error as exc:   # e.g. a bare CR in an unquoted field
+        raise MalformedRow(reader.line_num, f"bad CSV row: {exc}") from None
+    if not rows:
+        raise MalformedRow(1, "missing header")
+    if tuple(c.strip().lower() for c in rows[0]) != _MANIFEST_HEADER:
+        raise MalformedRow(1, f"unexpected header {rows[0]!r}")
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
             raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
+        if any("\r" in f or "\n" in f for f in row):
+            raise MalformedRow(line_no, "line break inside a field")
         subject_id = row[0].strip()
         if not subject_id:
             raise MalformedRow(line_no, "empty subject_id")

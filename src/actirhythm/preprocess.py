@@ -16,7 +16,7 @@ from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
-from .errors import InsufficientData, NotMinuteEpoch
+from .errors import CountOverflow, InsufficientData, NotMinuteEpoch
 from .ingest import TriaxialSeries
 
 MINUTES_PER_DAY = 1440
@@ -141,8 +141,11 @@ def to_activity_series(series: TriaxialSeries) -> ActivitySeries:
             f"expected 60 s epochs, got {series.epoch_length} s; aggregate first")
     if len(series) < 1:
         raise NotMinuteEpoch("empty series")
-    vm = vector_magnitude(series.samples[:, 0], series.samples[:, 1],
-                          series.samples[:, 2])
+    with np.errstate(over="ignore"):
+        vm = vector_magnitude(series.samples[:, 0], series.samples[:, 1],
+                              series.samples[:, 2])
+    if not np.all(np.isfinite(vm)):
+        raise CountOverflow(f"subject {series.subject_id!r}: vector magnitude overflows")
     return ActivitySeries.from_minutes(series.subject_id, series.start_time, vm)
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,6 +25,7 @@ from .features import ActivityFeatures, FeatureConfig, compute_features
 from .ingest import GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest, parse_triaxial_csv
 from .preprocess import (
     ActivitySeries,
+    NonwearBout,
     detect_nonwear_bouts,
     filter_invalid_days,
     select_analysis_window,
@@ -44,12 +46,19 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def csv_field(text: str) -> str:
-    """One CSV field, quoted only when it needs to be (csv.QUOTE_MINIMAL).
-    The default "\r\n" terminator makes both CR and LF force quoting."""
+def _fmt_column(values: np.ndarray) -> list[str]:
+    return ["%.6g" % v for v in values.tolist()]
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """A CSV table with LF line ends; fields are quoted only when they
+    contain a comma, quote or LF (csv.QUOTE_MINIMAL). A bare CR is not
+    quoted, which is why the manifest and synth spec reject line breaks."""
     buf = io.StringIO()
-    csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow([text])
-    return buf.getvalue()[:-2]
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -309,36 +318,29 @@ def build_overlay(record: SubjectRecord, config: PipelineConfig) -> CurveOverlay
 # output writers
 
 def features_csv(records: Sequence[SubjectRecord]) -> str:
-    lines = ["subject_id,group," + ",".join(ActivityFeatures.FIELDS)]
-    for rec in records:
-        f = rec.features
-        lines.append(f"{csv_field(rec.subject_id)},{rec.group.value},"
-                     + ",".join(_fmt(getattr(f, name))
-                                for name in ActivityFeatures.FIELDS))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("subject_id", "group") + ActivityFeatures.FIELDS,
+        ([rec.subject_id, rec.group.value]
+         + [_fmt(getattr(rec.features, name)) for name in ActivityFeatures.FIELDS]
+         for rec in records))
 
 
 def cosinor_csv(records: Sequence[SubjectRecord]) -> str:
-    lines = ["subject_id,group,min,amplitude,alpha,beta,phase,mesor,rss,"
-             "converged,transform"]
-    for rec in records:
-        fit = rec.fit
-        lines.append(
-            f"{csv_field(rec.subject_id)},{rec.group.value},{_fmt(fit.min)},"
-            f"{_fmt(fit.amplitude)},{_fmt(fit.alpha)},{_fmt(fit.beta)},"
-            f"{_fmt(fit.phase)},{_fmt(fit.mesor)},{_fmt(fit.rss)},"
-            f"{'true' if fit.converged else 'false'},{fit.transform}")
-    return "\n".join(lines) + "\n"
+    names = ("min", "amplitude", "alpha", "beta", "phase", "mesor", "rss")
+    return csv_text(
+        ("subject_id", "group") + names + ("converged", "transform"),
+        ([rec.subject_id, rec.group.value]
+         + [_fmt(getattr(rec.fit, name)) for name in names]
+         + ["true" if rec.fit.converged else "false", rec.fit.transform]
+         for rec in records))
 
 
 def comparison_csv(rows: Sequence[stats.GroupComparisonRow]) -> str:
-    lines = ["feature,group,median,q25,q75,kw_h,kw_p,markers"]
-    for row in rows:
-        for cell in row.cells:
-            lines.append(f"{row.feature},{cell.label.value},{_fmt(cell.median)},"
-                         f"{_fmt(cell.q25)},{_fmt(cell.q75)},{_fmt(row.kw.h)},"
-                         f"{_fmt(row.kw.p)},{cell.markers}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("feature", "group", "median", "q25", "q75", "kw_h", "kw_p", "markers"),
+        ((row.feature, cell.label.value, _fmt(cell.median), _fmt(cell.q25),
+          _fmt(cell.q75), _fmt(row.kw.h), _fmt(row.kw.p), cell.markers)
+         for row in rows for cell in row.cells))
 
 
 def comparison_text(rows: Sequence[stats.GroupComparisonRow]) -> str:
@@ -370,30 +372,25 @@ def comparison_text(rows: Sequence[stats.GroupComparisonRow]) -> str:
 
 
 def curves_csv(curves: Sequence[GroupCurve]) -> str:
-    lines = ["group,minute,mean,ci_low,ci_high"]
+    rows = []
     for c in curves:
-        for i in range(c.times.size):
-            lines.append(f"{c.group.value},{int(c.times[i])},{_fmt(c.mean[i])},"
-                         f"{_fmt(c.ci_low[i])},{_fmt(c.ci_high[i])}")
-    return "\n".join(lines) + "\n"
+        rows += zip(repeat(c.group.value), c.times.astype(int).tolist(),
+                    _fmt_column(c.mean), _fmt_column(c.ci_low),
+                    _fmt_column(c.ci_high))
+    return csv_text(("group", "minute", "mean", "ci_low", "ci_high"), rows)
 
 
 def overlays_csv(overlays: Sequence[CurveOverlay]) -> str:
-    lines = ["subject_id,group,minute,observed,fitted"]
+    rows = []
     for ov in overlays:
-        sid = csv_field(ov.subject_id)
-        for i in range(ov.observed.size):
-            lines.append(f"{sid},{ov.group.value},{i},"
-                         f"{_fmt(ov.observed[i])},{_fmt(ov.fitted[i])}")
-    return "\n".join(lines) + "\n"
+        rows += zip(repeat(ov.subject_id), repeat(ov.group.value),
+                    range(ov.observed.size), _fmt_column(ov.observed),
+                    _fmt_column(ov.fitted))
+    return csv_text(("subject_id", "group", "minute", "observed", "fitted"), rows)
 
 
 def skips_csv(skipped: Sequence[tuple[str, str, str]]) -> str:
-    lines = ["subject_id,group,reason"]
-    for sid, group, reason in skipped:
-        reason = reason.replace('"', "'")
-        lines.append(f'{csv_field(sid)},{group},"{reason}"')
-    return "\n".join(lines) + "\n"
+    return csv_text(("subject_id", "group", "reason"), skipped)
 
 
 def _write(path: Path, text: str) -> Path:
@@ -404,8 +401,10 @@ def _write(path: Path, text: str) -> Path:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def prepare_subject(entry, manifest_dir: Path, config: PipelineConfig) -> ActivitySeries:
-    """ingest -> minutes -> vector magnitude -> non-wear filter -> window."""
+def read_subject(entry, manifest_dir: Path,
+                 config: PipelineConfig) -> tuple[ActivitySeries, list[NonwearBout]]:
+    """ingest -> minutes -> vector magnitude -> non-wear bouts -> day
+    filter; returns the filtered series and the bouts found."""
     path = Path(entry.source_path)
     if not path.is_absolute():
         path = manifest_dir / path
@@ -417,24 +416,43 @@ def prepare_subject(entry, manifest_dir: Path, config: PipelineConfig) -> Activi
     series = to_activity_series(tri)
     bouts = detect_nonwear_bouts(series, min_bout=config.nonwear_min,
                                  tolerance=config.nonwear_tolerance)
-    series = filter_invalid_days(series, bouts)
+    return filter_invalid_days(series, bouts), bouts
+
+
+def prepare_subject(entry, manifest_dir: Path, config: PipelineConfig) -> ActivitySeries:
+    """read_subject, then the analysis window."""
+    series, _ = read_subject(entry, manifest_dir, config)
     return select_analysis_window(series, n_days=config.days)
 
 
-def load_cohort(manifest_path: Path,
-                config: PipelineConfig) -> tuple[list[SubjectRecord],
-                                                 list[tuple[str, str, str]]]:
+def load_cohort(manifest_path: Path, config: PipelineConfig, features: bool = False,
+                fit: bool = False) -> tuple[list[SubjectRecord],
+                                            list[tuple[str, str, str]]]:
+    """Every manifest subject in ID order through prepare_subject and, when
+    asked, compute_features and fit_sigmoidal_cosinor. A subject failing
+    any stage with a DataError becomes a (subject_id, group, reason) skip."""
     manifest = load_manifest(manifest_path.read_bytes())
     records = []
     skipped = []
     for entry in sorted(manifest.entries, key=lambda e: e.subject_id):
         try:
             window = prepare_subject(entry, manifest_path.parent, config)
-            records.append(SubjectRecord(subject_id=entry.subject_id,
-                                         group=entry.group, window=window))
+            rec = SubjectRecord(entry.subject_id, entry.group, window)
+            if features:
+                rec.features = compute_features(window, config.feature_config())
+            if fit:
+                rec.fit = fit_sigmoidal_cosinor(window, config.fit_config())
+            records.append(rec)
         except DataError as exc:
             skipped.append((entry.subject_id, entry.group.value, str(exc)))
     return records, skipped
+
+
+def cohort_curves(records: Sequence[SubjectRecord], smoothing: int) -> list[GroupCurve]:
+    by_group: dict[GroupLabel, list[ActivitySeries]] = {}
+    for rec in records:
+        by_group.setdefault(rec.group, []).append(rec.window)
+    return group_average_curve(by_group, smoothing=smoothing)
 
 
 def run_pipeline(manifest_path: Path, out_dir: Path,
@@ -445,20 +463,9 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     from all outputs. Fails only if fewer than two groups survive.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, skipped = load_cohort(manifest_path, config)
-
-    surviving = []
-    for rec in records:
-        try:
-            rec.features = compute_features(rec.window, config.feature_config())
-            rec.fit = fit_sigmoidal_cosinor(rec.window, config.fit_config())
-            surviving.append(rec)
-        except DataError as exc:
-            skipped.append((rec.subject_id, rec.group.value, str(exc)))
-    records = surviving
-
+    records, skipped = load_cohort(manifest_path, config, features=True, fit=True)
+    skips = _write(out_dir / "skips.csv", skips_csv(skipped))
     if len({rec.group for rec in records}) < 2:
-        _write(out_dir / "skips.csv", skips_csv(skipped))
         raise InsufficientData("fewer than 2 groups survived preprocessing")
 
     rows = stats.feature_table(
@@ -467,10 +474,7 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
         {r.subject_id: r.group for r in records},
         posthoc=config.posthoc, exact=config.exact)
 
-    by_group: dict[GroupLabel, list[ActivitySeries]] = {}
-    for rec in records:
-        by_group.setdefault(rec.group, []).append(rec.window)
-    curves = group_average_curve(by_group, smoothing=config.smooth)
+    curves = cohort_curves(records, config.smooth)
 
     first_per_group = {}
     for rec in records:
@@ -488,6 +492,6 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
         "curves_svg": _write(out_dir / "curves.svg", render_curves_svg(curves)),
         "overlays": _write(out_dir / "overlays.csv", overlays_csv(overlays)),
         "overlays_svg": _write(out_dir / "overlays.svg", render_overlays_svg(overlays)),
-        "skips": _write(out_dir / "skips.csv", skips_csv(skipped)),
+        "skips": skips,
     }
     return result

@@ -3,8 +3,9 @@ import csv
 import pytest
 
 from actirhythm import errors, report
-from actirhythm.cli import main
-from actirhythm.ingest import GroupLabel
+from actirhythm.cli import _config_from, build_parser, main
+from actirhythm.ingest import GroupLabel, load_manifest
+from actirhythm.report import PipelineConfig
 from cohorts import write_cohort
 
 SMALL_SIZES = {GroupLabel.CONTROL_ICU: 2, GroupLabel.CCI: 2,
@@ -117,23 +118,102 @@ def test_subject_id_with_comma_round_trips_through_compare(tmp_path, capsys):
         '"a1,x",cci,20,150,0.1,6,11,5,6,1\n'
         "a2,cci,25,160,0.0,8,12,5,6,2\n"
         "b1,rr,30,170,-0.1,10,13,5,6,3\n"
-        "b2,rr,35,180,0.2,12,14,5,6,4\n",
+        "b2,rr,35,180,0.2,12,14,5,6,4\n"
+        '"c,""q""",rr,35,180,0.2,12,14,5,3,5\n',
         encoding="utf-8")
     synth_dir = tmp_path / "synth"
     assert main(["synth", "--spec", str(spec), "--out", str(synth_dir)]) == 0
     out = tmp_path / "out"
     assert main(["run", "--manifest", str(synth_dir / "manifest.csv"),
                  "--out", str(out), "--transform", "raw"]) == 0
-    for name in ("features.csv", "cosinor.csv", "overlays.csv"):
-        with (out / name).open(newline="", encoding="utf-8") as fh:
+    tables = {name: out / name for name in ("features.csv", "cosinor.csv",
+                                            "overlays.csv", "curves.csv", "skips.csv")}
+    tables["synth manifest.csv"] = synth_dir / "manifest.csv"
+    first_column = {}
+    for name, path in tables.items():
+        with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert all(len(row) == len(rows[0]) for row in rows), name
-        assert "a1,x" in {row[0] for row in rows[1:]}, name
+        first_column[name] = {row[0] for row in rows[1:]}
+    for name in ("features.csv", "cosinor.csv", "overlays.csv", "synth manifest.csv"):
+        assert "a1,x" in first_column[name], name
+    assert first_column["skips.csv"] == {'c,"q"'}
     cmp_out = tmp_path / "cmp"
     assert main(["compare", "--features", str(out / "features.csv"),
                  "--cosinor", str(out / "cosinor.csv"),
                  "--out", str(cmp_out)]) == 0
     assert "cci (n=2)" in (cmp_out / "comparison.txt").read_text()
+
+
+def test_skip_reason_keeps_its_quotes(tmp_path, capsys):
+    manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.CCI: 1}, days=3)
+    manifest.write_text(manifest.read_text().replace("p00,", "o'brien,", 1))
+    entry = load_manifest(manifest.read_bytes()).entries[0]
+    with pytest.raises(errors.InsufficientData) as exc:
+        report.prepare_subject(entry, manifest.parent, PipelineConfig())
+    assert '"' in str(exc.value)
+    out = tmp_path / "o"
+    assert main(["curves", "--manifest", str(manifest), "--out", str(out)]) == 2
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        skips = list(csv.DictReader(fh))
+    assert [(row["subject_id"], row["reason"]) for row in skips] == \
+        [("o'brien", str(exc.value))]
+
+
+def test_skips_are_in_subject_order_across_stages(cohort, tmp_path, monkeypatch,
+                                                  capsys):
+    (cohort.parent / "p05.csv").unlink()
+    monkeypatch.setattr(report, "fit_sigmoidal_cosinor",
+                        _fit_failing_for("p00", errors.RankDeficient,
+                                         report.fit_sigmoidal_cosinor))
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(cohort), "--out", str(out),
+                 "--transform", "raw"]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        assert [row["subject_id"] for row in csv.DictReader(fh)] == ["p00", "p05"]
+
+
+@pytest.mark.parametrize("sid", ['"a\rb"', '"a\nb"'])
+def test_synth_rejects_line_break_in_subject_id(tmp_path, capsys, sid):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(
+        "subject_id,group,min,amplitude,alpha,beta,phase,noise_sd,days\n"
+        f"{sid},cci,20,150,0.1,6,11,5,6\n", encoding="utf-8", newline="")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "line break" in capsys.readouterr().err
+
+
+def test_count_overflow_skips_only_that_subject(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(
+        "subject_id,group,min,amplitude,alpha,beta,phase,noise_sd,days,seed\n"
+        "a1,cci,20,150,0.1,6,11,5,6,1\n"
+        "big,cci,20,1e160,0.1,6,11,5,6,2\n"
+        "b1,rr,30,170,-0.1,10,13,5,6,3\n", encoding="utf-8")
+    synth_dir = tmp_path / "synth"
+    assert main(["synth", "--spec", str(spec), "--out", str(synth_dir)]) == 0
+    manifest = str(synth_dir / "manifest.csv")
+    out = tmp_path / "o"
+    assert main(["cosinor", "--manifest", manifest, "--out", str(out),
+                 "--transform", "raw"]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        assert [row["subject_id"] for row in csv.DictReader(fh)] == ["big"]
+    ids = [line.split(",")[0] for line in
+           (out / "cosinor.csv").read_text().splitlines()[1:]]
+    assert ids == ["a1", "b1"]
+    assert main(["validate", "--manifest", manifest]) == 2
+    assert "overflow" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--manifest", "m.csv"],
+    ["features", "--manifest", "m.csv", "--out", "o"],
+    ["cosinor", "--manifest", "m.csv", "--out", "o"],
+    ["curves", "--manifest", "m.csv", "--out", "o"],
+    ["run", "--manifest", "m.csv", "--out", "o"],
+])
+def test_cli_defaults_are_the_config_defaults(argv):
+    assert _config_from(build_parser().parse_args(argv)) == PipelineConfig()
 
 
 def test_synth_rejects_bad_spec(tmp_path, capsys):
@@ -178,11 +258,9 @@ def test_run_skips_subject_with_numeric_failure(cohort, tmp_path, monkeypatch,
 
 def test_cosinor_command_skips_subject_with_numeric_failure(
         cohort, tmp_path, monkeypatch, capsys):
-    import actirhythm.cli as cli
-
-    monkeypatch.setattr(cli, "fit_sigmoidal_cosinor",
+    monkeypatch.setattr(report, "fit_sigmoidal_cosinor",
                         _fit_failing_for("p01", errors.SingularNormalMatrix,
-                                         cli.fit_sigmoidal_cosinor))
+                                         report.fit_sigmoidal_cosinor))
     out = tmp_path / "o"
     assert main(["cosinor", "--manifest", str(cohort), "--out", str(out),
                  "--transform", "raw"]) == 0

@@ -141,6 +141,12 @@ class TestAggregate:
         with pytest.raises(errors.IncompatibleEpoch):
             aggregate_to_minutes(s)
 
+    def test_overflowing_minute_sum_is_a_data_error(self):
+        s = TriaxialSeries("s1", datetime(2016, 5, 1), 30,
+                           np.array([[1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]))
+        with pytest.raises(errors.CountOverflow):
+            aggregate_to_minutes(s)
+
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=200))
     def test_counts_preserved_up_to_dropped_tail(self, xs):
         samples = np.column_stack([xs, np.zeros(len(xs)), np.zeros(len(xs))])
@@ -168,6 +174,16 @@ class TestManifest:
     def test_unknown_group(self):
         with pytest.raises(errors.UnknownGroup):
             load_manifest("subject_id,group,path\na,septic,a.csv\n")
+
+    @pytest.mark.parametrize("row", ['"a\rb",cci,a.csv', '"a\nb",cci,a.csv',
+                                     'a,cci,"a\n.csv"', 'a\rb,cci,a.csv'])
+    def test_line_break_in_a_field(self, row):
+        with pytest.raises(errors.MalformedRow):
+            load_manifest(f"subject_id,group,path\n{row}\n")
+
+    def test_crlf_line_ends(self):
+        m = load_manifest("subject_id,group,path\r\na,cci,a.csv\r\n")
+        assert m.entries[0].source_path == "a.csv"
 
 
 class TestSynthetic:

@@ -57,6 +57,12 @@ class TestToActivitySeries:
         assert act.day_length(0) == 60
         assert act.day_length(1) == 1440
 
+    def test_overflowing_vector_magnitude_is_a_data_error(self):
+        tri = TriaxialSeries("s1", datetime(2016, 5, 1), 60,
+                             np.array([[1.0, 0.0, 0.0], [1e160, 1e160, 0.0]]))
+        with pytest.raises(errors.CountOverflow):
+            to_activity_series(tri)
+
     def test_rejects_non_minute_epoch(self):
         tri = TriaxialSeries("s1", datetime(2016, 5, 1), 30, np.ones((4, 3)))
         with pytest.raises(errors.NotMinuteEpoch):
