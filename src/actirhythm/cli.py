@@ -184,11 +184,22 @@ def _cmd_cosinor(args) -> int:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    """The header and the non-empty rows as dicts; every row must have the
+    header's field count."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MalformedRow(1, f"{path}: missing header")
-        return list(reader.fieldnames), list(reader)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
+                                                    f"fields, got {len(row)}")
+            rows.append(dict(zip(header, row)))
+        return header, rows
 
 
 def _cmd_compare(args) -> int:

@@ -50,7 +50,6 @@ _FIT_OPTIONS = NlsOptions(max_iterations=400, gradient_tolerance=1e-12,
 class FitConfig:
     transform: str = "log1p"
     multistart: int = 1
-    options: NlsOptions = _FIT_OPTIONS
 
     def __post_init__(self):
         if self.transform not in _TRANSFORMS:
@@ -174,7 +173,11 @@ def _profile_problem(profile: _Profile) -> ResidualProblem:
         angle = (t - phase) * _OMEGA
         cos = np.cos(angle)
         s = antilogistic(cos, alpha, beta)
-        slope = amplitude * s * (1.0 - s) * beta
+        # s(1 - s) * beta tends to 0 where s saturates; at beta = inf the
+        # product there is 0 * inf = nan, so take the limit instead
+        with np.errstate(invalid="ignore"):
+            slope = np.where((s > 0.0) & (s < 1.0),
+                             amplitude * s * (1.0 - s) * beta, 0.0)
         df = np.column_stack([
             np.ones(t.size),                          # d/d min
             amplitude * s,                            # d/dw
@@ -191,7 +194,9 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
                           config: FitConfig = FitConfig()) -> SigmoidalCosinorFit:
     """Two-stage fit of the sigmoidally transformed cosine.
 
-    A fit whose amplitude collapses below 1e-9 of the data range is returned
+    Stage 2 runs Levenberg-Marquardt with the fixed _FIT_OPTIONS from
+    config.multistart phase-rotated starts and keeps the lowest rss. A fit
+    whose amplitude collapses below 1e-9 of the data range is returned
     with degenerate=True and converged=False rather than raised. Fewer than
     5 populated minutes of day raise InsufficientSpan.
     """
@@ -213,7 +218,7 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
         phase0 = seed[2] + 24.0 * k / config.multistart
         x0 = np.array([seed[0], np.log(amp0), phase0,
                        np.arctanh(seed[3]), np.log(seed[4])])
-        result = levenberg_marquardt(problem, x0, config.options)
+        result = levenberg_marquardt(problem, x0, _FIT_OPTIONS)
         if best is None or result.rss < best.rss:
             best = result
 

@@ -19,7 +19,6 @@ class FeatureConfig:
     immobile_threshold: float = 0.0
     per_day: bool = False          # M10/L5 per day then averaged across days
     ra_raw_sums: bool = False      # literal (m10-l5)/(m10+l5) on raw sums
-    sample_sd: bool = False        # N-1 divisor instead of N
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +156,7 @@ def compute_features(series: ActivitySeries,
     """
     values = series.values[series.valid_minutes_mask()]
     mean = float(values.mean())
-    sd = float(values.std(ddof=1 if config.sample_sd else 0))
+    sd = float(values.std())
 
     if config.per_day:
         days = _day_matrix(series)

@@ -184,52 +184,48 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     stored as (vm, 0, 0).
     """
     reader = csv.reader(io.StringIO(_decode(content)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "missing header") from None
-    cols = tuple(c.strip().lower() for c in header)
-    if cols == _EPOCH_HEADER:
-        vm_only = False
-    elif cols == _EPOCH_HEADER_VM:
-        vm_only = True
-    else:
-        raise MalformedRow(1, f"unexpected header {header!r}")
-
-    times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
-    n_cols = 2 if vm_only else 4
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != n_cols:
-            raise MalformedRow(line_no, f"expected {n_cols} fields, got {len(row)}")
-        times.append(_parse_timestamp(row[0], line_no))
-        if vm_only:
-            rows.append((_parse_count(row[1], line_no), 0.0, 0.0))
-        else:
-            rows.append((_parse_count(row[1], line_no),
-                         _parse_count(row[2], line_no),
-                         _parse_count(row[3], line_no)))
+    start, prev, epoch = SYNTH_START, None, 60
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "missing header")
+        cols = tuple(c.strip().lower() for c in header)
+        if cols not in (_EPOCH_HEADER, _EPOCH_HEADER_VM):
+            raise MalformedRow(1, f"unexpected header {header!r}")
+        vm_only = cols == _EPOCH_HEADER_VM
+        n_cols = len(cols)
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != n_cols:
+                raise MalformedRow(line_no,
+                                   f"expected {n_cols} fields, got {len(row)}")
+            ts = _parse_timestamp(row[0], line_no)
+            if vm_only:
+                rows.append((_parse_count(row[1], line_no), 0.0, 0.0))
+            else:
+                rows.append((_parse_count(row[1], line_no),
+                             _parse_count(row[2], line_no),
+                             _parse_count(row[3], line_no)))
+            if prev is None:
+                start = ts
+            else:
+                step = (ts - prev).total_seconds()
+                if step <= 0:
+                    raise NonMonotonicTime(
+                        f"timestamps not increasing at line {line_no}")
+                if len(rows) == 2:
+                    if step != int(step):
+                        raise IrregularEpoch(f"non-integer epoch of {step} s")
+                    epoch = int(step)
+                elif step != epoch:
+                    raise IrregularEpoch(
+                        f"gap of {step} s at line {line_no} differs from epoch {epoch} s")
+            prev = ts
+    except csv.Error as exc:   # e.g. a bare CR in an unquoted field
+        raise MalformedRow(reader.line_num, f"bad CSV row: {exc}") from None
 
-    if len(times) < 2:
-        epoch = 60
-    else:
-        gap = (times[1] - times[0]).total_seconds()
-        if gap <= 0:
-            raise NonMonotonicTime(f"timestamps not increasing at line 3")
-        if gap != int(gap):
-            raise IrregularEpoch(f"non-integer epoch of {gap} s")
-        epoch = int(gap)
-        for i in range(1, len(times) - 1):
-            step = (times[i + 1] - times[i]).total_seconds()
-            if step <= 0:
-                raise NonMonotonicTime(f"timestamps not increasing at line {i + 3}")
-            if step != epoch:
-                raise IrregularEpoch(
-                    f"gap of {step} s at line {i + 3} differs from epoch {epoch} s")
-
-    start = times[0] if times else SYNTH_START
     samples = np.array(rows, dtype=float).reshape(len(rows), 3)
     return TriaxialSeries(subject_id=subject_id, start_time=start,
                           epoch_length=epoch, samples=samples)
@@ -298,9 +294,9 @@ def load_manifest(content) -> CohortManifest:
     return CohortManifest(entries=tuple(entries))
 
 
-def generate_synthetic(spec: SynthSpec, subject_id: str = "synthetic",
-                       start_time: datetime = SYNTH_START) -> TriaxialSeries:
-    """One minute-level sample per minute for ``spec.days`` days.
+def generate_synthetic(spec: SynthSpec, subject_id: str = "synthetic") -> TriaxialSeries:
+    """One minute-level sample per minute for ``spec.days`` days from
+    SYNTH_START.
 
     The model is evaluated at minute midpoints; Gaussian noise of sd
     ``noise_sd`` is added and the result clamped at 0. All counts go on the
@@ -315,5 +311,5 @@ def generate_synthetic(spec: SynthSpec, subject_id: str = "synthetic",
         vm = vm + rng.normal(0.0, spec.noise_sd, size=n)
     vm = np.maximum(vm, 0.0)
     samples = np.column_stack([vm, np.zeros(n), np.zeros(n)])
-    return TriaxialSeries(subject_id=subject_id, start_time=start_time,
+    return TriaxialSeries(subject_id=subject_id, start_time=SYNTH_START,
                           epoch_length=60, samples=samples)

@@ -104,10 +104,9 @@ def numeric_jacobian(problem: ResidualProblem, params: np.ndarray,
     return _jacobian(problem.fun, params, rel_step)
 
 
-def _problem_jacobian(problem: ResidualProblem, params: np.ndarray,
-                      rel_step: float) -> np.ndarray:
+def _problem_jacobian(problem: ResidualProblem, params: np.ndarray) -> np.ndarray:
     if problem.jac is None:
-        return _jacobian(problem.fun, params, rel_step)
+        return numeric_jacobian(problem, params)
     J = np.asarray(problem.jac(params), dtype=float)
     if not np.all(np.isfinite(J)):
         raise NonFiniteResidual("non-finite analytic Jacobian")
@@ -119,13 +118,12 @@ def _step_small(delta: np.ndarray, x: np.ndarray, tol: float) -> bool:
 
 
 def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
-                        opts: NlsOptions = NlsOptions(),
-                        rel_step: float = 1e-6) -> NlsResult:
+                        opts: NlsOptions = NlsOptions()) -> NlsResult:
     """Minimize ||r(p)||^2 from x0.
 
     Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration, with J
-    from ``problem.jac`` or else central differences of step
-    rel_step*max(|p_i|, 1). A trial point with non-finite residuals is
+    from ``problem.jac`` or else ``numeric_jacobian`` at its default step
+    1e-6*max(|p_i|, 1). A trial point with non-finite residuals is
     treated as a rejected step. If no acceptable step exists even at maximum
     damping the solve stops at the current (best) point with a STEP_SMALL
     termination.
@@ -144,7 +142,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
 
     for it in range(1, opts.max_iterations + 1):
         iterations = it
-        J = _problem_jacobian(problem, x, rel_step)
+        J = _problem_jacobian(problem, x)
         g = J.T @ r
         if np.max(np.abs(g)) < opts.gradient_tolerance:
             termination = Termination.GRADIENT_SMALL

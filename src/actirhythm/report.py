@@ -1,6 +1,7 @@
 """Cohort orchestration and figure data: group average curves with normal
 95% confidence bands, per-subject observed/fitted overlays, and the
-CSV/SVG/text outputs of the full pipeline.
+CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
+document frame, one axis pair and one vectorised point writer.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -40,6 +41,8 @@ GROUP_COLORS = {
 }
 
 Z_95 = 1.96
+SVG_WIDTH = 960
+SVG_HEIGHT = 420
 
 
 def _fmt(x: float) -> str:
@@ -77,16 +80,6 @@ class CurveOverlay:
     group: GroupLabel
     observed: np.ndarray   # minute-of-day profile on the fitting scale
     fitted: np.ndarray     # model samples, same length
-
-
-@dataclass(frozen=True)
-class SvgOptions:
-    width: int = 960
-    height: int = 420
-    margin_left: int = 64
-    margin_right: int = 170
-    margin_top: int = 24
-    margin_bottom: int = 46
 
 
 @dataclass(frozen=True)
@@ -171,50 +164,59 @@ def group_average_curve(series_by_group: Mapping[GroupLabel, Sequence[ActivitySe
     return curves
 
 
-def _scale(v, lo, hi, out_lo, out_hi):
+def _scale(v: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
+    """Map v from [lo, hi] onto [out_lo, out_hi]; the midpoint if hi == lo."""
     if hi == lo:
-        return (out_lo + out_hi) / 2.0
+        return np.full(np.shape(v), (out_lo + out_hi) / 2.0)
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def render_curves_svg(curves: Sequence[GroupCurve],
-                      options: SvgOptions = SvgOptions()) -> str:
+def _points(x: np.ndarray, y: np.ndarray, sep: str = ",") -> list[str]:
+    """Each (x, y) pair as "x<sep>y" with two decimals."""
+    return [f"{a:.2f}{sep}{b:.2f}" for a, b in zip(x.tolist(), y.tolist())]
+
+
+def _axes(x0, y0, x1, y1) -> list[str]:
+    """The x axis from (x0, y0) to (x1, y0), the y axis to (x0, y1)."""
+    return [f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333333"/>',
+            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333"/>']
+
+
+def _svg_document(body: Sequence[str]) -> str:
+    """body inside the <svg> element, over a white background."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="#ffffff"/>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
+def render_curves_svg(curves: Sequence[GroupCurve]) -> str:
     """One panel: x in days, y in counts/min, a mean line plus translucent
     band per group, legend at the right. Deterministic output."""
     if not curves:
         raise ValueError("need at least one curve")
-    o = options
-    x0, x1 = o.margin_left, o.width - o.margin_right
-    y0, y1 = o.height - o.margin_bottom, o.margin_top
+    x0, x1 = 64, SVG_WIDTH - 170
+    y0, y1 = SVG_HEIGHT - 46, 24
     t_max = max(float(c.times[-1]) + 1.0 for c in curves)
     v_max = max(float(c.ci_high.max()) for c in curves) or 1.0
     v_max *= 1.05
 
-    def px(t):
-        return _scale(t, 0.0, t_max, x0, x1)
-
-    def py(v):
-        return _scale(v, 0.0, v_max, y0, y1)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
-        f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
-        f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="#ffffff"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333333"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333"/>',
-    ]
+    parts = _axes(x0, y0, x1, y1)
     n_days = int(round(t_max / 1440.0))
-    for d in range(n_days + 1):
-        x = px(d * 1440.0)
+    day_x = _scale(np.arange(n_days + 1) * 1440.0, 0.0, t_max, x0, x1)
+    for d, x in enumerate(day_x.tolist()):
         parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 5}" '
                      f'stroke="#333333"/>')
         parts.append(f'<text x="{x:.2f}" y="{y0 + 18}" font-size="11" '
                      f'text-anchor="middle" fill="#333333">{d}</text>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{o.height - 8}" font-size="12" '
+    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{SVG_HEIGHT - 8}" font-size="12" '
                  f'text-anchor="middle" fill="#333333">days</text>')
-    for frac in (0.0, 0.5, 1.0):
-        v = frac * v_max
-        y = py(v)
+    tick_v = np.array([0.0, 0.5, 1.0]) * v_max
+    tick_y = _scale(tick_v, 0.0, v_max, y0, y1)
+    for v, y in zip(tick_v.tolist(), tick_y.tolist()):
         parts.append(f'<line x1="{x0 - 5}" y1="{y:.2f}" x2="{x0}" y2="{y:.2f}" '
                      f'stroke="#333333"/>')
         parts.append(f'<text x="{x0 - 8}" y="{y + 4:.2f}" font-size="11" '
@@ -223,29 +225,23 @@ def render_curves_svg(curves: Sequence[GroupCurve],
                  f'text-anchor="middle" fill="#333333" '
                  f'transform="rotate(-90 14 {(y0 + y1) / 2:.2f})">counts/min</text>')
 
-    for c in curves:
-        color = GROUP_COLORS[c.group]
-        band = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(c.times, c.ci_high))
-        band += " " + " ".join(f"{px(t):.2f},{py(v):.2f}"
-                               for t, v in zip(c.times[::-1], c.ci_low[::-1]))
-        parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.2" '
-                     f'stroke="none"/>')
-    for c in curves:
-        color = GROUP_COLORS[c.group]
-        d_attr = "M " + " L ".join(f"{px(t):.2f} {py(v):.2f}"
-                                   for t, v in zip(c.times, c.mean))
-        parts.append(f'<path d="{d_attr}" fill="none" stroke="{color}" '
+    xs = [_scale(c.times, 0.0, t_max, x0, x1) for c in curves]
+    for c, x in zip(curves, xs):
+        band = _scale(np.concatenate([c.ci_high, c.ci_low[::-1]]), 0.0, v_max, y0, y1)
+        points = " ".join(_points(np.concatenate([x, x[::-1]]), band))
+        parts.append(f'<polygon points="{points}" fill="{GROUP_COLORS[c.group]}" '
+                     f'fill-opacity="0.2" stroke="none"/>')
+    for c, x in zip(curves, xs):
+        d_attr = "M " + " L ".join(_points(x, _scale(c.mean, 0.0, v_max, y0, y1), " "))
+        parts.append(f'<path d="{d_attr}" fill="none" stroke="{GROUP_COLORS[c.group]}" '
                      f'stroke-width="1.2"/>')
-    ly = y1 + 10
-    for c in curves:
-        color = GROUP_COLORS[c.group]
+    for i, c in enumerate(curves):
+        ly = y1 + 10 + 18 * i
         parts.append(f'<rect x="{x1 + 12}" y="{ly - 9}" width="14" height="10" '
-                     f'fill="{color}"/>')
+                     f'fill="{GROUP_COLORS[c.group]}"/>')
         parts.append(f'<text x="{x1 + 31}" y="{ly}" font-size="11" '
                      f'fill="#333333">{c.group.value} (n={c.n_subjects})</text>')
-        ly += 18
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts)
 
 
 def _xml_text(text: str) -> str:
@@ -253,22 +249,16 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_overlays_svg(overlays: Sequence[CurveOverlay],
-                        options: SvgOptions = SvgOptions()) -> str:
+def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
     """Small-multiple panels of observed minute-of-day profile (grey) and
     fitted curve (group color) over one 24 h cycle."""
     if not overlays:
         raise ValueError("need at least one overlay")
-    o = options
     cols = 2
     rows_n = (len(overlays) + cols - 1) // cols
-    panel_w = (o.width - 40) // cols
-    panel_h = (o.height - 20) // rows_n
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
-        f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
-        f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="#ffffff"/>',
-    ]
+    panel_w = (SVG_WIDTH - 40) // cols
+    panel_h = (SVG_HEIGHT - 20) // rows_n
+    parts = []
     for idx, ov in enumerate(overlays):
         px0 = 20 + (idx % cols) * panel_w + 34
         py0 = 10 + (idx // cols) * panel_h + 16
@@ -276,29 +266,18 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay],
         py1 = 10 + (idx // cols + 1) * panel_h - 26
         v_hi = max(float(ov.observed.max()), float(ov.fitted.max())) or 1.0
         v_lo = min(0.0, float(ov.observed.min()), float(ov.fitted.min()))
-        n = ov.observed.size
-
-        def sx(i):
-            return _scale(i, 0, n - 1, px0, px1)
-
-        def sy(v):
-            return _scale(v, v_lo, v_hi * 1.05, py1, py0)
-
-        parts.append(f'<line x1="{px0}" y1="{py1}" x2="{px1}" y2="{py1}" '
-                     f'stroke="#333333"/>')
-        parts.append(f'<line x1="{px0}" y1="{py1}" x2="{px0}" y2="{py0}" '
-                     f'stroke="#333333"/>')
-        obs = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(ov.observed))
+        x = _scale(np.arange(ov.observed.size), 0, ov.observed.size - 1, px0, px1)
+        obs = " ".join(_points(x, _scale(ov.observed, v_lo, v_hi * 1.05, py1, py0)))
+        fit_pts = " ".join(_points(x, _scale(ov.fitted, v_lo, v_hi * 1.05, py1, py0)))
+        parts += _axes(px0, py1, px1, py0)
         parts.append(f'<polyline points="{obs}" fill="none" stroke="#999999" '
                      f'stroke-width="0.8"/>')
-        fit_pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(ov.fitted))
         parts.append(f'<polyline points="{fit_pts}" fill="none" '
                      f'stroke="{GROUP_COLORS[ov.group]}" stroke-width="1.8"/>')
         parts.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{py0 - 4}" font-size="11" '
                      f'text-anchor="middle" fill="#333333">{_xml_text(ov.subject_id)} '
                      f'({ov.group.value})</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts)
 
 
 def build_overlay(record: SubjectRecord, config: PipelineConfig) -> CurveOverlay:

@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from actirhythm import errors, report
-from actirhythm.cli import _config_from, build_parser, main
+from actirhythm.cli import SYNTH_COLUMNS, _config_from, build_parser, main
 from actirhythm.ingest import GroupLabel, load_manifest
 from actirhythm.report import PipelineConfig
 from cohorts import write_cohort
@@ -221,6 +221,56 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
     spec.write_text("subject_id,group\nx,cci\n", encoding="utf-8")
     assert main(["synth", "--spec", str(spec), "--out",
                  str(tmp_path / "o")]) == 2
+
+
+def test_synth_rejects_short_spec_row(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\na1,cci\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "line 2: " in capsys.readouterr().err
+
+
+def test_compare_rejects_short_features_row(cohort, tmp_path, capsys):
+    feat, cos = tmp_path / "feat", tmp_path / "cos"
+    assert main(["features", "--manifest", str(cohort), "--out", str(feat)]) == 0
+    assert main(["cosinor", "--manifest", str(cohort), "--out", str(cos),
+                 "--transform", "raw"]) == 0
+    table = feat / "features.csv"
+    table.write_text(table.read_text() + "p99\n", encoding="utf-8")
+    assert main(["compare", "--features", str(table), "--cosinor",
+                 str(cos / "cosinor.csv"), "--out", str(tmp_path / "cmp")]) == 2
+    assert "line 10: " in capsys.readouterr().err
+
+
+def test_bad_csv_syntax_in_one_epoch_file_skips_that_subject(tmp_path, capsys):
+    manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.CCI: 2})
+    epochs = tmp_path / "c" / "p01.csv"
+    lines = epochs.read_text().split("\n")
+    lines[5] = lines[5].replace(",", "\r,", 1)
+    epochs.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    out = tmp_path / "o"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        assert [row["subject_id"] for row in csv.DictReader(fh)] == ["p01"]
+    ids = [line.split(",")[0] for line in
+           (out / "features.csv").read_text().splitlines()[1:]]
+    assert ids == ["p00"]
+
+
+def test_raw_multistart_fits_a_start_that_saturates_the_curve(tmp_path, capsys):
+    # one of the phase-rotated starts drives beta = exp(v) to inf, where
+    # the Jacobian must stay finite for this subject to be fitted
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + ",seed\n"
+                    "demo02,control_icu,25.77,143.07,-0.214,10.02,10.86,5.0,6,2\n",
+                    encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c"),
+                 "--seed", "1"]) == 0
+    out = tmp_path / "o"
+    assert main(["cosinor", "--manifest", str(tmp_path / "c" / "manifest.csv"),
+                 "--out", str(out), "--transform", "raw", "--multistart", "3"]) == 0
+    rows = (out / "cosinor.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["demo02"]
 
 
 def test_run_exit_code_2_when_one_group(tmp_path, capsys):

@@ -272,6 +272,14 @@ class TestProfileReduction:
             scale = max(1.0, float(np.max(np.abs(numeric))))
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * scale, p
 
+    def test_jacobian_is_finite_where_the_curve_saturates(self, rng, monkeypatch):
+        problem = self.captured_problem(partial_series_with_invalid_day(rng),
+                                        monkeypatch)
+        # v = 800: beta = exp(v) overflows to inf and s is exactly 0 or 1
+        with np.errstate(over="ignore"):
+            jac = problem.jac(np.array([0.5, 1.2, 13.3, 0.4, 800.0]))
+        assert np.all(np.isfinite(jac))
+
     def test_matches_full_data_fit(self, rng):
         series = partial_series_with_invalid_day(rng)
         mask = series.valid_minutes_mask()

@@ -78,6 +78,22 @@ class TestParse:
         with pytest.raises(errors.NonMonotonicTime):
             parse_triaxial_csv(content, "s1")
 
+    @pytest.mark.parametrize("last, error", [
+        ("2016-05-01T00:03:00", errors.IrregularEpoch),
+        ("2016-05-01T00:01:00", errors.NonMonotonicTime),
+    ])
+    def test_gap_error_names_the_file_line_after_blank_lines(self, last, error):
+        content = rows_csv("2016-05-01T00:00:00,1,1,1", "", "",
+                           "2016-05-01T00:01:00,1,1,1", f"{last},1,1,1")
+        with pytest.raises(error, match="at line 6"):
+            parse_triaxial_csv(content, "s1")
+
+    def test_bad_csv_syntax_is_a_malformed_row(self):
+        content = rows_csv("2016-05-01T00:00:00,1,1,1", "2016-05-01T00:01:00,1\r,1,1")
+        with pytest.raises(errors.MalformedRow) as exc:
+            parse_triaxial_csv(content, "s1")
+        assert exc.value.line_no == 3
+
     def test_bad_header(self):
         with pytest.raises(errors.MalformedRow):
             parse_triaxial_csv("time,x,y,z\n", "s1")

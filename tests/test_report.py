@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,6 +8,7 @@ from actirhythm import errors
 from actirhythm.ingest import GroupLabel
 from actirhythm.report import (
     CurveOverlay,
+    GroupCurve,
     PipelineConfig,
     group_average_curve,
     render_curves_svg,
@@ -99,6 +101,38 @@ class TestSvg:
                   for line in svg.splitlines()
                   if 'text-anchor="end"' in line]
         assert max(labels) >= top * 0.99
+
+    def test_figure_coordinates_are_pinned(self):
+        t = np.arange(4.0)
+        curves = [
+            GroupCurve(ICU, t, np.array([1.0, 2.5, 2.0, 0.7]),
+                       np.array([0.5, 2.0, 1.25, 0.1]), np.array([1.5, 3.0, 2.75, 1.3]), 2),
+            GroupCurve(CCI, t, np.array([0.2, 0.4, 1.1, 3.3]),
+                       np.array([0.0, 0.3, 0.6, 2.9]), np.array([0.4, 0.5, 1.6, 3.7]), 3),
+        ]
+        svg = render_curves_svg(curves)
+        assert re.findall(r'points="([^"]*)"', svg) == [
+            "64.00,238.86 245.50,103.73 427.00,126.25 608.50,256.88 "
+            "608.50,364.99 427.00,261.39 245.50,193.82 64.00,328.95",
+            "64.00,337.96 245.50,328.95 427.00,229.86 608.50,40.67 "
+            "608.50,112.74 427.00,319.95 245.50,346.97 64.00,374.00",
+        ]
+        assert re.findall(r' d="([^"]*)"', svg) == [
+            "M 64.00 283.91 L 245.50 148.77 L 427.00 193.82 L 608.50 310.94",
+            "M 64.00 355.98 L 245.50 337.96 L 427.00 274.90 L 608.50 76.70",
+        ]
+        svg = render_overlays_svg([
+            CurveOverlay("a", ICU, np.array([0.0, 1.5, 3.0, 2.0, 0.5]),
+                         np.array([0.25, 1.0, 2.5, 2.25, 0.75])),
+            CurveOverlay("b", CCI, np.array([-0.5, 0.5, 1.0, 0.2, -0.1]),
+                         np.array([-0.2, 0.4, 0.9, 0.3, 0.0])),
+        ])
+        assert re.findall(r'points="([^"]*)"', svg) == [
+            "54.00,384.00 157.50,213.52 261.00,43.05 364.50,156.70 468.00,327.17",
+            "54.00,355.59 157.50,270.35 261.00,99.87 364.50,128.29 468.00,298.76",
+            "514.00,384.00 617.50,153.03 721.00,37.55 824.50,222.32 928.00,291.61",
+            "514.00,314.71 617.50,176.13 721.00,60.65 824.50,199.23 928.00,268.52",
+        ]
 
     def test_overlay_subject_id_is_escaped(self):
         profile = np.linspace(0.0, 5.0, 1440)
