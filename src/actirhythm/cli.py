@@ -183,9 +183,9 @@ def _cmd_cosinor(args) -> int:
     return 0
 
 
-def _read_table(path: Path) -> tuple[list[str], list[dict[str, str]]]:
-    """The header and the non-empty rows as dicts; every row must have the
-    header's field count."""
+def _read_table(path: Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The header and the non-empty rows as (line number, dict) pairs;
+    every row must have the header's field count."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -198,7 +198,7 @@ def _read_table(path: Path) -> tuple[list[str], list[dict[str, str]]]:
             if len(row) != len(header):
                 raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
                                                     f"fields, got {len(row)}")
-            rows.append(dict(zip(header, row)))
+            rows.append((reader.line_num, dict(zip(header, row))))
         return header, rows
 
 
@@ -210,10 +210,10 @@ def _cmd_compare(args) -> int:
     groups: dict[str, GroupLabel] = {}
 
     def absorb(rows, names):
-        for row in rows:
+        for line_no, row in rows:
             sid = row.get("subject_id", "").strip()
             if not sid:
-                raise MalformedRow(2, "row without subject_id")
+                raise MalformedRow(line_no, "row without subject_id")
             groups[sid] = GroupLabel.parse(row["group"])
             dest = values.setdefault(sid, {})
             for name in names:
@@ -266,7 +266,7 @@ def _cmd_synth(args) -> int:
         raise MalformedRow(1, f"spec is missing columns {missing}")
     manifest_rows = []
     seen = set()
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, (_, row) in enumerate(rows, start=2):
         sid, group, spec = _parse_synth_row(row, line_no, args.seed)
         if sid in seen:
             raise MalformedRow(line_no, f"duplicate subject {sid!r}")

@@ -162,14 +162,20 @@ def _profile_problem(profile: _Profile) -> ResidualProblem:
     weight = np.sqrt(profile.counts)
     weighted_means = weight * profile.means
 
+    # a trial step may overflow exp(w) or exp(v); LM rejects the non-finite
+    # result, so the overflow is expected and not reported
     def residual(p: np.ndarray) -> np.ndarray:
         min_, w, phase, u, v = p
+        with np.errstate(over="ignore"):
+            amplitude, beta = np.exp(w), np.exp(v)
         return weighted_means - weight * curve.evaluate(
-            t, min_, np.exp(w), np.tanh(u), np.exp(v), phase)
+            t, min_, amplitude, np.tanh(u), beta, phase)
 
     def jac(p: np.ndarray) -> np.ndarray:
         _, w, phase, u, v = p
-        amplitude, alpha, beta = np.exp(w), np.tanh(u), np.exp(v)
+        with np.errstate(over="ignore"):
+            amplitude, beta = np.exp(w), np.exp(v)
+        alpha = np.tanh(u)
         angle = (t - phase) * _OMEGA
         cos = np.cos(angle)
         s = antilogistic(cos, alpha, beta)

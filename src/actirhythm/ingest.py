@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -61,6 +62,12 @@ GROUP_ORDER = (
 _EPOCH_HEADER = ("timestamp", "axis1", "axis2", "axis3")
 _EPOCH_HEADER_VM = ("timestamp", "vm")
 _MANIFEST_HEADER = ("subject_id", "group", "path")
+# The bytes of a canonical epoch CSV: printable ASCII but the quote, and LF.
+# Quotes and CR mean other things to the csv module than to loadtxt, a NUL
+# after a stamp vanishes in a numpy bytes field, and loadtxt strips
+# 0x1c-0x1f around a number where float() rejects them.
+_CANONICAL_BYTES = bytes(c for c in range(0x20, 0x7f) if c != ord('"')) + b"\n"
+_STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
 
 # Start timestamp for synthetic series; midnight so that model time equals
 # clock time.
@@ -147,11 +154,15 @@ class SynthSpec:
 
 
 def _decode(content) -> str:
-    if isinstance(content, bytes):
+    if hasattr(content, "read"):
+        content = content.read()
+    if not isinstance(content, bytes):
+        return str(content)
+    try:
         return content.decode("utf-8")
-    if isinstance(content, str):
-        return content
-    return content.read().decode("utf-8") if hasattr(content, "read") else str(content)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(content.count(b"\n", 0, exc.start) + 1,
+                           f"byte {content[exc.start]:#04x} is not UTF-8") from None
 
 
 def _parse_timestamp(text: str, line_no: int) -> datetime:
@@ -176,13 +187,82 @@ def _parse_count(text: str, line_no: int) -> float:
     return value
 
 
+def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
+    """The series of a file in canonical form, parsed in one numpy pass;
+    None for any other file.
+
+    Canonical form is an exact lower-case header, no blank lines, and
+    ``YYYY-MM-DDTHH:MM:SS`` stamps on an exact grid of a positive epoch,
+    with at least two rows of finite, non-negative counts. It holds only
+    _CANONICAL_BYTES, so loadtxt's float syntax there is a subset of
+    float()'s with bit-identical values, and the file parses to the same
+    series in the row loop. An epoch that does not align with minutes is
+    reported by TriaxialSeries, as it is after the row loop.
+
+    The header and the first two stamps are checked before any pass over
+    the whole file, so most other files cost only those few bytes.
+    """
+    width = 1 if content.startswith(b"timestamp,vm\n") else 3
+    header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
+    if not content.startswith(header):
+        return None
+    lines = io.BytesIO(content)
+    lines.seek(len(header))
+    head = [lines.readline().split(b",", 1)[0] for _ in range(2)]
+    if not all(map(_STAMP.fullmatch, head)):
+        return None
+    try:
+        start, second = (datetime.fromisoformat(s.decode()) for s in head)
+    except ValueError:
+        return None
+    epoch = int((second - start).total_seconds())
+    if epoch <= 0 or content.translate(None, _CANONICAL_BYTES) or b"\n\n" in content:
+        return None
+    lines.seek(0)
+    try:
+        # S20 holds one byte more than a canonical stamp, so a longer field
+        # differs from the grid below instead of being cut to match it
+        table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None,
+                           ndmin=1, dtype=[("t", "S20"), ("c", "f8", (width,))])
+    except ValueError:
+        return None
+    stamps = table["t"]
+    try:
+        # the grid's last stamp must be a datetime too: numpy cannot write
+        # a year past 9999 in the 19 characters the grid is compared in
+        start + timedelta(seconds=epoch * (stamps.size - 1))
+    except OverflowError:
+        return None
+    grid = np.datetime64(start, "s") + epoch * np.arange(stamps.size)
+    counts = table["c"]
+    if (not np.array_equal(stamps, grid.astype("S19"))
+            or not np.all(np.isfinite(counts)) or counts.min() < 0):
+        return None
+    samples = np.zeros((stamps.size, 3))
+    samples[:, :width] = counts
+    return TriaxialSeries(subject_id=subject_id, start_time=start,
+                          epoch_length=epoch, samples=samples)
+
+
 def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     """Parse an epoch CSV into a TriaxialSeries.
 
     The epoch length is inferred from the first two timestamps and every
     subsequent gap must match it exactly. The ``timestamp,vm`` variant is
     stored as (vm, 0, 0).
+
+    A file in the canonical form that serialize_triaxial_csv writes is
+    parsed in one numpy pass. Every other file goes through the row loop,
+    which is the only code that reports errors in the file's text, so each
+    error's class, message and line number do not depend on which path
+    ran. (An epoch that does not align with minutes is raised by
+    TriaxialSeries after either path.)
     """
+    raw = content.encode() if isinstance(content, str) and content.isascii() else content
+    if isinstance(raw, bytes):
+        series = _parse_columnar(raw, subject_id)
+        if series is not None:
+            return series
     reader = csv.reader(io.StringIO(_decode(content)))
     rows: list[tuple[float, float, float]] = []
     start, prev, epoch = SYNTH_START, None, 60
@@ -232,14 +312,19 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
 
 
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
-    """Inverse of parse_triaxial_csv (always the four-column format)."""
-    out = ["timestamp,axis1,axis2,axis3"]
-    step = series.epoch_length
-    for i in range(len(series)):
-        ts = series.start_time + timedelta(seconds=i * step)
-        x, y, z = series.samples[i]
-        out.append(f"{ts.isoformat(timespec='seconds')},{float(x)!r},{float(y)!r},{float(z)!r}")
-    return "\n".join(out) + "\n"
+    """Inverse of parse_triaxial_csv (always the four-column format).
+
+    Stamps are local times to the second: a start time's microseconds and
+    UTC offset are dropped. A series that runs past year 9999 raises
+    OverflowError.
+    """
+    n, step = len(series), series.epoch_length
+    start = series.start_time.replace(microsecond=0, tzinfo=None)
+    if n:   # past year 9999 this raises OverflowError, as the last stamp would
+        start + timedelta(seconds=(n - 1) * step)
+    stamps = (np.datetime64(start, "s") + step * np.arange(n)).astype("U19").tolist()
+    columns = [stamps, *(map(repr, c) for c in series.samples.T.tolist())]
+    return "\n".join(["timestamp,axis1,axis2,axis3", *map(",".join, zip(*columns))]) + "\n"
 
 
 def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:

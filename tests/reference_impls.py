@@ -1,13 +1,21 @@
 """Brute-force reference implementations used as oracles by the tests.
 
 These are written independently of the package internals: plain loops and
-the textbook formulas, no shared helpers.
+the textbook formulas, no shared helpers. The epoch-CSV oracles at the end
+raise the package's error classes and build its TriaxialSeries, so that
+their results and errors compare with the package's own.
 """
 
+import csv
+import io
 import itertools
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
+
+from actirhythm.errors import IrregularEpoch, MalformedRow, NegativeCount, NonMonotonicTime
+from actirhythm.ingest import SYNTH_START, TriaxialSeries
 
 
 def brute_window_extreme(values, width, mode):
@@ -218,3 +226,95 @@ def full_data_sigmoidal_fit(t, y, iterations=400):
         if np.all(np.abs(delta) <= 1e-14 * (np.abs(x) + 1e-14)):
             break
     return (x[0], math.exp(x[1]), math.tanh(x[3]), math.exp(x[4]), x[2] % 24.0)
+
+
+# The epoch-CSV row loop and writer as they were before the columnar parse
+# and the vectorised writer; frozen as oracles. Only the names differ.
+
+def _ref_decode(content) -> str:
+    if isinstance(content, bytes):
+        return content.decode("utf-8")
+    if isinstance(content, str):
+        return content
+    return content.read().decode("utf-8") if hasattr(content, "read") else str(content)
+
+
+def _ref_parse_timestamp(text: str, line_no: int) -> datetime:
+    try:
+        ts = datetime.fromisoformat(text.strip())
+    except ValueError:
+        raise MalformedRow(line_no, f"bad timestamp {text!r}") from None
+    if ts.tzinfo is not None:
+        raise MalformedRow(line_no, "timezone-aware timestamps are not supported")
+    return ts
+
+
+def _ref_parse_count(text: str, line_no: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise MalformedRow(line_no, f"bad count {text!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line_no, f"non-finite count {text!r}")
+    if value < 0:
+        raise NegativeCount(f"line {line_no}: negative count {value}")
+    return value
+
+
+def row_loop_parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
+    reader = csv.reader(io.StringIO(_ref_decode(content)))
+    rows: list[tuple[float, float, float]] = []
+    start, prev, epoch = SYNTH_START, None, 60
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "missing header")
+        cols = tuple(c.strip().lower() for c in header)
+        if cols not in (("timestamp", "axis1", "axis2", "axis3"), ("timestamp", "vm")):
+            raise MalformedRow(1, f"unexpected header {header!r}")
+        vm_only = cols == ("timestamp", "vm")
+        n_cols = len(cols)
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != n_cols:
+                raise MalformedRow(line_no,
+                                   f"expected {n_cols} fields, got {len(row)}")
+            ts = _ref_parse_timestamp(row[0], line_no)
+            if vm_only:
+                rows.append((_ref_parse_count(row[1], line_no), 0.0, 0.0))
+            else:
+                rows.append((_ref_parse_count(row[1], line_no),
+                             _ref_parse_count(row[2], line_no),
+                             _ref_parse_count(row[3], line_no)))
+            if prev is None:
+                start = ts
+            else:
+                step = (ts - prev).total_seconds()
+                if step <= 0:
+                    raise NonMonotonicTime(
+                        f"timestamps not increasing at line {line_no}")
+                if len(rows) == 2:
+                    if step != int(step):
+                        raise IrregularEpoch(f"non-integer epoch of {step} s")
+                    epoch = int(step)
+                elif step != epoch:
+                    raise IrregularEpoch(
+                        f"gap of {step} s at line {line_no} differs from epoch {epoch} s")
+            prev = ts
+    except csv.Error as exc:   # e.g. a bare CR in an unquoted field
+        raise MalformedRow(reader.line_num, f"bad CSV row: {exc}") from None
+
+    samples = np.array(rows, dtype=float).reshape(len(rows), 3)
+    return TriaxialSeries(subject_id=subject_id, start_time=start,
+                          epoch_length=epoch, samples=samples)
+
+
+def row_loop_serialize_triaxial_csv(series: TriaxialSeries) -> str:
+    out = ["timestamp,axis1,axis2,axis3"]
+    step = series.epoch_length
+    for i in range(len(series)):
+        ts = series.start_time + timedelta(seconds=i * step)
+        x, y, z = series.samples[i]
+        out.append(f"{ts.isoformat(timespec='seconds')},{float(x)!r},{float(y)!r},{float(z)!r}")
+    return "\n".join(out) + "\n"

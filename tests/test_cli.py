@@ -257,9 +257,45 @@ def test_bad_csv_syntax_in_one_epoch_file_skips_that_subject(tmp_path, capsys):
     assert ids == ["p00"]
 
 
-def test_raw_multistart_fits_a_start_that_saturates_the_curve(tmp_path, capsys):
+def test_non_utf8_byte_in_one_epoch_file_skips_that_subject(tmp_path, capsys):
+    manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.CCI: 2})
+    epochs = tmp_path / "c" / "p01.csv"
+    lines = epochs.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b",", b"\xff,", 1)
+    epochs.write_bytes(b"\n".join(lines))
+    out = tmp_path / "o"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        skips = list(csv.DictReader(fh))
+    assert [row["subject_id"] for row in skips] == ["p01"]
+    assert skips[0]["reason"].startswith("line 6: ")
+
+
+def test_non_utf8_manifest_exit_code_2(cohort, tmp_path, capsys):
+    cohort.write_bytes(cohort.read_bytes().replace(b"p01", b"p\xe91", 1))
+    assert main(["features", "--manifest", str(cohort),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "line 3: " in capsys.readouterr().err
+
+
+def test_compare_names_the_line_of_a_row_without_subject_id(cohort, tmp_path, capsys):
+    feat, cos = tmp_path / "feat", tmp_path / "cos"
+    assert main(["features", "--manifest", str(cohort), "--out", str(feat)]) == 0
+    assert main(["cosinor", "--manifest", str(cohort), "--out", str(cos),
+                 "--transform", "raw"]) == 0
+    table = feat / "features.csv"
+    lines = table.read_text().split("\n")
+    lines[4] = "," + lines[4].split(",", 1)[1]
+    table.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["compare", "--features", str(table), "--cosinor",
+                 str(cos / "cosinor.csv"), "--out", str(tmp_path / "cmp")]) == 2
+    assert "line 5: row without subject_id" in capsys.readouterr().err
+
+
+def test_raw_multistart_fits_a_start_that_saturates_the_curve(tmp_path, capsys, recwarn):
     # one of the phase-rotated starts drives beta = exp(v) to inf, where
-    # the Jacobian must stay finite for this subject to be fitted
+    # the Jacobian must stay finite for this subject to be fitted; LM
+    # rejects the trial steps that overflow exp, so no warning is printed
     spec = tmp_path / "spec.csv"
     spec.write_text(",".join(SYNTH_COLUMNS) + ",seed\n"
                     "demo02,control_icu,25.77,143.07,-0.214,10.02,10.86,5.0,6,2\n",
@@ -271,6 +307,7 @@ def test_raw_multistart_fits_a_start_that_saturates_the_curve(tmp_path, capsys):
                  "--out", str(out), "--transform", "raw", "--multistart", "3"]) == 0
     rows = (out / "cosinor.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["demo02"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_exit_code_2_when_one_group(tmp_path, capsys):

@@ -3,7 +3,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actirhythm import errors
@@ -11,12 +11,14 @@ from actirhythm.ingest import (
     GroupLabel,
     SynthSpec,
     TriaxialSeries,
+    _parse_columnar,
     aggregate_to_minutes,
     generate_synthetic,
     load_manifest,
     parse_triaxial_csv,
     serialize_triaxial_csv,
 )
+from reference_impls import row_loop_parse_triaxial_csv, row_loop_serialize_triaxial_csv
 
 HEADER = "timestamp,axis1,axis2,axis3\n"
 
@@ -130,6 +132,178 @@ class TestParse:
                                 np.array([[0.1, 2.3456789012345, 7e-3]]))
         again = parse_triaxial_csv(serialize_triaxial_csv(series), "subj")
         assert_series_equal(series, again)
+
+
+HEADERS = ["timestamp,axis1,axis2,axis3", "timestamp,vm",
+           "Timestamp,AXIS1,axis2,Axis3", " timestamp , vm", "timestamp,axis1,axis2"]
+EPOCHS = [1, 2, 5, 15, 30, 60, 120, 7]
+STARTS = [datetime(2016, 5, 1, 8, 30), datetime(2016, 12, 31, 23, 59, 45),
+          datetime(999, 1, 1), datetime(9999, 12, 31, 23, 59)]
+ODD_COUNTS = ["1_0", "nan", "inf", "1e400", "-3", "-0.0", " 7 ", '"5"', "", "+2",
+              ".5", "5.", "1e5", "\u0661", "5\x1c", "\t5"]
+# each edit turns a canonical file into one the row loop reads or rejects
+EDITS = ["blank", "crlf", "quote", "pad", "micro", "space", "zulu", "drop",
+         "swap", "extra", "non_ascii", "nul", "cut"]
+
+
+@st.composite
+def epoch_files(draw):
+    """(text, canonical): a small epoch CSV, and True when it was built in
+    the canonical form that the columnar parse must take."""
+    header = draw(st.sampled_from(HEADERS))
+    width = header.count(",")
+    epoch = draw(st.sampled_from(EPOCHS))
+    start = np.datetime64(draw(st.sampled_from(STARTS)), "s")
+    canonical = header in HEADERS[:2] and epoch != 7
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        # numpy writes years past 9999 with five digits; keeping 19
+        # characters gives a stamp like 10000-01-01T00:00:0
+        stamp = np.datetime_as_string(start + k * epoch)
+        canonical &= len(stamp) == 19
+        counts = []
+        for _ in range(width):
+            if draw(st.integers(0, 29)) == 29:
+                counts.append(draw(st.sampled_from(ODD_COUNTS)))
+                canonical = False
+            else:
+                counts.append(repr(draw(st.floats(0, 1e300))))
+        rows.append([stamp[:19], *counts])
+    canonical &= len(rows) >= 2
+    edits = draw(st.lists(st.sampled_from(EDITS), max_size=2))
+    canonical &= not edits
+    end = "\n"
+    for edit in edits:
+        pick = st.integers(0, max(len(rows) - 1, 0))
+        if edit == "crlf":
+            end = "\r\n"
+        elif edit == "cut":
+            pass
+        elif not rows:
+            continue
+        elif edit == "blank":
+            rows.insert(draw(pick), [draw(st.sampled_from(["", "  "]))])
+        elif edit in ("drop", "swap") and len(rows) > 2:
+            i = draw(st.integers(1, len(rows) - 1))
+            if edit == "drop":
+                del rows[i]
+            else:
+                rows[i - 1], rows[i] = rows[i], rows[i - 1]
+        elif edit == "extra":
+            rows[draw(pick)].append("0")
+        else:
+            row = rows[draw(pick)]
+            f = draw(st.integers(0, len(row) - 1))
+            row[f] = {"quote": f'"{row[f]}"', "pad": f" {row[f]} ",
+                      "micro": row[f] + ".250000", "space": row[f].replace("T", " "),
+                      "zulu": row[f] + "Z", "non_ascii": row[f] + "\u00e9",
+                      "nul": row[f] + "\0"}.get(edit, row[f])
+    text = end.join([header, *(",".join(row) for row in rows)]) + end
+    if "cut" in edits:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text, canonical
+
+
+def parse_outcome(parse, content):
+    try:
+        series = parse(content, "s1")
+    except errors.DataError as exc:
+        return type(exc), str(exc)
+    return series.start_time, series.epoch_length, series.samples.tobytes()
+
+
+CANONICAL = ("timestamp,axis1,axis2,axis3\n2016-05-01T08:30:00,1,2,3\n"
+             "2016-05-01T08:31:00,4,5,6\n2016-05-01T08:32:00,7,8,9\n")
+# one step away from CANONICAL each: (old, new) replaced once
+NEAR_CANONICAL = [
+    ("00,1,", "00\0,1,"), ("31:00,", "31:00\0,"), (":00,1", ":00Z,1"),
+    ("8:30:00,", "8:30:00Z,"), ("8:30:00,1", "8:30:00.5,1"), ("T08:31", " 08:31"),
+    (",5,", ",nan,"), (",5,", ",inf,"), (",5,", ",1e400,"), (",5,", ",-5,"),
+    (",5,", ",-0.0,"), (",5,", ",5_0,"), (",5,", ",\u0665,"), (",5,", ', "5" ,'),
+    (",5,", ",5\x1c,"), ("6\n", "6\n\n"), ("9\n", "9\n\n"), ("9\n", "9\n  \n"),
+    ("\n", "\r\n"), ("6\n", "6\r\n"), ("8:32:00,7,8,9\n", "8:32"),
+    ("8:31:00,4,5,6", "8:31:00,4,5,6,7"), ("8:31:00,4,5,6", "8:31:00,4,5"),
+    ("08:32", "08:29"), ("08:32", "08:33"), ("08:31", "08:30:07"),
+    ("axis1,axis2,axis3", "AXIS1,axis2,axis3"), ('2016-05-01T08:30:00', '"2016-05-01T08:30:00"'),
+]
+WHOLE_FILES = [
+    "timestamp,axis1,axis2,axis3\n", "timestamp,axis1,axis2,axis3\n\n",
+    "timestamp,vm\n2016-05-01T00:00:00,1\n",
+    "timestamp,vm\n2016-05-01T00:00:00,1\n2016-05-01T00:00:07,1\n2016-05-01T00:00:14,1\n",
+    "timestamp,vm\n2016-05-01T00:00:00,1\n2016-05-01T00:00:00,1\n",
+    "timestamp,vm\n9999-12-31T23:59:00,1\n9999-12-31T23:59:30,1\n10000-01-01T00:00:0,1\n",
+    "timestamp,vm\n2016-05-01T00:00:00Z,1\n2016-05-01T00:01:00Z,1\n",
+]
+
+
+class TestColumnarMatchesRowLoop:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [CANONICAL.replace(old, new, 1)
+                                      for old, new in NEAR_CANONICAL] + WHOLE_FILES)
+    def test_near_canonical_files(self, text):
+        expected = parse_outcome(row_loop_parse_triaxial_csv, text)
+        assert parse_outcome(parse_triaxial_csv, text) == expected
+        assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400)
+    @given(epoch_files())
+    def test_same_series_or_same_error(self, case):
+        text, canonical = case
+        expected = parse_outcome(row_loop_parse_triaxial_csv, text)
+        assert parse_outcome(parse_triaxial_csv, text) == expected
+        assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
+        if canonical:
+            assert _parse_columnar(text.encode(), "s1") is not None
+
+    @given(epoch_files(), st.data())
+    def test_undecodable_byte_names_its_line(self, case, data):
+        content = case[0].encode()
+        at = data.draw(st.integers(0, len(content)))
+        content = content[:at] + b"\xff" + content[at:]
+        with pytest.raises(UnicodeDecodeError):
+            row_loop_parse_triaxial_csv(content, "s1")
+        with pytest.raises(errors.MalformedRow) as exc:
+            parse_triaxial_csv(content, "s1")
+        assert exc.value.line_no == content.count(b"\n", 0, at) + 1
+
+    @given(st.lists(st.tuples(*[st.floats(0, 1e300)] * 3), max_size=20),
+           st.sampled_from([e for e in EPOCHS if e != 7]),
+           st.sampled_from(STARTS + [datetime(2016, 5, 1, 8, 30, 0, 999999)]))
+    def test_writer_matches_the_row_loop_writer(self, counts, epoch, start):
+        series = TriaxialSeries("s1", start, epoch, np.array(counts).reshape(-1, 3))
+        try:
+            expected = row_loop_serialize_triaxial_csv(series)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                serialize_triaxial_csv(series)
+            return
+        assert serialize_triaxial_csv(series) == expected
+
+    @pytest.mark.parametrize("old, new", [
+        ("\n", "\r\n"), ("axis1", "AXIS1"), ("T08:3", " 08:3"), ("\n2016", "\n 2016"),
+        ("08:31:00", "08:31:00.000000"), ("08:31:00", "08:31:00Z"), ("08:31", "08:30"),
+        ("\n2016-05-01T08:31:00,4,5,6\n2016-05-01T08:32:00,7,8,9", ""),
+    ])
+    def test_other_stamp_forms_are_turned_away_before_loadtxt(self, monkeypatch,
+                                                               old, new):
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("loadtxt ran")
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        text = CANONICAL.replace(old, new)
+        assert _parse_columnar(text.encode(), "s1") is None
+        assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
+            row_loop_parse_triaxial_csv, text)
+
+    def test_canonical_files_take_the_columnar_path(self):
+        for text in (CANONICAL, serialize_triaxial_csv(parse_triaxial_csv(CANONICAL, "s1"))):
+            assert_series_equal(_parse_columnar(text.encode(), "s1"),
+                                row_loop_parse_triaxial_csv(text, "s1"))
+
+    def test_writer_matches_after_parsing_the_vm_variant(self):
+        series = parse_triaxial_csv("timestamp,vm\n2016-05-01T00:00:00,5\n"
+                                    "2016-05-01T00:00:30,2.5\n", "s1")
+        assert serialize_triaxial_csv(series) == row_loop_serialize_triaxial_csv(series)
 
 
 class TestAggregate:
