@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 import traceback
@@ -19,6 +20,7 @@ from .errors import DataError, MalformedRow, UsageError
 from .ingest import (
     GroupLabel,
     SynthSpec,
+    _decode,
     generate_synthetic,
     load_manifest,
     serialize_triaxial_csv,
@@ -147,8 +149,7 @@ def _cmd_validate(args) -> int:
             print(f"{entry.subject_id:<16}{entry.group.value:<18}"
                   f"{'-':>6}{'-':>7}{'-':>7}  error: {exc}")
             continue
-        valid = sum(1 for d in range(series.n_days)
-                    if series.day_valid[d] and series.is_complete_day(d))
+        valid = series.analysis_days().size
         ok = valid >= config.days
         all_ok &= ok
         print(f"{entry.subject_id:<16}{entry.group.value:<18}"
@@ -185,21 +186,21 @@ def _cmd_cosinor(args) -> int:
 
 def _read_table(path: Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
     """The header and the non-empty rows as (line number, dict) pairs;
-    every row must have the header's field count."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRow(1, f"{path}: missing header")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
-                                                    f"fields, got {len(row)}")
-            rows.append((reader.line_num, dict(zip(header, row))))
-        return header, rows
+    every row must have the header's field count. The file is decoded as
+    the epoch files are (UTF-8, an optional byte-order mark)."""
+    reader = csv.reader(io.StringIO(_decode(path.read_bytes()), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise MalformedRow(1, f"{path}: missing header")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
+                                                f"fields, got {len(row)}")
+        rows.append((reader.line_num, dict(zip(header, row))))
+    return header, rows
 
 
 def _cmd_compare(args) -> int:
@@ -240,11 +241,13 @@ def _cmd_curves(args) -> int:
     return 0
 
 
-def _parse_synth_row(row: dict[str, str], line_no: int, base_seed: int):
+def _parse_synth_row(row: dict[str, str], line_no: int, index: int, base_seed: int):
+    """The subject of the spec row ``index`` at file line ``line_no``;
+    without a seed column the row index is its seed."""
     try:
         sid = row["subject_id"].strip()
         group = GroupLabel.parse(row["group"])
-        seed = int(row["seed"]) if row.get("seed") not in (None, "") else line_no - 2
+        seed = int(row["seed"]) if row.get("seed") not in (None, "") else index
         spec = SynthSpec(min=float(row["min"]), amplitude=float(row["amplitude"]),
                          alpha=float(row["alpha"]), beta=float(row["beta"]),
                          phase=float(row["phase"]), noise_sd=float(row["noise_sd"]),
@@ -266,8 +269,8 @@ def _cmd_synth(args) -> int:
         raise MalformedRow(1, f"spec is missing columns {missing}")
     manifest_rows = []
     seen = set()
-    for line_no, (_, row) in enumerate(rows, start=2):
-        sid, group, spec = _parse_synth_row(row, line_no, args.seed)
+    for index, (line_no, row) in enumerate(rows):
+        sid, group, spec = _parse_synth_row(row, line_no, index, args.seed)
         if sid in seen:
             raise MalformedRow(line_no, f"duplicate subject {sid!r}")
         seen.add(sid)

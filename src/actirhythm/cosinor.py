@@ -6,8 +6,9 @@ cosine by Levenberg-Marquardt with its closed-form Jacobian, over an
 unconstrained reparameterization: amplitude = exp(w), alpha = tanh(u),
 beta = exp(v); min and phase are free and phase is reported mod 24.
 
-Both stages fit the minute-of-day mean profile weighted by day count rather
-than every valid minute. The model is 24 h-periodic and every sample sits
+Both stages fit the minute-of-day mean profile on the fitting scale
+(preprocess.day_profile) weighted by day count rather than every valid
+minute. The model is 24 h-periodic and every sample sits
 at a minute midpoint t = 24d + (m + 1/2)/60, so for any mask
 sum (y - f)^2 = sum_m n_m (ybar_m - f(t_m))^2 + C, where C is the
 within-minute sum of squares: the fits are those of the full data, and the
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import curve
 from .curve import antilogistic  # re-exported; stable sigmoid
 from .errors import InsufficientSpan
 from .nls import NlsOptions, ResidualProblem, levenberg_marquardt, linear_least_squares
-from .preprocess import MINUTES_PER_DAY, ActivitySeries
+from .preprocess import MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile
 
 __all__ = [
     "FitConfig", "LinearCosinorFit", "SigmoidalCosinorFit", "antilogistic",
@@ -37,8 +37,6 @@ __all__ = [
 _OMEGA = 2.0 * np.pi / 24.0
 # |u| or |v| beyond this means tanh/exp is pinned at its numerical limit
 _BOUND_LIMIT = 20.0
-
-_TRANSFORMS = {"raw": lambda v: np.asarray(v, dtype=float), "log1p": np.log1p}
 
 # Tighter than the generic NlsOptions defaults: parameter recovery on
 # noiseless series should be limited by float precision, not the stop rule.
@@ -52,7 +50,7 @@ class FitConfig:
     multistart: int = 1
 
     def __post_init__(self):
-        if self.transform not in _TRANSFORMS:
+        if self.transform not in TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
@@ -87,40 +85,23 @@ def model_value(t, fit: SigmoidalCosinorFit):
 
 
 def _fit_data(series: ActivitySeries, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    mask = series.valid_minutes_mask()
-    t = series.time_hours()[mask]
-    y = _TRANSFORMS[config.transform](series.values[mask])
-    return t, y
-
-
-class _Profile(NamedTuple):
-    """Transformed valid minutes binned by minute of day (populated bins)."""
-
-    t: np.ndarray          # bin midpoint, hours in (0, 24)
-    counts: np.ndarray     # n_m, samples in the bin
-    means: np.ndarray      # ybar_m
-    within_ss: float       # C = sum of (y - ybar_m)^2 over all samples
-
-
-def _minute_profile(t: np.ndarray, y: np.ndarray) -> _Profile:
-    minute = np.rint(t * 60.0 - 0.5).astype(np.intp) % MINUTES_PER_DAY
-    counts = np.bincount(minute, minlength=MINUTES_PER_DAY)
-    means = np.bincount(minute, weights=y, minlength=MINUTES_PER_DAY)
-    populated = counts > 0
-    means[populated] /= counts[populated]
-    within_ss = float(np.sum((y - means[minute]) ** 2))
-    bins = np.flatnonzero(populated)
-    return _Profile((bins + 0.5) / 60.0, counts[bins], means[bins], within_ss)
+    """Clock hours and transformed counts of the valid recorded minutes, in
+    time order; hours count 24 per grid row, so t mod 24 is time of day."""
+    rows = np.flatnonzero(series.day_valid)
+    scaled = TRANSFORMS[config.transform](series.grid[rows])
+    recorded = ~np.isnan(scaled)
+    hours = rows[:, None] * 24.0 + (np.arange(MINUTES_PER_DAY) + 0.5) / 60.0
+    return hours[recorded], scaled[recorded]
 
 
 def fit_linear_cosinor(series: ActivitySeries,
                        config: FitConfig = FitConfig()) -> LinearCosinorFit:
     """Least-squares projection onto [1, cos, sin] of 24 h period."""
-    t, y = _fit_data(series, config)
+    t, _ = _fit_data(series, config)
     if t.size < 3 or (t.max() - t.min()) <= 12.0:
         raise InsufficientSpan(
             "need at least 3 valid minutes spanning more than 12 hours")
-    profile = _minute_profile(t, y)
+    profile = day_profile(series, config.transform)
     weight = np.sqrt(profile.counts)
     angle = _OMEGA * profile.t
     design = weight[:, None] * np.column_stack(
@@ -155,7 +136,7 @@ def _degenerate_fit(y: np.ndarray, config: FitConfig, n_points: int) -> Sigmoida
                                transform=config.transform)
 
 
-def _profile_problem(profile: _Profile) -> ResidualProblem:
+def _profile_problem(profile: DayProfile) -> ResidualProblem:
     """Residual sqrt(n_m) * (ybar_m - f(t_m)) over (min, w, phase, u, v),
     with its closed-form Jacobian."""
     t = profile.t
@@ -206,13 +187,13 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     with degenerate=True and converged=False rather than raised. Fewer than
     5 populated minutes of day raise InsufficientSpan.
     """
-    t, y = _fit_data(series, config)
+    _, y = _fit_data(series, config)
     data_range = float(y.max() - y.min()) if y.size else 0.0
     if y.size and data_range == 0.0:
         return _degenerate_fit(y, config, int(y.size))
 
     linear = fit_linear_cosinor(series, config)
-    profile = _minute_profile(t, y)
+    profile = day_profile(series, config.transform)
     if profile.t.size < 5:
         raise InsufficientSpan("need at least 5 distinct valid minutes of day")
     seed = initial_sigmoidal_params(linear, config.transform)

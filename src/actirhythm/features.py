@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BothZero, IncompleteDays, InsufficientData, TooShort
-from .preprocess import MINUTES_PER_DAY, ActivitySeries
+from .preprocess import MINUTES_PER_DAY, ActivitySeries, day_profile
 
 
 @dataclass(frozen=True)
@@ -51,37 +51,28 @@ class ActivityFeatures:
               "rmssd_sd", "immobile_minutes")
 
 
-def _day_matrix(series: ActivitySeries) -> np.ndarray:
-    blocks = []
-    for d in range(series.n_days):
-        if not series.day_valid[d]:
-            raise IncompleteDays("series contains invalid days")
-        block = series.day_block(d)
-        if block.size != MINUTES_PER_DAY or series.day_offset_minutes(d) != 0:
-            raise IncompleteDays("series contains partial days")
-        blocks.append(block)
-    return np.vstack(blocks)
+def _require_complete(series: ActivitySeries) -> None:
+    if series.analysis_days().size < series.n_days:
+        raise IncompleteDays("series contains invalid or partial days")
 
 
 def minute_profile(series: ActivitySeries) -> MinuteProfile:
     """Mean count per minute-of-day over the (complete, valid) days."""
-    return MinuteProfile(_day_matrix(series).mean(axis=0))
+    _require_complete(series)
+    return MinuteProfile(day_profile(series).means)
 
 
-def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    wrapped = np.concatenate([values, values[: width - 1]]) if width > 1 else values
-    return sliding_window_view(wrapped, width).sum(axis=1)
-
-
-def _window_extreme(values: np.ndarray, width: int, mode: str) -> tuple[float, int]:
-    n = values.size
+def _window_extreme(values: np.ndarray, width: int, mode: str):
+    """Extreme circular window sum and its start along the last axis."""
+    n = values.shape[-1]
     if not 1 <= width <= n:
         raise ValueError(f"width must be in [1, {n}], got {width}")
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    sums = _window_sums(values, width)
-    idx = int(np.argmax(sums) if mode == "max" else np.argmin(sums))
-    return float(sums[idx]), idx
+    wrapped = np.concatenate([values, values[..., : width - 1]], axis=-1)
+    sums = sliding_window_view(wrapped, width, axis=-1).sum(axis=-1)
+    idx = np.argmax(sums, axis=-1) if mode == "max" else np.argmin(sums, axis=-1)
+    return np.take_along_axis(sums, idx[..., None], axis=-1)[..., 0], idx
 
 
 def window_extreme(profile: MinuteProfile, width: int, mode: str) -> tuple[float, int]:
@@ -89,7 +80,8 @@ def window_extreme(profile: MinuteProfile, width: int, mode: str) -> tuple[float
 
     Ties break to the smallest start minute.
     """
-    return _window_extreme(profile.values, width, mode)
+    total, start = _window_extreme(profile.values, width, mode)
+    return float(total), int(start)
 
 
 def relative_amplitude(m10: float, l5: float, raw_sums: bool = False) -> float:
@@ -108,25 +100,29 @@ def relative_amplitude(m10: float, l5: float, raw_sums: bool = False) -> float:
 def rmssd(series: ActivitySeries) -> float:
     """Root mean square of successive differences over valid minutes; pairs
     that span a removed day are excluded."""
-    total = 0.0
-    count = 0
-    for d in range(series.n_days):
-        if not series.day_valid[d]:
-            continue
-        block = series.day_block(d)
-        if block.size >= 2:
-            diffs = np.diff(block)
-            total += float(diffs @ diffs)
-            count += diffs.size
-        if d + 1 < series.n_days and series.day_valid[d + 1] \
-                and (series.day_dates[d + 1] - series.day_dates[d]).days == 1:
-            lo = series.day_starts[d + 1]
-            step = series.values[lo] - series.values[lo - 1]
-            total += float(step * step)
-            count += 1
+    within = np.diff(series.grid, axis=1)
+    recorded = ~np.isnan(within) & series.day_valid[:, None]
+    within[~recorded] = 0.0
+    n_within = recorded.sum(axis=1)
+    # one dot product per day, each summed in the order `d @ d` sums it
+    dots = np.matmul(within[:, None, :], within[:, :, None]).ravel()
+    # only the first and last day can be partial; the zeros that pad them
+    # in the grid would change how the dot product groups its terms
+    diffs = np.diff(series.values)
+    first, last = diffs[:n_within[0]], diffs[diffs.size - n_within[-1]:]
+    dots[0], dots[-1] = first @ first, last @ last
+    dates = np.array(series.day_dates, dtype="datetime64[D]")
+    joined = (series.day_valid[1:] & series.day_valid[:-1]
+              & (np.diff(dates) == np.timedelta64(1, "D")))
+    steps = series.grid[1:, 0] - series.grid[:-1, -1]
+    count = int(n_within.sum() + joined.sum())
     if count == 0:
         raise TooShort("need at least two consecutive valid minutes")
-    return math.sqrt(total / count)
+    # each day, then its join to the next, added in time order
+    terms = np.zeros(2 * series.n_days - 1)
+    terms[0::2] = dots
+    terms[1::2] = np.where(joined, steps * steps, 0.0)
+    return math.sqrt(np.cumsum(terms)[-1] / count)
 
 
 def immobile_minutes(series: ActivitySeries, threshold: float = 0.0) -> float:
@@ -136,11 +132,11 @@ def immobile_minutes(series: ActivitySeries, threshold: float = 0.0) -> float:
     n_valid_days = int(series.day_valid.sum())
     if n_valid_days == 0:
         raise InsufficientData("no valid days")
-    values = series.values[series.valid_minutes_mask()]
-    return float(np.count_nonzero(values <= threshold)) / n_valid_days
+    immobile = np.count_nonzero(series.grid[series.day_valid] <= threshold)
+    return float(immobile) / n_valid_days
 
 
-def _circular_mean_minute(starts: list[int]) -> float:
+def _circular_mean_minute(starts: np.ndarray) -> float:
     theta = 2.0 * np.pi * np.asarray(starts, dtype=float) / MINUTES_PER_DAY
     c, s = np.cos(theta).mean(), np.sin(theta).mean()
     if math.hypot(c, s) < 1e-12:
@@ -154,20 +150,15 @@ def compute_features(series: ActivitySeries,
 
     ``rmssd_sd`` is NaN when the series is constant (sd = 0).
     """
-    values = series.values[series.valid_minutes_mask()]
+    rows = series.grid[series.day_valid]
+    values = rows[~np.isnan(rows)]
     mean = float(values.mean())
     sd = float(values.std())
 
     if config.per_day:
-        days = _day_matrix(series)
-        m10s, t10s, l5s, t5s = [], [], [], []
-        for row in days:
-            s10, t10 = _window_extreme(row, 600, "max")
-            s5, t5 = _window_extreme(row, 300, "min")
-            m10s.append(s10)
-            t10s.append(t10)
-            l5s.append(s5)
-            t5s.append(t5)
+        _require_complete(series)
+        m10s, t10s = _window_extreme(series.grid, 600, "max")
+        l5s, t5s = _window_extreme(series.grid, 300, "min")
         m10 = float(np.mean(m10s))
         l5 = float(np.mean(l5s))
         t_m10 = _circular_mean_minute(t10s)

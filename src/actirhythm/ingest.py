@@ -11,6 +11,7 @@ File formats:
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -154,10 +155,13 @@ class SynthSpec:
 
 
 def _decode(content) -> str:
+    """Text of a file's bytes as UTF-8, after any byte-order mark (as
+    utf-8-sig decodes); MalformedRow names the line of a bad byte."""
     if hasattr(content, "read"):
         content = content.read()
     if not isinstance(content, bytes):
         return str(content)
+    content = content.removeprefix(codecs.BOM_UTF8)
     try:
         return content.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -260,7 +264,7 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     """
     raw = content.encode() if isinstance(content, str) and content.isascii() else content
     if isinstance(raw, bytes):
-        series = _parse_columnar(raw, subject_id)
+        series = _parse_columnar(raw.removeprefix(codecs.BOM_UTF8), subject_id)
         if series is not None:
             return series
     reader = csv.reader(io.StringIO(_decode(content)))

@@ -1,18 +1,21 @@
 """Vector-magnitude conversion, non-wear detection, invalid-day filtering,
-and selection of the analysis window.
+selection of the analysis window, and the minute-of-day profile.
 
-A "day" is a calendar day (midnight to midnight). Partial first/last days
-are kept in the series but never qualify as analysis days. After
-select_analysis_window the retained days are concatenated in time order and
-need not be consecutive calendar dates; ``day_dates`` records the original
-dates so that, e.g., successive-difference statistics can skip the joins.
+A recording is held on a calendar-day grid: an (n_days, 1440) array of
+calendar days (midnight to midnight) by minute of day, NaN outside the
+recording. Partial first/last days never qualify as analysis days. The
+analysis window is a selection of rows that need not be consecutive
+calendar dates; ``day_dates`` records them so that, e.g.,
+successive-difference statistics can skip the joins. ``day_profile`` is
+the one minute-of-day profile that features, fits and figures read.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from dataclasses import dataclass, field
+from datetime import date, datetime, time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,38 +24,43 @@ from .ingest import TriaxialSeries
 
 MINUTES_PER_DAY = 1440
 
+# The scales a profile or a fit can work on, by FitConfig.transform name.
+TRANSFORMS = {"raw": np.asarray, "log1p": np.log1p}
+
 
 @dataclass(frozen=True, eq=False)
 class ActivitySeries:
-    """Minute-level vector-magnitude counts with per-day validity.
+    """Minute-level vector-magnitude counts on a calendar-day grid.
 
-    ``values`` is the concatenation of the listed days; day d occupies
-    ``values[day_starts[d]:day_starts[d+1]]`` (to the end for the last day).
+    ``grid`` row d holds day ``day_dates[d]``; the recorded minutes are one
+    run that starts in row 0 at start_time's minute of day, and every other
+    cell is NaN. ``values`` is that run in time order, a view of the grid.
     """
 
     subject_id: str
     start_time: datetime
-    values: np.ndarray
+    grid: np.ndarray
     day_dates: tuple[date, ...]
-    day_starts: tuple[int, ...]
     day_valid: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+        grid = np.ascontiguousarray(self.grid, dtype=float)
+        if grid.ndim != 2 or grid.shape[1] != MINUTES_PER_DAY:
+            raise ValueError("grid must be an (n_days, 1440) array")
+        flat = grid.reshape(-1)
+        n = int(np.count_nonzero(~np.isnan(flat)))
+        values = flat[self.offset:self.offset + n]
+        if (n < 1 or values.size < n or not np.all(np.isfinite(values))
+                or self.offset + n <= flat.size - MINUTES_PER_DAY):
+            raise ValueError("the recorded minutes must be one run of finite "
+                             "values from start_time that ends in the last row")
         if values.min() < 0:
             raise ValueError("values must be non-negative")
         valid = np.asarray(self.day_valid, dtype=bool)
-        if not (len(self.day_dates) == len(self.day_starts) == valid.size):
+        if not (len(self.day_dates) == grid.shape[0] == valid.size):
             raise ValueError("day bookkeeping lengths disagree")
-        if self.day_starts[0] != 0 or any(
-                a >= b for a, b in zip(self.day_starts, self.day_starts[1:])):
-            raise ValueError("day_starts must be ascending from 0")
-        if self.day_starts[-1] >= values.size:
-            raise ValueError("day_starts exceed series length")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "day_valid", valid)
 
@@ -63,58 +71,57 @@ class ActivitySeries:
         midnight (sub-minute offsets in start_time are ignored for
         bucketing)."""
         values = np.asarray(values, dtype=float)
-        n = values.size
+        # a NaN here would read as a minute outside the recording
+        if values.ndim != 1 or values.size < 1 or np.isnan(values).any():
+            raise ValueError("values must be a non-empty 1-d array without NaN")
         offset = start_time.hour * 60 + start_time.minute
-        starts = [0]
-        nxt = MINUTES_PER_DAY - offset
-        while nxt < n:
-            starts.append(nxt)
-            nxt += MINUTES_PER_DAY
-        first = start_time.date()
-        dates = tuple(first + timedelta(days=i) for i in range(len(starts)))
-        return cls(subject_id=subject_id, start_time=start_time, values=values,
-                   day_dates=dates, day_starts=tuple(starts),
-                   day_valid=np.ones(len(starts), dtype=bool))
+        n_days = -(-(offset + values.size) // MINUTES_PER_DAY)
+        grid = np.full((n_days, MINUTES_PER_DAY), np.nan)
+        grid.reshape(-1)[offset:offset + values.size] = values
+        dates = np.datetime64(start_time.date()) + np.arange(n_days)
+        return cls(subject_id=subject_id, start_time=start_time, grid=grid,
+                   day_dates=tuple(dates.astype(object)),
+                   day_valid=np.ones(n_days, dtype=bool))
 
     @property
     def n_days(self) -> int:
-        return len(self.day_dates)
+        return self.grid.shape[0]
 
-    def day_length(self, d: int) -> int:
-        end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
-        return end - self.day_starts[d]
+    @property
+    def offset(self) -> int:
+        """Index of values[0] in the flattened grid."""
+        return self.start_time.hour * 60 + self.start_time.minute
 
-    def day_block(self, d: int) -> np.ndarray:
-        end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
-        return self.values[self.day_starts[d]:end]
+    def analysis_days(self) -> np.ndarray:
+        """Rows that are valid and recorded from midnight to midnight: the
+        days an analysis window may use."""
+        return np.flatnonzero(self.day_valid & ~np.isnan(self.grid).any(axis=1))
 
-    def day_offset_minutes(self, d: int) -> int:
-        """Minute-of-day of the day's first sample."""
-        if d == 0:
-            return self.start_time.hour * 60 + self.start_time.minute
-        return 0
 
-    def is_complete_day(self, d: int) -> bool:
-        return self.day_length(d) == MINUTES_PER_DAY and self.day_offset_minutes(d) == 0
+class DayProfile(NamedTuple):
+    """The recorded minutes of the valid days binned by minute of day; only
+    populated minutes are listed."""
 
-    def valid_minutes_mask(self) -> np.ndarray:
-        mask = np.zeros(self.values.size, dtype=bool)
-        for d in range(self.n_days):
-            if self.day_valid[d]:
-                end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
-                mask[self.day_starts[d]:end] = True
-        return mask
+    t: np.ndarray          # bin midpoint, hours in (0, 24)
+    counts: np.ndarray     # n_m, samples in the bin
+    means: np.ndarray      # ybar_m
+    within_ss: float       # C = sum of (y - ybar_m)^2 over all samples
 
-    def time_hours(self) -> np.ndarray:
-        """Clock time of each minute's midpoint, in hours, counting whole
-        days from the first covered day (so t mod 24 is time of day)."""
-        t = np.empty(self.values.size, dtype=float)
-        for d in range(self.n_days):
-            start = self.day_starts[d]
-            length = self.day_length(d)
-            m0 = self.day_offset_minutes(d)
-            t[start:start + length] = d * 24.0 + (m0 + np.arange(length) + 0.5) / 60.0
-        return t
+
+def day_profile(series: ActivitySeries, transform: str = "raw") -> DayProfile:
+    """Minute-of-day profile of the valid days on a TRANSFORMS scale.
+
+    A bin sums its days in time order and C its minutes in time order, as
+    a running sum over the minutes would.
+    """
+    rows = TRANSFORMS[transform](series.grid[series.day_valid])
+    recorded = ~np.isnan(rows)
+    counts = recorded.sum(axis=0)
+    bins = np.flatnonzero(counts)
+    means = np.zeros(MINUTES_PER_DAY)
+    means[bins] = np.nansum(rows, axis=0)[bins] / counts[bins]
+    within_ss = float(np.sum((rows - means)[recorded] ** 2))
+    return DayProfile((bins + 0.5) / 60.0, counts[bins], means[bins], within_ss)
 
 
 @dataclass(frozen=True)
@@ -191,12 +198,9 @@ def filter_invalid_days(series: ActivitySeries,
     """Mark every calendar day intersecting a bout as invalid."""
     valid = series.day_valid.copy()
     for bout in bouts:
-        b_lo, b_hi = bout.start_index, bout.start_index + bout.length
-        for d in range(series.n_days):
-            d_lo = series.day_starts[d]
-            d_hi = d_lo + series.day_length(d)
-            if b_lo < d_hi and b_hi > d_lo:
-                valid[d] = False
+        first = series.offset + bout.start_index
+        valid[first // MINUTES_PER_DAY:
+              (first + bout.length - 1) // MINUTES_PER_DAY + 1] = False
     return dataclasses.replace(series, day_valid=valid)
 
 
@@ -204,24 +208,21 @@ def select_analysis_window(series: ActivitySeries,
                            n_days: int = 5) -> ActivitySeries:
     """Restrict to the first ``n_days`` valid complete calendar days.
 
-    Partial first/last days never qualify. The retained days are
-    concatenated in time order; the result's start_time is midnight of the
-    first retained date.
+    Partial first/last days never qualify. The retained rows keep their
+    time order; the result's start_time is midnight of the first retained
+    date.
     """
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
-    kept = [d for d in range(series.n_days)
-            if series.day_valid[d] and series.is_complete_day(d)]
-    if len(kept) < n_days:
+    kept = series.analysis_days()
+    if kept.size < n_days:
         raise InsufficientData(
-            f"subject {series.subject_id!r}: {len(kept)} valid complete days, "
+            f"subject {series.subject_id!r}: {kept.size} valid complete days, "
             f"need {n_days}")
     kept = kept[:n_days]
-    values = np.concatenate([series.day_block(d) for d in kept])
     dates = tuple(series.day_dates[d] for d in kept)
-    starts = tuple(i * MINUTES_PER_DAY for i in range(n_days))
     return ActivitySeries(
         subject_id=series.subject_id,
         start_time=datetime.combine(dates[0], time()),
-        values=values, day_dates=dates, day_starts=starts,
+        grid=series.grid[kept], day_dates=dates,
         day_valid=np.ones(n_days, dtype=bool))

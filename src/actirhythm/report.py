@@ -27,6 +27,7 @@ from .ingest import GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest
 from .preprocess import (
     ActivitySeries,
     NonwearBout,
+    day_profile,
     detect_nonwear_bouts,
     filter_invalid_days,
     select_analysis_window,
@@ -281,14 +282,8 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
 
 
 def build_overlay(record: SubjectRecord, config: PipelineConfig) -> CurveOverlay:
-    fit = record.fit
-    matrix = np.vstack([record.window.day_block(d)
-                        for d in range(record.window.n_days)])
-    if config.transform == "log1p":
-        observed = np.log1p(matrix).mean(axis=0)
-    else:
-        observed = matrix.mean(axis=0)
-    fitted = export_fitted_curve(fit, resolution=1.0)[:, 1]
+    observed = day_profile(record.window, config.transform).means
+    fitted = export_fitted_curve(record.fit, resolution=1.0)[:, 1]
     return CurveOverlay(subject_id=record.subject_id, group=record.group,
                         observed=observed, fitted=fitted)
 

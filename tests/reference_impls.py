@@ -1,20 +1,30 @@
 """Brute-force reference implementations used as oracles by the tests.
 
 These are written independently of the package internals: plain loops and
-the textbook formulas, no shared helpers. The epoch-CSV oracles at the end
-raise the package's error classes and build its TriaxialSeries, so that
-their results and errors compare with the package's own.
+the textbook formulas, no shared helpers. The epoch-CSV oracles raise the
+package's error classes and build its TriaxialSeries, and the day-loop
+oracles at the end raise its InsufficientData and TooShort, so that their
+results and errors compare with the package's own.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
-from datetime import datetime, timedelta
+from dataclasses import dataclass
+from datetime import datetime, time, timedelta
 
 import numpy as np
 
-from actirhythm.errors import IrregularEpoch, MalformedRow, NegativeCount, NonMonotonicTime
+from actirhythm.errors import (
+    InsufficientData,
+    IrregularEpoch,
+    MalformedRow,
+    NegativeCount,
+    NonMonotonicTime,
+    TooShort,
+)
 from actirhythm.ingest import SYNTH_START, TriaxialSeries
 
 
@@ -318,3 +328,145 @@ def row_loop_serialize_triaxial_csv(series: TriaxialSeries) -> str:
         x, y, z = series.samples[i]
         out.append(f"{ts.isoformat(timespec='seconds')},{float(x)!r},{float(y)!r},{float(z)!r}")
     return "\n".join(out) + "\n"
+
+
+# The per-day loops of the minute series as they were before the calendar-day
+# grid: ActivitySeries with its day helpers, filter_invalid_days,
+# select_analysis_window, rmssd, and the cosinor fit data and minute-of-day
+# profile. Frozen as oracles; only the names differ.
+
+MINUTES_PER_DAY = 1440
+
+
+@dataclass(frozen=True, eq=False)
+class LoopSeries:
+    subject_id: str
+    start_time: datetime
+    values: np.ndarray
+    day_dates: tuple
+    day_starts: tuple
+    day_valid: np.ndarray
+
+    @classmethod
+    def from_minutes(cls, subject_id, start_time, values):
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        offset = start_time.hour * 60 + start_time.minute
+        starts = [0]
+        nxt = MINUTES_PER_DAY - offset
+        while nxt < n:
+            starts.append(nxt)
+            nxt += MINUTES_PER_DAY
+        first = start_time.date()
+        dates = tuple(first + timedelta(days=i) for i in range(len(starts)))
+        return cls(subject_id=subject_id, start_time=start_time, values=values,
+                   day_dates=dates, day_starts=tuple(starts),
+                   day_valid=np.ones(len(starts), dtype=bool))
+
+    @property
+    def n_days(self):
+        return len(self.day_dates)
+
+    def day_length(self, d):
+        end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
+        return end - self.day_starts[d]
+
+    def day_block(self, d):
+        end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
+        return self.values[self.day_starts[d]:end]
+
+    def day_offset_minutes(self, d):
+        if d == 0:
+            return self.start_time.hour * 60 + self.start_time.minute
+        return 0
+
+    def is_complete_day(self, d):
+        return self.day_length(d) == MINUTES_PER_DAY and self.day_offset_minutes(d) == 0
+
+    def valid_minutes_mask(self):
+        mask = np.zeros(self.values.size, dtype=bool)
+        for d in range(self.n_days):
+            if self.day_valid[d]:
+                end = self.day_starts[d + 1] if d + 1 < self.n_days else self.values.size
+                mask[self.day_starts[d]:end] = True
+        return mask
+
+    def time_hours(self):
+        t = np.empty(self.values.size, dtype=float)
+        for d in range(self.n_days):
+            start = self.day_starts[d]
+            length = self.day_length(d)
+            m0 = self.day_offset_minutes(d)
+            t[start:start + length] = d * 24.0 + (m0 + np.arange(length) + 0.5) / 60.0
+        return t
+
+
+def loop_filter_invalid_days(series, bouts):
+    valid = series.day_valid.copy()
+    for bout in bouts:
+        b_lo, b_hi = bout.start_index, bout.start_index + bout.length
+        for d in range(series.n_days):
+            d_lo = series.day_starts[d]
+            d_hi = d_lo + series.day_length(d)
+            if b_lo < d_hi and b_hi > d_lo:
+                valid[d] = False
+    return dataclasses.replace(series, day_valid=valid)
+
+
+def loop_select_analysis_window(series, n_days=5):
+    kept = [d for d in range(series.n_days)
+            if series.day_valid[d] and series.is_complete_day(d)]
+    if len(kept) < n_days:
+        raise InsufficientData(
+            f"subject {series.subject_id!r}: {len(kept)} valid complete days, "
+            f"need {n_days}")
+    kept = kept[:n_days]
+    values = np.concatenate([series.day_block(d) for d in kept])
+    dates = tuple(series.day_dates[d] for d in kept)
+    starts = tuple(i * MINUTES_PER_DAY for i in range(n_days))
+    return LoopSeries(
+        subject_id=series.subject_id,
+        start_time=datetime.combine(dates[0], time()),
+        values=values, day_dates=dates, day_starts=starts,
+        day_valid=np.ones(n_days, dtype=bool))
+
+
+def loop_rmssd(series):
+    total = 0.0
+    count = 0
+    for d in range(series.n_days):
+        if not series.day_valid[d]:
+            continue
+        block = series.day_block(d)
+        if block.size >= 2:
+            diffs = np.diff(block)
+            total += float(diffs @ diffs)
+            count += diffs.size
+        if d + 1 < series.n_days and series.day_valid[d + 1] \
+                and (series.day_dates[d + 1] - series.day_dates[d]).days == 1:
+            lo = series.day_starts[d + 1]
+            step = series.values[lo] - series.values[lo - 1]
+            total += float(step * step)
+            count += 1
+    if count == 0:
+        raise TooShort("need at least two consecutive valid minutes")
+    return math.sqrt(total / count)
+
+
+def loop_fit_data(series, transform):
+    """cosinor._fit_data, with the transform given as a function."""
+    mask = series.valid_minutes_mask()
+    return series.time_hours()[mask], transform(series.values[mask])
+
+
+def loop_minute_profile(t, y):
+    """cosinor._minute_profile: (bin hours, counts, means, within_ss) of
+    the populated minutes of day."""
+    minute = np.rint(t * 60.0 - 0.5).astype(np.intp) % MINUTES_PER_DAY
+    counts = np.bincount(minute, minlength=MINUTES_PER_DAY)
+    means = np.bincount(minute, weights=y, minlength=MINUTES_PER_DAY)
+    populated = counts > 0
+    means[populated] /= counts[populated]
+    within_ss = float(np.sum((y - means[minute]) ** 2))
+    bins = np.flatnonzero(populated)
+    return (bins + 0.5) / 60.0, counts[bins], means[bins], within_ss

@@ -230,6 +230,45 @@ def test_synth_rejects_short_spec_row(tmp_path, capsys):
     assert "line 2: " in capsys.readouterr().err
 
 
+def test_synth_error_names_the_file_line_after_a_blank_line(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\n\na1,cci,10,xx,0,5,14,1,2\n",
+                    encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "line 3: bad synth spec row" in capsys.readouterr().err
+
+
+def test_blank_spec_line_keeps_the_row_index_seed(tmp_path, capsys):
+    row = "a1,cci,10,50,0,5,14,3,1\n"
+    for name, gap in (("plain", ""), ("gap", "\n")):
+        spec = tmp_path / f"{name}.csv"
+        spec.write_text(",".join(SYNTH_COLUMNS) + "\n" + gap + row, encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "gap" / "a1.csv").read_bytes() == \
+        (tmp_path / "plain" / "a1.csv").read_bytes()
+
+
+def test_non_utf8_synth_spec_exit_code_2(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_bytes(",".join(SYNTH_COLUMNS).encode() + b"\na1,cci,10,5\xff,0,5,14,1,2\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "line 2: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_compare_table_exit_code_2(cohort, tmp_path, capsys):
+    feat, cos = tmp_path / "feat", tmp_path / "cos"
+    assert main(["features", "--manifest", str(cohort), "--out", str(feat)]) == 0
+    assert main(["cosinor", "--manifest", str(cohort), "--out", str(cos),
+                 "--transform", "raw"]) == 0
+    table = feat / "features.csv"
+    lines = table.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    table.write_bytes(b"\n".join(lines))
+    assert main(["compare", "--features", str(table), "--cosinor",
+                 str(cos / "cosinor.csv"), "--out", str(tmp_path / "cmp")]) == 2
+    assert "line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
 def test_compare_rejects_short_features_row(cohort, tmp_path, capsys):
     feat, cos = tmp_path / "feat", tmp_path / "cos"
     assert main(["features", "--manifest", str(cohort), "--out", str(feat)]) == 0

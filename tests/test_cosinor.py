@@ -20,7 +20,13 @@ from actirhythm.cosinor import (
 )
 from actirhythm.nls import numeric_jacobian
 from conftest import make_series, make_window
-from reference_impls import full_data_sigmoidal_fit, hours_apart, sigmoid_curve
+from reference_impls import (
+    LoopSeries,
+    full_data_sigmoidal_fit,
+    hours_apart,
+    loop_fit_data,
+    sigmoid_curve,
+)
 
 RAW = FitConfig(transform="raw")
 
@@ -235,13 +241,19 @@ def partial_series_with_invalid_day(rng):
     """Starts at 09:37, one middle day masked invalid, ends at 05:00."""
     start = datetime(2016, 5, 1, 9, 37)
     n = (1440 - 577) + 4 * 1440 + 300
-    series = make_series(np.zeros(n), start=start)
-    t = series.time_hours()
+    t = (577 + np.arange(n) + 0.5) / 60.0
     y = sigmoid_curve(t, 1.0, 3.5, 0.2, 6.0, 14.5) + rng.normal(0, 0.4, n)
+    series = make_series(np.maximum(np.expm1(y), 0.0), start=start)
     valid = np.ones(series.n_days, dtype=bool)
     valid[2] = False
-    return dataclasses.replace(series, values=np.maximum(np.expm1(y), 0.0),
-                               day_valid=valid)
+    return dataclasses.replace(series, day_valid=valid)
+
+
+def full_data(series):
+    """Clock hours and log1p counts of every valid minute, from the
+    per-day loop oracle."""
+    loop = LoopSeries.from_minutes(series.subject_id, series.start_time, series.values)
+    return loop_fit_data(dataclasses.replace(loop, day_valid=series.day_valid), np.log1p)
 
 
 class TestProfileReduction:
@@ -282,9 +294,7 @@ class TestProfileReduction:
 
     def test_matches_full_data_fit(self, rng):
         series = partial_series_with_invalid_day(rng)
-        mask = series.valid_minutes_mask()
-        t = series.time_hours()[mask]
-        y = np.log1p(series.values[mask])
+        t, y = full_data(series)
         fit = fit_sigmoidal_cosinor(series)
         mn, amp, alpha, beta, phase = full_data_sigmoidal_fit(t, y)
         assert fit.converged
@@ -299,13 +309,11 @@ class TestProfileReduction:
 
     def test_linear_stage_matches_full_data_projection(self, rng):
         series = partial_series_with_invalid_day(rng)
-        mask = series.valid_minutes_mask()
-        t = series.time_hours()[mask]
+        t, y = full_data(series)
         omega = 2 * np.pi / 24
         design = np.column_stack([np.ones(t.size), np.cos(omega * t),
                                   np.sin(omega * t)])
-        b0, bc, bs = np.linalg.lstsq(design, np.log1p(series.values[mask]),
-                                     rcond=None)[0]
+        b0, bc, bs = np.linalg.lstsq(design, y, rcond=None)[0]
         fit = fit_linear_cosinor(series)
         assert fit.mesor == pytest.approx(b0, rel=1e-12)
         assert fit.amplitude == pytest.approx(math.hypot(bc, bs), rel=1e-12)

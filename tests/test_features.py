@@ -25,12 +25,10 @@ from reference_impls import brute_features, brute_window_extreme
 def window_series_with_gap():
     """Two valid days whose dates are NOT consecutive (a removed day sits
     between them)."""
-    values = np.concatenate([np.arange(1440.0), np.arange(1440.0) + 5])
+    grid = np.stack([np.arange(1440.0), np.arange(1440.0) + 5])
     return ActivitySeries(
-        subject_id="s1", start_time=datetime(2016, 5, 1),
-        values=values,
+        subject_id="s1", start_time=datetime(2016, 5, 1), grid=grid,
         day_dates=(date(2016, 5, 1), date(2016, 5, 3)),
-        day_starts=(0, 1440),
         day_valid=np.array([True, True]))
 
 

@@ -1,3 +1,4 @@
+import codecs
 import math
 from datetime import datetime
 
@@ -295,6 +296,12 @@ class TestColumnarMatchesRowLoop:
         assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
             row_loop_parse_triaxial_csv, text)
 
+    @pytest.mark.parametrize("text", [CANONICAL, CANONICAL.replace("\n", "\r\n")])
+    def test_byte_order_mark_is_skipped(self, text):
+        with_mark = codecs.BOM_UTF8 + text.encode()
+        assert parse_outcome(parse_triaxial_csv, with_mark) == \
+            parse_outcome(parse_triaxial_csv, text.encode())
+
     def test_canonical_files_take_the_columnar_path(self):
         for text in (CANONICAL, serialize_triaxial_csv(parse_triaxial_csv(CANONICAL, "s1"))):
             assert_series_equal(_parse_columnar(text.encode(), "s1"),
@@ -370,6 +377,10 @@ class TestManifest:
     def test_line_break_in_a_field(self, row):
         with pytest.raises(errors.MalformedRow):
             load_manifest(f"subject_id,group,path\n{row}\n")
+
+    def test_byte_order_mark_is_skipped(self):
+        m = load_manifest(codecs.BOM_UTF8 + b"subject_id,group,path\na,cci,a.csv\n")
+        assert [e.subject_id for e in m.entries] == ["a"]
 
     def test_crlf_line_ends(self):
         m = load_manifest("subject_id,group,path\r\na,cci,a.csv\r\n")

@@ -1,14 +1,18 @@
-from datetime import date, datetime
+import dataclasses
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actirhythm import errors
+from actirhythm.cosinor import FitConfig, _fit_data
+from actirhythm.features import rmssd
 from actirhythm.ingest import TriaxialSeries
 from actirhythm.preprocess import (
     ActivitySeries,
+    day_profile,
     NonwearBout,
     detect_nonwear_bouts,
     filter_invalid_days,
@@ -17,7 +21,15 @@ from actirhythm.preprocess import (
     vector_magnitude,
 )
 from conftest import make_series
-from reference_impls import brute_zero_bouts
+from reference_impls import (
+    LoopSeries,
+    brute_zero_bouts,
+    loop_filter_invalid_days,
+    loop_fit_data,
+    loop_minute_profile,
+    loop_rmssd,
+    loop_select_analysis_window,
+)
 
 
 class TestVectorMagnitude:
@@ -54,8 +66,7 @@ class TestToActivitySeries:
                              np.ones((1500, 3)))
         act = to_activity_series(tri)
         assert act.n_days == 2
-        assert act.day_length(0) == 60
-        assert act.day_length(1) == 1440
+        assert np.count_nonzero(~np.isnan(act.grid), axis=1).tolist() == [60, 1440]
 
     def test_overflowing_vector_magnitude_is_a_data_error(self):
         tri = TriaxialSeries("s1", datetime(2016, 5, 1), 60,
@@ -176,12 +187,10 @@ class TestSelectWindow:
         s = make_series(np.arange(1440 * 6, dtype=float))
         valid = s.day_valid.copy()
         valid[1] = False
-        s = ActivitySeries(subject_id=s.subject_id, start_time=s.start_time,
-                           values=s.values, day_dates=s.day_dates,
-                           day_starts=s.day_starts, day_valid=valid)
+        s = dataclasses.replace(s, day_valid=valid)
         out = select_analysis_window(s, 5)
         assert out.day_dates == tuple(s.day_dates[d] for d in (0, 2, 3, 4, 5))
-        assert np.array_equal(out.day_block(1), s.day_block(2))
+        assert np.array_equal(out.values[1440:2880], s.values[2880:4320])
 
     def test_insufficient_days(self):
         s = make_series(np.ones(1440 * 3))
@@ -207,3 +216,75 @@ class TestSelectWindow:
         assert out.day_valid.all()
         assert date(2016, 5, 4) not in out.day_dates
         assert np.all(out.values > 0)
+
+
+@st.composite
+def minute_series(draw):
+    """A start time (midnight, 09:37 or 23:58) and 1 minute to 8 days of
+    positive counts, with zero runs placed around midnights, some of them
+    ending or starting exactly there, and around noons."""
+    start_minute = draw(st.sampled_from([0, 577, 1438]))
+    start = datetime(2016, 5, 1) + timedelta(minutes=start_minute)
+    n = draw(st.integers(0, 7)) * 1440 + draw(st.integers(1, 1440))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.exponential(80.0, n)
+    midnights = np.arange((1440 - start_minute) % 1440, n, 1440)
+    extent = st.sampled_from([0, 61]) | st.integers(0, 200)
+    runs = draw(st.lists(st.tuples(st.integers(0, 8), extent, extent,
+                                   st.sampled_from([0, 720])), max_size=4))
+    for k, before, after, shift in runs:
+        if midnights.size:
+            m = midnights[k % midnights.size] + shift
+            values[max(0, m - before):m + after] = 0.0
+    return start, values
+
+
+EDGE_BOUT = np.r_[np.full(1440 - 61, 3.0), np.zeros(61), np.arange(1.0, 1500.0)]
+GAP_DAY = np.arange(1.0, 5 * 1440.0 + 1)
+GAP_DAY[2 * 1440:2 * 1440 + 100] = 0.0
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except errors.DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestGridMatchesDayLoops:
+    """The calendar-day grid against the per-day loops it replaced."""
+
+    @given(minute_series(), st.integers(1, 90), st.integers(1, 6))
+    # a bout that ends exactly at midnight; a window with a removed day
+    @example((datetime(2016, 5, 1), EDGE_BOUT), 60, 1)
+    @example((datetime(2016, 5, 1, 9, 37), GAP_DAY), 60, 3)
+    def test_days_window_rmssd_and_fit_data(self, drawn, min_bout, days):
+        start, values = drawn
+        series = ActivitySeries.from_minutes("s1", start, values)
+        loop = LoopSeries.from_minutes("s1", start, values)
+        bouts = detect_nonwear_bouts(series, min_bout)
+        series = filter_invalid_days(series, bouts)
+        loop = loop_filter_invalid_days(loop, bouts)
+        assert series.day_dates == loop.day_dates
+        assert series.day_valid.tolist() == loop.day_valid.tolist()
+        assert outcome(rmssd, series) == outcome(loop_rmssd, loop)
+        for transform, scale in (("raw", np.asarray), ("log1p", np.log1p)):
+            t, y = _fit_data(series, FitConfig(transform=transform))
+            expected_t, expected_y = loop_fit_data(loop, scale)
+            assert t.tobytes() == expected_t.tobytes()
+            assert y.tobytes() == expected_y.tobytes()
+            if t.size:   # the fit raises InsufficientSpan before binning none
+                profile = day_profile(series, transform)
+                expected = loop_minute_profile(expected_t, expected_y)
+                for got, want in zip(profile, expected):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        window = outcome(select_analysis_window, series, days)
+        expected = outcome(loop_select_analysis_window, loop, days)
+        if isinstance(expected, tuple):
+            assert window == expected
+            return
+        assert window.values.tobytes() == expected.values.tobytes()
+        assert window.day_dates == expected.day_dates
+        assert window.start_time == expected.start_time
+        assert outcome(rmssd, window) == outcome(loop_rmssd, expected)
