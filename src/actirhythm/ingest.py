@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -69,6 +70,14 @@ _MANIFEST_HEADER = ("subject_id", "group", "path")
 # 0x1c-0x1f around a number where float() rejects them.
 _CANONICAL_BYTES = bytes(c for c in range(0x20, 0x7f) if c != ord('"')) + b"\n"
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
+# The parts of a canonical stamp, packed into its 19 bytes, and the
+# two-digit hours, minutes and seconds they are picked from.
+_STAMP_PARTS = np.dtype([("date", "S10"), ("t", "S1"), ("h", "S2"), ("c1", "S1"),
+                         ("m", "S2"), ("c2", "S1"), ("s", "S2")])
+_TWO_DIGITS = np.array([b"%02d" % i for i in range(60)])
+# Rows whose stamps are made at a time, for the writer and for the columnar
+# parse's check; bounds the working memory of both.
+_STAMP_BLOCK = 65536
 
 # Start timestamp for synthetic series; midnight so that model time equals
 # clock time.
@@ -155,12 +164,13 @@ class SynthSpec:
 
 
 def _decode(content) -> str:
-    """Text of a file's bytes as UTF-8, after any byte-order mark (as
-    utf-8-sig decodes); MalformedRow names the line of a bad byte."""
+    """Text of a file's bytes as UTF-8, or the text given, after any
+    byte-order mark (as utf-8-sig decodes); MalformedRow names the line of
+    a bad byte."""
     if hasattr(content, "read"):
         content = content.read()
     if not isinstance(content, bytes):
-        return str(content)
+        return str(content).removeprefix("\ufeff")
     content = content.removeprefix(codecs.BOM_UTF8)
     try:
         return content.decode("utf-8")
@@ -191,17 +201,55 @@ def _parse_count(text: str, line_no: int) -> float:
     return value
 
 
+def _stamp_column(start: datetime, epoch: int, n: int) -> np.ndarray:
+    """The canonical stamps of the grid ``start + i * epoch`` seconds,
+    i < n: ``YYYY-MM-DDTHH:MM:SS`` as an S19 array, the one definition of a
+    canonical stamp for writing and parsing alike.
+
+    ``start`` is naive and whole-second. Each calendar day's date is
+    formatted once and the times are picked from a two-digit table, so no
+    datetime is formatted per row. A grid that runs past year 9999 raises
+    OverflowError, as its last stamp would.
+    """
+    if n:
+        start + timedelta(seconds=epoch * (n - 1))
+    midnight = start.replace(hour=0, minute=0, second=0)
+    clock = np.arange(n)   # seconds from midnight, worked on in place
+    clock *= epoch
+    clock += (start - midnight).seconds
+    stamps = np.empty(n, _STAMP_PARTS)
+    days = np.datetime64(midnight, "D") + np.arange(clock[-1] // 86400 + 1 if n else 0)
+    stamps["date"] = days.astype("S10")[clock // 86400]
+    stamps["t"], stamps["c1"], stamps["c2"] = b"T", b":", b":"
+    clock %= 86400
+    for part in ("s", "m"):
+        stamps[part] = _TWO_DIGITS[clock % 60]
+        clock //= 60
+    stamps["h"] = _TWO_DIGITS[clock]
+    return stamps.view("S19")
+
+
+def _stamp_blocks(start: datetime, epoch: int, n: int):
+    """``(i, stamps)`` for each block of _STAMP_BLOCK rows of the grid of
+    _stamp_column, i its first row, so that no caller holds the whole
+    column."""
+    for i in range(0, n, _STAMP_BLOCK):
+        yield i, _stamp_column(start + timedelta(seconds=i * epoch), epoch,
+                               min(_STAMP_BLOCK, n - i))
+
+
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     """The series of a file in canonical form, parsed in one numpy pass;
     None for any other file.
 
-    Canonical form is an exact lower-case header, no blank lines, and
-    ``YYYY-MM-DDTHH:MM:SS`` stamps on an exact grid of a positive epoch,
-    with at least two rows of finite, non-negative counts. It holds only
-    _CANONICAL_BYTES, so loadtxt's float syntax there is a subset of
-    float()'s with bit-identical values, and the file parses to the same
-    series in the row loop. An epoch that does not align with minutes is
-    reported by TriaxialSeries, as it is after the row loop.
+    Canonical form is an exact lower-case header, no blank lines, the
+    stamps _stamp_column makes for the grid of the first stamp and a
+    positive epoch, byte for byte, and at least two rows of finite,
+    non-negative counts. It holds only _CANONICAL_BYTES, so loadtxt's
+    float syntax there is a subset of float()'s with bit-identical values,
+    and the file parses to the same series in the row loop. An epoch that
+    does not align with minutes is reported by TriaxialSeries, as it is
+    after the row loop.
 
     The header and the first two stamps are checked before any pass over
     the whole file, so most other files cost only those few bytes.
@@ -232,14 +280,12 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
         return None
     stamps = table["t"]
     try:
-        # the grid's last stamp must be a datetime too: numpy cannot write
-        # a year past 9999 in the 19 characters the grid is compared in
-        start + timedelta(seconds=epoch * (stamps.size - 1))
+        on_grid = all(np.array_equal(stamps[i:i + block.size], block)
+                      for i, block in _stamp_blocks(start, epoch, stamps.size))
     except OverflowError:
         return None
-    grid = np.datetime64(start, "s") + epoch * np.arange(stamps.size)
     counts = table["c"]
-    if (not np.array_equal(stamps, grid.astype("S19"))
+    if (not on_grid
             or not np.all(np.isfinite(counts)) or counts.min() < 0):
         return None
     samples = np.zeros((stamps.size, 3))
@@ -268,8 +314,8 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
         if series is not None:
             return series
     reader = csv.reader(io.StringIO(_decode(content)))
-    rows: list[tuple[float, float, float]] = []
-    start, prev, epoch = SYNTH_START, None, 60
+    counts = array("d")   # the rows' counts, three to a row
+    n_rows, start, prev, epoch = 0, SYNTH_START, None, 60
     try:
         header = next(reader, None)
         if header is None:
@@ -287,11 +333,12 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
                                    f"expected {n_cols} fields, got {len(row)}")
             ts = _parse_timestamp(row[0], line_no)
             if vm_only:
-                rows.append((_parse_count(row[1], line_no), 0.0, 0.0))
+                counts.extend((_parse_count(row[1], line_no), 0.0, 0.0))
             else:
-                rows.append((_parse_count(row[1], line_no),
-                             _parse_count(row[2], line_no),
-                             _parse_count(row[3], line_no)))
+                counts.extend((_parse_count(row[1], line_no),
+                               _parse_count(row[2], line_no),
+                               _parse_count(row[3], line_no)))
+            n_rows += 1
             if prev is None:
                 start = ts
             else:
@@ -299,7 +346,7 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
                 if step <= 0:
                     raise NonMonotonicTime(
                         f"timestamps not increasing at line {line_no}")
-                if len(rows) == 2:
+                if n_rows == 2:
                     if step != int(step):
                         raise IrregularEpoch(f"non-integer epoch of {step} s")
                     epoch = int(step)
@@ -310,25 +357,25 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     except csv.Error as exc:   # e.g. a bare CR in an unquoted field
         raise MalformedRow(reader.line_num, f"bad CSV row: {exc}") from None
 
-    samples = np.array(rows, dtype=float).reshape(len(rows), 3)
-    return TriaxialSeries(subject_id=subject_id, start_time=start,
-                          epoch_length=epoch, samples=samples)
+    return TriaxialSeries(subject_id=subject_id, start_time=start, epoch_length=epoch,
+                          samples=np.frombuffer(counts, dtype=float).reshape(-1, 3))
 
 
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
     """Inverse of parse_triaxial_csv (always the four-column format).
 
-    Stamps are local times to the second: a start time's microseconds and
-    UTC offset are dropped. A series that runs past year 9999 raises
-    OverflowError.
+    Stamps are the canonical ones of _stamp_column, local times to the
+    second: a start time's microseconds and UTC offset are dropped. A
+    series that runs past year 9999 raises OverflowError. The text is made
+    _STAMP_BLOCK rows at a time.
     """
-    n, step = len(series), series.epoch_length
     start = series.start_time.replace(microsecond=0, tzinfo=None)
-    if n:   # past year 9999 this raises OverflowError, as the last stamp would
-        start + timedelta(seconds=(n - 1) * step)
-    stamps = (np.datetime64(start, "s") + step * np.arange(n)).astype("U19").tolist()
-    columns = [stamps, *(map(repr, c) for c in series.samples.T.tolist())]
-    return "\n".join(["timestamp,axis1,axis2,axis3", *map(",".join, zip(*columns))]) + "\n"
+    blocks = ["timestamp,axis1,axis2,axis3\n"]
+    for i, stamps in _stamp_blocks(start, series.epoch_length, len(series)):
+        samples = series.samples[i:i + stamps.size]
+        columns = [stamps.astype("U19").tolist(), *(map(repr, c) for c in samples.T.tolist())]
+        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return "".join(blocks)
 
 
 def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:

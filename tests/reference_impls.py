@@ -330,6 +330,19 @@ def row_loop_serialize_triaxial_csv(series: TriaxialSeries) -> str:
     return "\n".join(out) + "\n"
 
 
+# The one-pass vectorised writer as it was before it wrote in row blocks
+# from the stamp kernel; frozen as an oracle. Only the name differs.
+
+def one_pass_serialize_triaxial_csv(series: TriaxialSeries) -> str:
+    n, step = len(series), series.epoch_length
+    start = series.start_time.replace(microsecond=0, tzinfo=None)
+    if n:   # past year 9999 this raises OverflowError, as the last stamp would
+        start + timedelta(seconds=(n - 1) * step)
+    stamps = (np.datetime64(start, "s") + step * np.arange(n)).astype("U19").tolist()
+    columns = [stamps, *(map(repr, c) for c in series.samples.T.tolist())]
+    return "\n".join(["timestamp,axis1,axis2,axis3", *map(",".join, zip(*columns))]) + "\n"
+
+
 # The per-day loops of the minute series as they were before the calendar-day
 # grid: ActivitySeries with its day helpers, filter_invalid_days,
 # select_analysis_window, rmssd, and the cosinor fit data and minute-of-day

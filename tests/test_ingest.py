@@ -1,10 +1,10 @@
 import codecs
 import math
-from datetime import datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actirhythm import errors
@@ -12,14 +12,20 @@ from actirhythm.ingest import (
     GroupLabel,
     SynthSpec,
     TriaxialSeries,
+    _STAMP_BLOCK,
     _parse_columnar,
+    _stamp_column,
     aggregate_to_minutes,
     generate_synthetic,
     load_manifest,
     parse_triaxial_csv,
     serialize_triaxial_csv,
 )
-from reference_impls import row_loop_parse_triaxial_csv, row_loop_serialize_triaxial_csv
+from reference_impls import (
+    one_pass_serialize_triaxial_csv,
+    row_loop_parse_triaxial_csv,
+    row_loop_serialize_triaxial_csv,
+)
 
 HEADER = "timestamp,axis1,axis2,axis3\n"
 
@@ -298,9 +304,9 @@ class TestColumnarMatchesRowLoop:
 
     @pytest.mark.parametrize("text", [CANONICAL, CANONICAL.replace("\n", "\r\n")])
     def test_byte_order_mark_is_skipped(self, text):
-        with_mark = codecs.BOM_UTF8 + text.encode()
-        assert parse_outcome(parse_triaxial_csv, with_mark) == \
-            parse_outcome(parse_triaxial_csv, text.encode())
+        expected = parse_outcome(parse_triaxial_csv, text.encode())
+        assert parse_outcome(parse_triaxial_csv, codecs.BOM_UTF8 + text.encode()) == expected
+        assert parse_outcome(parse_triaxial_csv, "\ufeff" + text) == expected
 
     def test_canonical_files_take_the_columnar_path(self):
         for text in (CANONICAL, serialize_triaxial_csv(parse_triaxial_csv(CANONICAL, "s1"))):
@@ -311,6 +317,51 @@ class TestColumnarMatchesRowLoop:
         series = parse_triaxial_csv("timestamp,vm\n2016-05-01T00:00:00,5\n"
                                     "2016-05-01T00:00:30,2.5\n", "s1")
         assert serialize_triaxial_csv(series) == row_loop_serialize_triaxial_csv(series)
+
+    @pytest.mark.parametrize("n", [_STAMP_BLOCK - 1, _STAMP_BLOCK, _STAMP_BLOCK + 1])
+    def test_writer_blocks_match_the_one_pass_writer(self, n):
+        samples = np.random.default_rng(n).uniform(0, 1e4, (n, 3))
+        samples[::3] = np.round(samples[::3])
+        # 2 s epochs from the last second of Feb 28 run through the leap day
+        series = TriaxialSeries("s1", datetime(2016, 2, 28, 23, 59, 59), 2, samples)
+        text = serialize_triaxial_csv(series)
+        # line by line: pytest would take minutes to diff two whole texts
+        lines, expected = text.split("\n"), one_pass_serialize_triaxial_csv(series).split("\n")
+        wrong = next((i for i, (a, b) in enumerate(zip(lines, expected)) if a != b), None)
+        assert (wrong, len(lines)) == (None, len(expected))
+        assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
+        last = text.rindex("\n", 0, -1) + 1   # the last row's stamp, in the last block
+        assert _parse_columnar((text[:last] + "1" + text[last + 1:]).encode(), "s1") is None
+
+
+# the last day numpy and datetime can both write as a stamp
+LAST_DAY = date(9999, 12, 31)
+
+
+class TestStampColumn:
+    @settings(max_examples=300)
+    @given(st.sampled_from([date(2016, 2, 28), date(2016, 2, 29), date(2015, 2, 28),
+                            date(2100, 2, 28), date(2000, 2, 29), date(2015, 12, 31),
+                            date(1, 1, 1), date(999, 12, 31), LAST_DAY]),
+           st.one_of(st.sampled_from([0, 86399, 86340]), st.integers(0, 86399)),
+           st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60,
+                            120, 420, 3600, 86400]),
+           st.integers(0, 3000))
+    @example(LAST_DAY, 86340, 1, 60)
+    @example(LAST_DAY, 86340, 1, 61)
+    @example(LAST_DAY, 0, 86400, 1)
+    def test_matches_numpy_stamps(self, day, second, epoch, n):
+        start = datetime.combine(day, datetime.min.time()) + timedelta(seconds=second)
+        grid = np.datetime64(start, "s") + epoch * np.arange(n)
+        if n and grid[-1] >= np.datetime64("10000-01-01"):
+            with pytest.raises(OverflowError):
+                _stamp_column(start, epoch, n)
+            return
+        stamps, expected = _stamp_column(start, epoch, n), grid.astype("S19")
+        assert stamps.dtype == expected.dtype and stamps.shape == expected.shape
+        # every byte, so that a NUL the S19 comparison ignores still counts
+        wrong = np.flatnonzero(stamps.view(np.uint8) != expected.view(np.uint8)) // 19
+        assert wrong.size == 0, (stamps[wrong[0]], expected[wrong[0]])
 
 
 class TestAggregate:
@@ -379,8 +430,9 @@ class TestManifest:
             load_manifest(f"subject_id,group,path\n{row}\n")
 
     def test_byte_order_mark_is_skipped(self):
-        m = load_manifest(codecs.BOM_UTF8 + b"subject_id,group,path\na,cci,a.csv\n")
-        assert [e.subject_id for e in m.entries] == ["a"]
+        text = "subject_id,group,path\na,cci,a.csv\n"
+        for content in (codecs.BOM_UTF8 + text.encode(), "\ufeff" + text):
+            assert [e.subject_id for e in load_manifest(content).entries] == ["a"]
 
     def test_crlf_line_ends(self):
         m = load_manifest("subject_id,group,path\r\na,cci,a.csv\r\n")
