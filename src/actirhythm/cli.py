@@ -7,22 +7,19 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import math
 import sys
 import traceback
 from pathlib import Path
 
-from . import report, stats
+from . import report
 from .errors import DataError, MalformedRow, UsageError
 from .ingest import (
     GroupLabel,
     SynthSpec,
-    _decode,
     generate_synthetic,
     load_manifest,
+    read_table,
     serialize_triaxial_csv,
 )
 
@@ -184,53 +181,9 @@ def _cmd_cosinor(args) -> int:
     return 0
 
 
-def _read_table(path: Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """The header and the non-empty rows as (line number, dict) pairs;
-    every row must have the header's field count. The file is decoded as
-    the epoch files are (UTF-8, an optional byte-order mark)."""
-    reader = csv.reader(io.StringIO(_decode(path.read_bytes()), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise MalformedRow(1, f"{path}: missing header")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
-                                                f"fields, got {len(row)}")
-        rows.append((reader.line_num, dict(zip(header, row))))
-    return header, rows
-
-
 def _cmd_compare(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
-    _, feat_rows = _read_table(args.features)
-    _, cos_rows = _read_table(args.cosinor)
-    values: dict[str, dict[str, float]] = {}
-    groups: dict[str, GroupLabel] = {}
-
-    def absorb(rows, names):
-        for line_no, row in rows:
-            sid = row.get("subject_id", "").strip()
-            if not sid:
-                raise MalformedRow(line_no, "row without subject_id")
-            groups[sid] = GroupLabel.parse(row["group"])
-            dest = values.setdefault(sid, {})
-            for name in names:
-                if name in row:
-                    try:
-                        dest[name] = float(row[name])
-                    except ValueError:
-                        dest[name] = math.nan
-
-    absorb(feat_rows, stats.FEATURE_ORDER)
-    absorb(cos_rows, stats.CIRCADIAN_ORDER)
-    order = list(stats.FEATURE_ORDER) + list(stats.CIRCADIAN_ORDER)
-    rows = stats.comparison_rows(values, groups, order,
-                                 posthoc=args.posthoc, exact=args.exact)
-    report._write(args.out / "comparison.csv", report.comparison_csv(rows))
-    report._write(args.out / "comparison.txt", report.comparison_text(rows))
+    report.write_comparison(args.features, args.cosinor, args.out, args.posthoc, args.exact)
     return 0
 
 
@@ -246,7 +199,7 @@ def _parse_synth_row(row: dict[str, str], line_no: int, index: int, base_seed: i
     without a seed column the row index is its seed."""
     try:
         sid = row["subject_id"].strip()
-        group = GroupLabel.parse(row["group"])
+        group = GroupLabel.parse(row["group"], line_no)
         seed = int(row["seed"]) if row.get("seed") not in (None, "") else index
         spec = SynthSpec(min=float(row["min"]), amplitude=float(row["amplitude"]),
                          alpha=float(row["alpha"]), beta=float(row["beta"]),
@@ -263,10 +216,7 @@ def _parse_synth_row(row: dict[str, str], line_no: int, index: int, base_seed: i
 
 def _cmd_synth(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
-    names, rows = _read_table(args.spec)
-    missing = [c for c in SYNTH_COLUMNS if c not in names]
-    if missing:
-        raise MalformedRow(1, f"spec is missing columns {missing}")
+    rows = read_table(args.spec, SYNTH_COLUMNS)
     manifest_rows = []
     seen = set()
     for index, (line_no, row) in enumerate(rows):

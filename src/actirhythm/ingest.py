@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -44,13 +45,13 @@ class GroupLabel(Enum):
     CONTROL_HEALTHY = "control_healthy"
 
     @classmethod
-    def parse(cls, text: str) -> "GroupLabel":
+    def parse(cls, text: str, line_no: int) -> "GroupLabel":
         key = text.strip().lower()
         for label in cls:
             if label.value == key:
                 return label
-        raise UnknownGroup(f"unknown group {text!r}; expected one of "
-                           f"{[m.value for m in cls]}")
+        raise UnknownGroup(f"line {line_no}: unknown group {text!r}; expected "
+                           f"one of {[m.value for m in cls]}")
 
 
 # Column order used throughout reports.
@@ -426,8 +427,28 @@ def load_manifest(content) -> CohortManifest:
         path = row[2].strip()
         if not path:
             raise MalformedRow(line_no, "empty path")
-        entries.append(ManifestEntry(subject_id, GroupLabel.parse(row[1]), path))
+        entries.append(ManifestEntry(subject_id, GroupLabel.parse(row[1], line_no), path))
     return CohortManifest(entries=tuple(entries))
+
+
+def read_table(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """The non-empty rows of a CSV table as (line number, dict) pairs; the
+    header must name the ``required`` columns and every row have its width.
+    Decoded as the epoch files are (UTF-8, an optional byte-order mark)."""
+    reader = csv.reader(io.StringIO(_decode(path.read_bytes()), newline=""))
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise MalformedRow(1, f"{path}: missing columns {missing}")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
+                                                f"fields, got {len(row)}")
+        rows.append((reader.line_num, dict(zip(header, row))))
+    return rows
 
 
 def generate_synthetic(spec: SynthSpec, subject_id: str = "synthetic") -> TriaxialSeries:

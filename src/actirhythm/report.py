@@ -23,7 +23,8 @@ from . import stats
 from .cosinor import FitConfig, SigmoidalCosinorFit, export_fitted_curve, fit_sigmoidal_cosinor
 from .errors import DataError, InsufficientData, MisalignedSeries
 from .features import ActivityFeatures, FeatureConfig, compute_features
-from .ingest import GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest, parse_triaxial_csv
+from .ingest import (GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest,
+                     parse_triaxial_csv, read_table)
 from .preprocess import (
     ActivitySeries,
     NonwearBout,
@@ -372,6 +373,17 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def write_comparison(features: Path, cosinor: Path, out_dir: Path,
+                     posthoc: str = "ranksum", exact: bool = False) -> tuple[Path, Path]:
+    """comparison.csv and comparison.txt under out_dir, from a features and
+    a cosinor table that both have subject_id and group columns."""
+    columns = ("subject_id", "group")
+    rows = stats.feature_table(read_table(features, columns), read_table(cosinor, columns),
+                               posthoc, exact)
+    return (_write(out_dir / "comparison.csv", comparison_csv(rows)),
+            _write(out_dir / "comparison.txt", comparison_text(rows)))
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -434,7 +446,9 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     """Full cohort run; every output file is written under out_dir.
 
     Subjects failing any stage land in the skip report and are excluded
-    from all outputs. Fails only if fewer than two groups survive.
+    from all outputs. Fails only if fewer than two groups survive. The
+    comparison is write_comparison on the features.csv and cosinor.csv
+    written here, so ``compare`` on those tables reproduces it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     records, skipped = load_cohort(manifest_path, config, features=True, fit=True)
@@ -442,12 +456,9 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     if len({rec.group for rec in records}) < 2:
         raise InsufficientData("fewer than 2 groups survived preprocessing")
 
-    rows = stats.feature_table(
-        {r.subject_id: r.features for r in records},
-        {r.subject_id: r.fit for r in records},
-        {r.subject_id: r.group for r in records},
-        posthoc=config.posthoc, exact=config.exact)
-
+    features = _write(out_dir / "features.csv", features_csv(records))
+    cosinor = _write(out_dir / "cosinor.csv", cosinor_csv(records))
+    comparison = write_comparison(features, cosinor, out_dir, config.posthoc, config.exact)
     curves = cohort_curves(records, config.smooth)
 
     first_per_group = {}
@@ -458,10 +469,10 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
 
     result = PipelineResult(records=records, skipped=skipped)
     result.outputs = {
-        "features": _write(out_dir / "features.csv", features_csv(records)),
-        "cosinor": _write(out_dir / "cosinor.csv", cosinor_csv(records)),
-        "comparison": _write(out_dir / "comparison.csv", comparison_csv(rows)),
-        "comparison_txt": _write(out_dir / "comparison.txt", comparison_text(rows)),
+        "features": features,
+        "cosinor": cosinor,
+        "comparison": comparison[0],
+        "comparison_txt": comparison[1],
         "curves": _write(out_dir / "curves.csv", curves_csv(curves)),
         "curves_svg": _write(out_dir / "curves.svg", render_curves_svg(curves)),
         "overlays": _write(out_dir / "overlays.csv", overlays_csv(overlays)),

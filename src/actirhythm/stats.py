@@ -19,8 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cosinor import SigmoidalCosinorFit
-from .errors import InsufficientData
+from .errors import DuplicateSubject, InsufficientData, MalformedRow
 from .features import ActivityFeatures
 from .ingest import GROUP_ORDER, GroupLabel
 
@@ -359,20 +358,38 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
     return rows
 
 
-def feature_table(features: Mapping[str, ActivityFeatures],
-                  fits: Mapping[str, SigmoidalCosinorFit],
-                  groups: Mapping[str, GroupLabel],
+def feature_table(feature_rows: Sequence[tuple[int, Mapping[str, str]]],
+                  cosinor_rows: Sequence[tuple[int, Mapping[str, str]]],
                   posthoc: str = "ranksum",
                   exact: bool = False) -> list[GroupComparisonRow]:
     """Comparison rows for the ten statistical features followed by the five
-    fitted circadian parameters."""
+    fitted circadian parameters, ranking the text of a features and a
+    cosinor table: their (line number, row) pairs from ``ingest.read_table``.
+    A value that is not a number, or an absent column, is missing. A subject
+    may be in one table only; one twice in a table, or in two groups, is an
+    error naming its line."""
     values: dict[str, dict[str, float]] = {}
-    for sid, feats in features.items():
-        row = {name: getattr(feats, name) for name in FEATURE_ORDER}
-        fit = fits.get(sid)
-        if fit is not None:
-            row.update(min=fit.min, amplitude=fit.amplitude, phase=fit.phase,
-                       alpha=fit.alpha, beta=fit.beta)
-        values[sid] = row
-    order = list(FEATURE_ORDER) + list(CIRCADIAN_ORDER)
-    return comparison_rows(values, groups, order, posthoc=posthoc, exact=exact)
+    groups: dict[str, GroupLabel] = {}
+    for table, rows, names in (("features", feature_rows, FEATURE_ORDER),
+                               ("cosinor", cosinor_rows, CIRCADIAN_ORDER)):
+        seen = set()
+        for line_no, row in rows:
+            sid = row.get("subject_id", "").strip()
+            if not sid:
+                raise MalformedRow(line_no, "row without subject_id")
+            if sid in seen:
+                raise DuplicateSubject(f"line {line_no}: duplicate subject {sid!r} "
+                                       f"in the {table} table")
+            seen.add(sid)
+            group = GroupLabel.parse(row["group"], line_no)
+            if groups.setdefault(sid, group) is not group:
+                raise MalformedRow(line_no, f"subject {sid!r} is {group.value} here "
+                                            f"but {groups[sid].value} in the features table")
+            dest = values.setdefault(sid, {})
+            for name in row.keys() & names:
+                try:
+                    dest[name] = float(row[name])
+                except ValueError:
+                    dest[name] = math.nan
+    return comparison_rows(values, groups, FEATURE_ORDER + CIRCADIAN_ORDER,
+                           posthoc=posthoc, exact=exact)

@@ -331,6 +331,89 @@ def test_compare_names_the_line_of_a_row_without_subject_id(cohort, tmp_path, ca
     assert "line 5: row without subject_id" in capsys.readouterr().err
 
 
+FEATURES = "subject_id,group,mean\na,cci,1\nb,rr,2\nc,rr,3\n"
+COSINOR = "subject_id,group,min\na,cci,4\nb,rr,5\nc,rr,6\n"
+
+
+def _compare_argv(tmp_path, features=FEATURES, cosinor=COSINOR):
+    """compare over a features and a cosinor table with the given texts."""
+    (tmp_path / "f.csv").write_text(features, encoding="utf-8")
+    (tmp_path / "c.csv").write_text(cosinor, encoding="utf-8")
+    return ["compare", "--features", str(tmp_path / "f.csv"),
+            "--cosinor", str(tmp_path / "c.csv"), "--out", str(tmp_path / "cmp")]
+
+
+def test_compare_counts_an_absent_column_as_missing(tmp_path, capsys):
+    assert main(_compare_argv(tmp_path)) == 0
+    lines = (tmp_path / "cmp" / "comparison.txt").read_text().splitlines()
+    assert lines[2].split() == ["mean", "1", "(1,", "1)", "2.5", "(2.25,", "2.75)", "0.220671"]
+    assert lines[3].split() == ["sd", "-", "-", "1"]
+
+
+@pytest.mark.parametrize("column", ["subject_id", "group"])
+def test_compare_table_without_a_key_column_exit_code_2(tmp_path, capsys, column):
+    assert main(_compare_argv(tmp_path, features=FEATURES.replace(column, "x", 1))) == 2
+    assert (f"line 1: {tmp_path / 'f.csv'}: missing columns [{column!r}]"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("features, cosinor, error, message", [
+    (FEATURES + "b,rr,7\n", COSINOR, errors.DuplicateSubject,
+     "line 5: duplicate subject 'b' in the features table"),
+    (FEATURES, COSINOR + " c ,rr,7\n", errors.DuplicateSubject,
+     "line 5: duplicate subject 'c' in the cosinor table"),
+    (FEATURES, COSINOR.replace("a,cci", "a,rr"), errors.MalformedRow,
+     "line 2: subject 'a' is rr here but cci in the features table"),
+], ids=["features-duplicate", "cosinor-duplicate", "group-conflict"])
+def test_compare_rejects_a_subject_it_cannot_place(tmp_path, capsys, features, cosinor,
+                                                   error, message):
+    argv = _compare_argv(tmp_path, features, cosinor)
+    with pytest.raises(error, match=message):
+        report.write_comparison(tmp_path / "f.csv", tmp_path / "c.csv", tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["manifest", "synth spec", "compare table"])
+def test_unknown_group_names_its_line(tmp_path, capsys, reader):
+    table = tmp_path / "t.csv"
+    if reader == "manifest":
+        table.write_text("subject_id,group,path\na,cci,a.csv\nb,bogus,b.csv\n")
+        argv = ["features", "--manifest", str(table)]
+    elif reader == "synth spec":
+        table.write_text(",".join(SYNTH_COLUMNS) + "\na,cci,10,50,0,5,14,3,1\n"
+                         "b,bogus,10,50,0,5,14,3,1\n")
+        argv = ["synth", "--spec", str(table)]
+    else:
+        table.write_text("subject_id,group,mean\na,cci,1\nb,bogus,2\n")
+        argv = ["compare", "--features", str(table), "--cosinor", str(table)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "line 3: unknown group 'bogus'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def gate_cohort(tmp_path_factory):
+    return write_cohort(tmp_path_factory.mktemp("gate"), sizes=SMALL_SIZES)
+
+
+@pytest.mark.parametrize("run_flags, compare_flags", [
+    ([], []),
+    (["--transform", "raw"], []),
+    (["--transform", "raw", "--posthoc", "dunn"], ["--posthoc", "dunn"]),
+    (["--exact"], ["--exact"]),
+], ids=["log1p", "raw", "raw-dunn", "log1p-exact"])
+def test_compare_on_run_tables_reproduces_run_comparison(gate_cohort, tmp_path, capsys,
+                                                         run_flags, compare_flags):
+    run_out, cmp_out = tmp_path / "run", tmp_path / "cmp"
+    assert main(["run", "--manifest", str(gate_cohort), "--out", str(run_out)]
+                + run_flags) == 0
+    assert main(["compare", "--features", str(run_out / "features.csv"),
+                 "--cosinor", str(run_out / "cosinor.csv"), "--out", str(cmp_out)]
+                + compare_flags) == 0
+    for name in ("comparison.csv", "comparison.txt"):
+        assert (cmp_out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
 def test_raw_multistart_fits_a_start_that_saturates_the_curve(tmp_path, capsys, recwarn):
     # one of the phase-rotated starts drives beta = exp(v) to inf, where
     # the Jacobian must stay finite for this subject to be fitted; LM
