@@ -37,13 +37,11 @@ from .ingest import (
     serialize_triaxial_csv,
 )
 from .nls import (
-    NlsOptions,
     NlsResult,
     ResidualProblem,
     Termination,
     levenberg_marquardt,
     linear_least_squares,
-    numeric_jacobian,
 )
 from .preprocess import (
     ActivitySeries,

@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 from . import report
-from .errors import DataError, MalformedRow, UsageError
+from .errors import DataError, InvalidSpec, MalformedRow, UsageError
 from .ingest import (
     GroupLabel,
     SynthSpec,
@@ -35,17 +35,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low, kind=int):
+    """An argparse type: a ``kind`` value no smaller than ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not value >= low:   # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__   # "invalid int value" on a non-number
+    return parse
+
+
 def _add_preprocess_flags(p: argparse.ArgumentParser):
-    p.add_argument("--days", type=int, default=_DEFAULTS.days,
+    p.add_argument("--days", type=_at_least(1), default=_DEFAULTS.days,
                    help="valid complete days required per subject (default %(default)s)")
-    p.add_argument("--nonwear-min", type=int, default=_DEFAULTS.nonwear_min,
+    p.add_argument("--nonwear-min", type=_at_least(1), default=_DEFAULTS.nonwear_min,
                    help="zero-run length in minutes a bout must exceed (default %(default)s)")
     p.add_argument("--nonwear-tolerance", type=int, default=_DEFAULTS.nonwear_tolerance,
                    help="non-zero minutes tolerated inside a bout (default %(default)s)")
 
 
 def _add_feature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--immobile-threshold", type=float, default=_DEFAULTS.immobile_threshold,
+    p.add_argument("--immobile-threshold", type=_at_least(0.0, float),
+                   default=_DEFAULTS.immobile_threshold,
                    help="counts/min at or below which a minute is immobile "
                         "(default %(default)s)")
     p.add_argument("--per-day", action="store_true",
@@ -57,7 +70,7 @@ def _add_feature_flags(p: argparse.ArgumentParser):
 def _add_cosinor_flags(p: argparse.ArgumentParser):
     p.add_argument("--transform", choices=["log1p", "raw"], default=_DEFAULTS.transform,
                    help="activity transform before fitting (default %(default)s)")
-    p.add_argument("--multistart", type=int, default=_DEFAULTS.multistart,
+    p.add_argument("--multistart", type=_at_least(1), default=_DEFAULTS.multistart,
                    help="number of phase-rotated starting points (default %(default)s)")
 
 
@@ -207,6 +220,8 @@ def _parse_synth_row(row: dict[str, str], line_no: int, index: int, base_seed: i
                          days=int(row["days"]), seed=seed + base_seed)
     except (KeyError, ValueError) as exc:
         raise MalformedRow(line_no, f"bad synth spec row: {exc}") from None
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"line {line_no}: {exc}") from None
     if not sid:
         raise MalformedRow(line_no, "empty subject_id")
     if "\r" in sid or "\n" in sid:

@@ -25,7 +25,7 @@ import numpy as np
 from . import curve
 from .curve import antilogistic  # re-exported; stable sigmoid
 from .errors import InsufficientSpan
-from .nls import NlsOptions, ResidualProblem, levenberg_marquardt, linear_least_squares
+from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
 from .preprocess import MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile
 
 __all__ = [
@@ -37,11 +37,6 @@ __all__ = [
 _OMEGA = 2.0 * np.pi / 24.0
 # |u| or |v| beyond this means tanh/exp is pinned at its numerical limit
 _BOUND_LIMIT = 20.0
-
-# Tighter than the generic NlsOptions defaults: parameter recovery on
-# noiseless series should be limited by float precision, not the stop rule.
-_FIT_OPTIONS = NlsOptions(max_iterations=400, gradient_tolerance=1e-12,
-                          step_tolerance=1e-14, initial_damping=1e-3)
 
 
 @dataclass(frozen=True)
@@ -174,14 +169,14 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
         ])
         return -weight[:, None] * df
 
-    return ResidualProblem(residual, 5, t.size, jac=jac)
+    return ResidualProblem(residual, 5, t.size, jac)
 
 
 def fit_sigmoidal_cosinor(series: ActivitySeries,
                           config: FitConfig = FitConfig()) -> SigmoidalCosinorFit:
     """Two-stage fit of the sigmoidally transformed cosine.
 
-    Stage 2 runs Levenberg-Marquardt with the fixed _FIT_OPTIONS from
+    Stage 2 runs Levenberg-Marquardt (nls, with its fixed stop rules) from
     config.multistart phase-rotated starts and keeps the lowest rss. A fit
     whose amplitude collapses below 1e-9 of the data range is returned
     with degenerate=True and converged=False rather than raised. Fewer than
@@ -205,7 +200,7 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
         phase0 = seed[2] + 24.0 * k / config.multistart
         x0 = np.array([seed[0], np.log(amp0), phase0,
                        np.arctanh(seed[3]), np.log(seed[4])])
-        result = levenberg_marquardt(problem, x0, _FIT_OPTIONS)
+        result = levenberg_marquardt(problem, x0)
         if best is None or result.rss < best.rss:
             best = result
 

@@ -162,6 +162,8 @@ class SynthSpec:
             raise InvalidSpec(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.days < 1:
             raise InvalidSpec(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
 def _decode(content) -> str:
@@ -436,18 +438,21 @@ def read_table(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[st
     header must name the ``required`` columns and every row have its width.
     Decoded as the epoch files are (UTF-8, an optional byte-order mark)."""
     reader = csv.reader(io.StringIO(_decode(path.read_bytes()), newline=""))
-    header = next(reader, [])
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise MalformedRow(1, f"{path}: missing columns {missing}")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
-                                                f"fields, got {len(row)}")
-        rows.append((reader.line_num, dict(zip(header, row))))
+    try:
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise MalformedRow(1, f"{path}: missing columns {missing}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(reader.line_num, f"{path}: expected {len(header)} "
+                                                    f"fields, got {len(row)}")
+            rows.append((reader.line_num, dict(zip(header, row))))
+    except csv.Error as exc:   # e.g. a field longer than csv.field_size_limit()
+        raise MalformedRow(reader.line_num, f"{path}: bad CSV row: {exc}") from None
     return rows
 
 

@@ -1,12 +1,12 @@
-"""Dense nonlinear least squares: linear solver, Jacobian, and a
-Levenberg-Marquardt loop with Marquardt (diagonal) scaling.
+"""Dense nonlinear least squares: a linear solver and a
+Levenberg-Marquardt loop with Marquardt (diagonal) scaling and the
+problem's closed-form Jacobian (``ResidualProblem.jac``).
 
-A problem may supply its Jacobian in closed form (``ResidualProblem.jac``);
-otherwise the loop uses central differences (``numeric_jacobian``).
-
-The damping factor is multiplied by 10 on a rejected step and divided by 10
-on an accepted one, clamped to [1e-12, 1e12]. Accepted steps strictly
-decrease the sum of squares, so the returned parameters are the best seen.
+The damping factor starts at 1e-3, is multiplied by 10 on a rejected step
+and divided by 10 on an accepted one, clamped to [1e-12, 1e12]. Accepted
+steps strictly decrease the sum of squares, so the returned parameters are
+the best seen. The stop rules are tight enough that parameter recovery on
+noiseless series is limited by float precision, not by the rule.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import NonFiniteResidual, RankDeficient, SingularNormalMatrix
 
+_MAX_ITERATIONS = 400
+_GRADIENT_TOLERANCE = 1e-12   # infinity norm of J^T r
+_STEP_TOLERANCE = 1e-14       # relative parameter change
+_INITIAL_DAMPING = 1e-3
 _DAMP_MIN = 1e-12
 _DAMP_MAX = 1e12
 
@@ -26,30 +30,17 @@ _DAMP_MAX = 1e12
 @dataclass(frozen=True)
 class ResidualProblem:
     """A residual map r(p): R^n_params -> R^n_residuals, finite on the
-    feasible region, with n_residuals >= n_params. ``jac``, when given,
-    returns the n_residuals x n_params matrix dr/dp."""
+    feasible region, with n_residuals >= n_params, and its Jacobian ``jac``,
+    which returns the n_residuals x n_params matrix dr/dp."""
 
     fun: Callable[[np.ndarray], np.ndarray]
     n_params: int
     n_residuals: int
-    jac: Callable[[np.ndarray], np.ndarray] | None = None
+    jac: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.n_params < 1 or self.n_residuals < self.n_params:
             raise ValueError("need n_residuals >= n_params >= 1")
-
-
-@dataclass(frozen=True)
-class NlsOptions:
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-10   # infinity norm of J^T r
-    step_tolerance: float = 1e-12       # relative parameter change
-    initial_damping: float = 1e-3
-
-    def __post_init__(self):
-        if min(self.max_iterations, self.gradient_tolerance,
-               self.step_tolerance, self.initial_damping) <= 0:
-            raise ValueError("all options must be positive")
 
 
 class Termination(Enum):
@@ -81,52 +72,19 @@ def linear_least_squares(design: np.ndarray, observations: np.ndarray) -> np.nda
     return coeffs
 
 
-def _jacobian(fun, params: np.ndarray, rel_step: float) -> np.ndarray:
-    p = np.asarray(params, dtype=float)
-    cols = []
-    for i in range(p.size):
-        h = rel_step * max(abs(p[i]), 1.0)
-        up = p.copy()
-        up[i] += h
-        down = p.copy()
-        down[i] -= h
-        r_up = np.asarray(fun(up), dtype=float)
-        r_down = np.asarray(fun(down), dtype=float)
-        if not (np.all(np.isfinite(r_up)) and np.all(np.isfinite(r_down))):
-            raise NonFiniteResidual(f"non-finite residual perturbing parameter {i}")
-        cols.append((r_up - r_down) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-def numeric_jacobian(problem: ResidualProblem, params: np.ndarray,
-                     rel_step: float = 1e-6) -> np.ndarray:
-    """Central differences with per-parameter step rel_step*max(|p_i|, 1)."""
-    return _jacobian(problem.fun, params, rel_step)
-
-
-def _problem_jacobian(problem: ResidualProblem, params: np.ndarray) -> np.ndarray:
-    if problem.jac is None:
-        return numeric_jacobian(problem, params)
-    J = np.asarray(problem.jac(params), dtype=float)
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteResidual("non-finite analytic Jacobian")
-    return J
-
-
-def _step_small(delta: np.ndarray, x: np.ndarray, tol: float) -> bool:
+def _step_small(delta: np.ndarray, x: np.ndarray) -> bool:
+    tol = _STEP_TOLERANCE
     return bool(np.all(np.abs(delta) <= tol * (np.abs(x) + tol)))
 
 
-def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
-                        opts: NlsOptions = NlsOptions()) -> NlsResult:
+def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     """Minimize ||r(p)||^2 from x0.
 
     Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration, with J
-    from ``problem.jac`` or else ``numeric_jacobian`` at its default step
-    1e-6*max(|p_i|, 1). A trial point with non-finite residuals is
-    treated as a rejected step. If no acceptable step exists even at maximum
-    damping the solve stops at the current (best) point with a STEP_SMALL
-    termination.
+    from ``problem.jac``; a non-finite J raises NonFiniteResidual. A trial
+    point with non-finite residuals is treated as a rejected step. If no
+    acceptable step exists even at maximum damping the solve stops at the
+    current (best) point with a STEP_SMALL termination.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n_params,):
@@ -136,15 +94,17 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
         raise NonFiniteResidual("residuals non-finite at the starting point")
     rss = float(r @ r)
     history = [rss]
-    lam = opts.initial_damping
+    lam = _INITIAL_DAMPING
     termination = Termination.MAX_ITERATIONS
     iterations = 0
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         iterations = it
-        J = _problem_jacobian(problem, x)
+        J = np.asarray(problem.jac(x), dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise NonFiniteResidual("non-finite analytic Jacobian")
         g = J.T @ r
-        if np.max(np.abs(g)) < opts.gradient_tolerance:
+        if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
             termination = Termination.GRADIENT_SMALL
             break
         A = J.T @ J
@@ -169,7 +129,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
                         accepted = True
                         x_new, r_new, rss_new = x_try, r_try, rss_try
                         break
-            if delta is not None and _step_small(delta, x, opts.step_tolerance):
+            if delta is not None and _step_small(delta, x):
                 break
             if lam >= _DAMP_MAX:
                 if delta is None:
@@ -184,7 +144,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray,
         x, r, rss = x_new, r_new, rss_new
         history.append(rss)
         lam = max(lam / 10.0, _DAMP_MIN)
-        if _step_small(delta, x, opts.step_tolerance):
+        if _step_small(delta, x):
             termination = Termination.STEP_SMALL
             break
 

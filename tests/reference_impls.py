@@ -2,9 +2,10 @@
 
 These are written independently of the package internals: plain loops and
 the textbook formulas, no shared helpers. The epoch-CSV oracles raise the
-package's error classes and build its TriaxialSeries, and the day-loop
-oracles at the end raise its InsufficientData and TooShort, so that their
-results and errors compare with the package's own.
+package's error classes and build its TriaxialSeries, the finite-difference
+Jacobian raises its NonFiniteResidual, and the day-loop oracles at the end
+raise its InsufficientData and TooShort, so that their results and errors
+compare with the package's own.
 """
 
 import csv
@@ -22,6 +23,7 @@ from actirhythm.errors import (
     IrregularEpoch,
     MalformedRow,
     NegativeCount,
+    NonFiniteResidual,
     NonMonotonicTime,
     TooShort,
 )
@@ -186,6 +188,27 @@ def model_partials(t, min_, amplitude, alpha, beta, phase):
     d_beta = amplitude * dsig * (c - alpha)
     d_phase = amplitude * dsig * beta * np.sin((t - phase) * omega) * omega
     return np.column_stack([d_min, d_amp, d_alpha, d_beta, d_phase])
+
+
+def numeric_jacobian(fun, params, rel_step=1e-6):
+    """Central differences of the residual map ``fun`` at ``params``, one
+    column per parameter, with step rel_step*max(|p_i|, 1); the oracle for
+    the closed-form Jacobians. A non-finite residual raises
+    NonFiniteResidual."""
+    p = np.asarray(params, dtype=float)
+    cols = []
+    for i in range(p.size):
+        h = rel_step * max(abs(p[i]), 1.0)
+        up = p.copy()
+        up[i] += h
+        down = p.copy()
+        down[i] -= h
+        r_up = np.asarray(fun(up), dtype=float)
+        r_down = np.asarray(fun(down), dtype=float)
+        if not (np.all(np.isfinite(r_up)) and np.all(np.isfinite(r_down))):
+            raise NonFiniteResidual(f"non-finite residual perturbing parameter {i}")
+        cols.append((r_up - r_down) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def hours_apart(a, b, period=24.0):
@@ -473,8 +496,8 @@ def loop_fit_data(series, transform):
 
 
 def loop_minute_profile(t, y):
-    """cosinor._minute_profile: (bin hours, counts, means, within_ss) of
-    the populated minutes of day."""
+    """preprocess.day_profile from the fit's (hours, values) samples:
+    (bin hours, counts, means, within_ss) of the populated minutes of day."""
     minute = np.rint(t * 60.0 - 0.5).astype(np.intp) % MINUTES_PER_DAY
     counts = np.bincount(minute, minlength=MINUTES_PER_DAY)
     means = np.bincount(minute, weights=y, minlength=MINUTES_PER_DAY)

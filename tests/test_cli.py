@@ -216,6 +216,23 @@ def test_cli_defaults_are_the_config_defaults(argv):
     assert _config_from(build_parser().parse_args(argv)) == PipelineConfig()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--days", "0"], "argument --days: must be >= 1, got 0"),
+    (["run", "--nonwear-min", "0"], "argument --nonwear-min: must be >= 1, got 0"),
+    (["run", "--multistart", "0"], "argument --multistart: must be >= 1, got 0"),
+    (["run", "--immobile-threshold", "-1"],
+     "argument --immobile-threshold: must be >= 0.0, got -1"),
+    (["run", "--immobile-threshold", "nan"],
+     "argument --immobile-threshold: must be >= 0.0, got nan"),
+    (["validate", "--days", "0"], "argument --days: must be >= 1, got 0"),
+], ids=["days", "nonwear-min", "multistart", "immobile-negative", "immobile-nan",
+        "validate-days"])
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "o")]
+    assert main(argv + ["--manifest", str(tmp_path / "m.csv")] + out) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_synth_rejects_bad_spec(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     spec.write_text("subject_id,group\nx,cci\n", encoding="utf-8")
@@ -236,6 +253,19 @@ def test_synth_error_names_the_file_line_after_a_blank_line(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert "line 3: bad synth spec row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, base_seed, message", [
+    ("a1,cci,10,50,2.0,5,14,3,1,", "0", "line 3: alpha must be in (-1, 1), got 2.0"),
+    ("a1,cci,10,50,0,5,14,3,1,", "-5", "line 3: seed must be >= 0, got -5"),
+    ("a1,cci,10,50,0,5,14,3,1,-1", "0", "line 3: seed must be >= 0, got -1"),
+], ids=["alpha", "base-seed", "row-seed"])
+def test_invalid_synth_spec_names_its_line(tmp_path, capsys, row, base_seed, message):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + ",seed\n\n" + row + "\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                 "--seed", base_seed]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
 
 
 def test_blank_spec_line_keeps_the_row_index_seed(tmp_path, capsys):
@@ -267,6 +297,20 @@ def test_non_utf8_compare_table_exit_code_2(cohort, tmp_path, capsys):
     assert main(["compare", "--features", str(table), "--cosinor",
                  str(cos / "cosinor.csv"), "--out", str(tmp_path / "cmp")]) == 2
     assert "line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+def test_long_field_in_synth_spec_exit_code_2(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\na1,cci,10,50,0,5,14,3,1"
+                    + "0" * 200_000 + "\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "line 2: " in capsys.readouterr().err
+
+
+def test_long_field_in_compare_table_exit_code_2(tmp_path, capsys):
+    argv = _compare_argv(tmp_path, features=FEATURES + "d,rr," + "9" * 200_000 + "\n")
+    assert main(argv) == 2
+    assert "line 5: " in capsys.readouterr().err
 
 
 def test_compare_rejects_short_features_row(cohort, tmp_path, capsys):
