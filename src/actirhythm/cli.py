@@ -52,7 +52,8 @@ def _add_preprocess_flags(p: argparse.ArgumentParser):
                    help="valid complete days required per subject (default %(default)s)")
     p.add_argument("--nonwear-min", type=_at_least(1), default=_DEFAULTS.nonwear_min,
                    help="zero-run length in minutes a bout must exceed (default %(default)s)")
-    p.add_argument("--nonwear-tolerance", type=int, default=_DEFAULTS.nonwear_tolerance,
+    p.add_argument("--nonwear-tolerance", type=_at_least(0),
+                   default=_DEFAULTS.nonwear_tolerance,
                    help="non-zero minutes tolerated inside a bout (default %(default)s)")
 
 
@@ -83,7 +84,7 @@ def _add_compare_flags(p: argparse.ArgumentParser):
 
 
 def _add_smooth_flag(p: argparse.ArgumentParser):
-    p.add_argument("--smooth", type=int, default=_DEFAULTS.smooth,
+    p.add_argument("--smooth", type=_at_least(0), default=_DEFAULTS.smooth,
                    help="centered moving-average window of the group curves in "
                         "minutes, 0 for none (default %(default)s)")
 

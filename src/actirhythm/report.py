@@ -1,7 +1,8 @@
 """Cohort orchestration and figure data: group average curves with normal
 95% confidence bands, per-subject observed/fitted overlays, and the
 CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
-document frame, one axis pair and one vectorised point writer.
+document frame, one axis pair and one point writer; the per-minute CSV
+and SVG writers format each block of numbers in one %-format call.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -13,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,8 +51,15 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    return ["%.6g" % v for v in values.tolist()]
+def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
+    """One ``row`` %-format per row of the stacked columns, in one call."""
+    block = np.column_stack(columns)
+    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _row_prefix(fields: Sequence[str]) -> str:
+    """The text fields as csv_text quotes them, as a literal %-format prefix."""
+    return csv_text(fields, ())[:-1].replace("%", "%%")
 
 
 def csv_text(header: Sequence[str], rows) -> str:
@@ -173,9 +180,9 @@ def _scale(v: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def _points(x: np.ndarray, y: np.ndarray, sep: str = ",") -> list[str]:
-    """Each (x, y) pair as "x<sep>y" with two decimals."""
-    return [f"{a:.2f}{sep}{b:.2f}" for a, b in zip(x.tolist(), y.tolist())]
+def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> str:
+    """Each (x, y) pair as "x<sep>y" with two decimals, the pairs joined by join."""
+    return _format_rows(f"%.2f{sep}%.2f{join}", (x, y))[:-len(join)]
 
 
 def _axes(x0, y0, x1, y1) -> list[str]:
@@ -230,11 +237,11 @@ def render_curves_svg(curves: Sequence[GroupCurve]) -> str:
     xs = [_scale(c.times, 0.0, t_max, x0, x1) for c in curves]
     for c, x in zip(curves, xs):
         band = _scale(np.concatenate([c.ci_high, c.ci_low[::-1]]), 0.0, v_max, y0, y1)
-        points = " ".join(_points(np.concatenate([x, x[::-1]]), band))
+        points = _points(np.concatenate([x, x[::-1]]), band)
         parts.append(f'<polygon points="{points}" fill="{GROUP_COLORS[c.group]}" '
                      f'fill-opacity="0.2" stroke="none"/>')
     for c, x in zip(curves, xs):
-        d_attr = "M " + " L ".join(_points(x, _scale(c.mean, 0.0, v_max, y0, y1), " "))
+        d_attr = "M " + _points(x, _scale(c.mean, 0.0, v_max, y0, y1), " ", " L ")
         parts.append(f'<path d="{d_attr}" fill="none" stroke="{GROUP_COLORS[c.group]}" '
                      f'stroke-width="1.2"/>')
     for i, c in enumerate(curves):
@@ -269,8 +276,8 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
         v_hi = max(float(ov.observed.max()), float(ov.fitted.max())) or 1.0
         v_lo = min(0.0, float(ov.observed.min()), float(ov.fitted.min()))
         x = _scale(np.arange(ov.observed.size), 0, ov.observed.size - 1, px0, px1)
-        obs = " ".join(_points(x, _scale(ov.observed, v_lo, v_hi * 1.05, py1, py0)))
-        fit_pts = " ".join(_points(x, _scale(ov.fitted, v_lo, v_hi * 1.05, py1, py0)))
+        obs = _points(x, _scale(ov.observed, v_lo, v_hi * 1.05, py1, py0))
+        fit_pts = _points(x, _scale(ov.fitted, v_lo, v_hi * 1.05, py1, py0))
         parts += _axes(px0, py1, px1, py0)
         parts.append(f'<polyline points="{obs}" fill="none" stroke="#999999" '
                      f'stroke-width="0.8"/>')
@@ -347,21 +354,19 @@ def comparison_text(rows: Sequence[stats.GroupComparisonRow]) -> str:
 
 
 def curves_csv(curves: Sequence[GroupCurve]) -> str:
-    rows = []
-    for c in curves:
-        rows += zip(repeat(c.group.value), c.times.astype(int).tolist(),
-                    _fmt_column(c.mean), _fmt_column(c.ci_low),
-                    _fmt_column(c.ci_high))
-    return csv_text(("group", "minute", "mean", "ci_low", "ci_high"), rows)
+    header = csv_text(("group", "minute", "mean", "ci_low", "ci_high"), ())
+    return header + "".join(
+        _format_rows(_row_prefix((c.group.value,)) + ",%d,%.6g,%.6g,%.6g\n",
+                     (c.times, c.mean, c.ci_low, c.ci_high))
+        for c in curves)
 
 
 def overlays_csv(overlays: Sequence[CurveOverlay]) -> str:
-    rows = []
-    for ov in overlays:
-        rows += zip(repeat(ov.subject_id), repeat(ov.group.value),
-                    range(ov.observed.size), _fmt_column(ov.observed),
-                    _fmt_column(ov.fitted))
-    return csv_text(("subject_id", "group", "minute", "observed", "fitted"), rows)
+    header = csv_text(("subject_id", "group", "minute", "observed", "fitted"), ())
+    return header + "".join(
+        _format_rows(_row_prefix((ov.subject_id, ov.group.value)) + ",%d,%.6g,%.6g\n",
+                     (np.arange(ov.observed.size), ov.observed, ov.fitted))
+        for ov in overlays)
 
 
 def skips_csv(skipped: Sequence[tuple[str, str, str]]) -> str:

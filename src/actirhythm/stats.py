@@ -337,7 +337,9 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
             kw = KwResult(h=0.0, df=max(len(sampled) - 1, 0), p=1.0,
                           tie_corrected=False, degenerate=True)
             flags = PairwiseFlags(pairs=())
-        tested = {g for g, _ in sampled}
+        # markers come only from the pairs that were tested
+        significant = {frozenset((pair.a, pair.b)) for pair in flags.pairs
+                       if pair.significant}
         cells = []
         for g in present:
             vals = per_group[g]
@@ -345,12 +347,8 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
                 med, q25, q75 = median_iqr(vals)
             else:
                 med = q25 = q75 = float("nan")
-            letters = []
-            for other in present:
-                if other is g or g not in tested or other not in tested:
-                    continue
-                if flags.get(g, other).significant:
-                    letters.append(MARKER_LETTERS[other])
+            letters = [MARKER_LETTERS[other] for other in present
+                       if frozenset((g, other)) in significant]
             cells.append(GroupCell(label=g, n=len(vals), median=med, q25=q25,
                                    q75=q75, markers="".join(sorted(letters))))
         rows.append(GroupComparisonRow(feature=feature, cells=tuple(cells),

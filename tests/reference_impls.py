@@ -506,3 +506,42 @@ def loop_minute_profile(t, y):
     within_ss = float(np.sum((y - means[minute]) ** 2))
     bins = np.flatnonzero(populated)
     return (bins + 0.5) / 60.0, counts[bins], means[bins], within_ss
+
+
+# The per-value writers of curves.csv, overlays.csv and the SVG point lists
+# as they were before each block was formatted in one %-format call: one
+# "%.6g" or f-string per number and a csv.writer row per minute. Frozen as
+# oracles; only the names differ, and loop_points joins its pairs itself.
+
+def _loop_csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _loop_fmt_column(values):
+    return ["%.6g" % v for v in values.tolist()]
+
+
+def loop_curves_csv(curves):
+    rows = []
+    for c in curves:
+        rows += zip(itertools.repeat(c.group.value), c.times.astype(int).tolist(),
+                    _loop_fmt_column(c.mean), _loop_fmt_column(c.ci_low),
+                    _loop_fmt_column(c.ci_high))
+    return _loop_csv_text(("group", "minute", "mean", "ci_low", "ci_high"), rows)
+
+
+def loop_overlays_csv(overlays):
+    rows = []
+    for ov in overlays:
+        rows += zip(itertools.repeat(ov.subject_id), itertools.repeat(ov.group.value),
+                    range(ov.observed.size), _loop_fmt_column(ov.observed),
+                    _loop_fmt_column(ov.fitted))
+    return _loop_csv_text(("subject_id", "group", "minute", "observed", "fitted"), rows)
+
+
+def loop_points(x, y, sep=",", join=" "):
+    return join.join(f"{a:.2f}{sep}{b:.2f}" for a, b in zip(x.tolist(), y.tolist()))

@@ -225,8 +225,15 @@ def test_cli_defaults_are_the_config_defaults(argv):
     (["run", "--immobile-threshold", "nan"],
      "argument --immobile-threshold: must be >= 0.0, got nan"),
     (["validate", "--days", "0"], "argument --days: must be >= 1, got 0"),
+    (["run", "--nonwear-tolerance", "-1"],
+     "argument --nonwear-tolerance: must be >= 0, got -1"),
+    (["validate", "--nonwear-tolerance", "-1"],
+     "argument --nonwear-tolerance: must be >= 0, got -1"),
+    (["run", "--smooth", "-5"], "argument --smooth: must be >= 0, got -5"),
+    (["curves", "--smooth", "-5"], "argument --smooth: must be >= 0, got -5"),
 ], ids=["days", "nonwear-min", "multistart", "immobile-negative", "immobile-nan",
-        "validate-days"])
+        "validate-days", "nonwear-tolerance", "validate-nonwear-tolerance", "smooth",
+        "curves-smooth"])
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "o")]
     assert main(argv + ["--manifest", str(tmp_path / "m.csv")] + out) == 1
@@ -392,6 +399,19 @@ def test_compare_counts_an_absent_column_as_missing(tmp_path, capsys):
     lines = (tmp_path / "cmp" / "comparison.txt").read_text().splitlines()
     assert lines[2].split() == ["mean", "1", "(1,", "1)", "2.5", "(2.25,", "2.75)", "0.220671"]
     assert lines[3].split() == ["sd", "-", "-", "1"]
+
+
+def test_compare_two_subjects_in_two_groups(tmp_path, capsys):
+    # one value per group: too few to test, so no pair is tested and
+    # the row keeps kw_p 1 and empty markers
+    argv = _compare_argv(tmp_path, "subject_id,group,mean\na,cci,1\nb,rr,2\n",
+                         "subject_id,group,min\na,cci,4\nb,rr,5\n")
+    assert main(argv) == 0
+    with (tmp_path / "cmp" / "comparison.csv").open(newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["feature"] in ("mean", "min")]
+    assert [(r["feature"], r["group"], r["median"], r["kw_p"], r["markers"])
+            for r in rows] == [("mean", "cci", "1", "1", ""), ("mean", "rr", "2", "1", ""),
+                               ("min", "cci", "4", "1", ""), ("min", "rr", "5", "1", "")]
 
 
 @pytest.mark.parametrize("column", ["subject_id", "group"])

@@ -1,22 +1,29 @@
+import csv
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from actirhythm import errors
+from actirhythm import errors, report
 from actirhythm.ingest import GroupLabel
 from actirhythm.report import (
     CurveOverlay,
     GroupCurve,
     PipelineConfig,
+    curves_csv,
     group_average_curve,
+    overlays_csv,
     render_curves_svg,
     render_overlays_svg,
     run_pipeline,
 )
 from cohorts import write_cohort
 from conftest import make_window
+from reference_impls import loop_curves_csv, loop_overlays_csv, loop_points
 
 ICU = GroupLabel.CONTROL_ICU
 CCI = GroupLabel.CCI
@@ -147,6 +154,75 @@ class TestSvg:
         assert labels == ["a<b&c (cci)", "plain (control_icu)"]
 
 
+# nan, both infinities, negative zero, the smallest subnormal, a huge
+# value and ties at two decimals, next to any float
+VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                    1e300, 0.125, 2.675, -2.675]), st.floats())
+# ids that csv quotes, that carry %-format directives, a leading space,
+# non-ASCII text, or nothing
+SUBJECT_IDS = st.one_of(st.sampled_from(['a,%d "x"', "b%s", "%", "%%", '"', " lead",
+                                         "né 中%", ""]), st.text(max_size=8))
+GROUPS = st.sampled_from(list(GroupLabel))
+
+
+def _column(n):
+    return st.lists(VALUES, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def curve_sets(draw):
+    n = draw(st.integers(1, 6))
+    times = np.arange(n, dtype=float)
+    return [GroupCurve(g, times, draw(_column(n)), draw(_column(n)), draw(_column(n)),
+                       draw(st.integers(1, 30)))
+            for g in draw(st.lists(GROUPS, min_size=1, max_size=4, unique=True))]
+
+
+@st.composite
+def overlay_sets(draw):
+    n = draw(st.integers(1, 6))
+    return [CurveOverlay(draw(SUBJECT_IDS), draw(GROUPS), draw(_column(n)),
+                         draw(_column(n)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _with_loop_points(render, items):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_points", loop_points)
+        return render(items)
+
+
+class TestPerMinuteWriters:
+    """The block-formatting writers are byte-equal to the per-value writers
+    they replaced. The figures scale nan and infinities into invalid
+    operations on both sides alike, so numpy's warnings are off there."""
+
+    @given(curve_sets())
+    def test_curves(self, curves):
+        assert curves_csv(curves) == loop_curves_csv(curves)
+        with np.errstate(all="ignore"):
+            assert render_curves_svg(curves) == _with_loop_points(render_curves_svg, curves)
+
+    @given(overlay_sets())
+    def test_overlays(self, overlays):
+        assert overlays_csv(overlays) == loop_overlays_csv(overlays)
+        with np.errstate(all="ignore"):
+            assert render_overlays_svg(overlays) == \
+                _with_loop_points(render_overlays_svg, overlays)
+
+    @given(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=8),
+           st.sampled_from([(",", " "), (" ", " L ")]))
+    def test_points(self, pairs, sep_join):
+        x, y = np.array(pairs).T
+        assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+
+    def test_quoted_prefix_with_format_directives(self):
+        ov = CurveOverlay('a,%d "x"', CCI, np.array([0.125, -0.0]),
+                          np.array([math.nan, 1e300]))
+        assert overlays_csv([ov]).splitlines()[1:] == [
+            '"a,%d ""x""",cci,0,0.125,nan', '"a,%d ""x""",cci,1,-0,1e+300']
+
+
 class TestPipeline:
     def test_full_run_outputs(self, tmp_path):
         manifest = write_cohort(tmp_path / "cohort", sizes=SMALL_SIZES)
@@ -193,6 +269,20 @@ class TestPipeline:
         for name in ("features.csv", "cosinor.csv", "comparison.csv"):
             assert (tmp_path / "base" / name).read_bytes() == \
                 (tmp_path / "plus" / name).read_bytes(), name
+
+    def test_two_subjects_in_two_groups(self, tmp_path):
+        # each feature has one value per group, too few to test: every
+        # row keeps kw_p 1 and empty markers
+        manifest = write_cohort(tmp_path / "cohort",
+                                sizes={GroupLabel.CCI: 1, GroupLabel.RR: 1})
+        result = run_pipeline(manifest, tmp_path / "out", FAST)
+        assert len(result.records) == 2
+        with (tmp_path / "out" / "comparison.csv").open(newline="",
+                                                        encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        assert {(r["group"], r["kw_p"], r["markers"]) for r in rows} == \
+            {("cci", "1", ""), ("rr", "1", "")}
 
     def test_fails_below_two_groups(self, tmp_path):
         manifest = write_cohort(tmp_path / "cohort",
