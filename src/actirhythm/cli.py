@@ -227,25 +227,30 @@ def _parse_synth_row(row: dict[str, str], line_no: int, index: int, base_seed: i
         raise MalformedRow(line_no, "empty subject_id")
     if "\r" in sid or "\n" in sid:
         raise MalformedRow(line_no, f"line break in subject_id {sid!r}")
+    if (sid in (".", "..") or sid.casefold() == "manifest"
+            or any(c in sid for c in "/\\\0")):
+        raise MalformedRow(line_no, f"subject_id {sid!r} cannot name a file")
     return sid, group, spec
 
 
 def _cmd_synth(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = read_table(args.spec, SYNTH_COLUMNS)
-    manifest_rows = []
+    subjects = []
     seen = set()
-    for index, (line_no, row) in enumerate(rows):
+    for index, (line_no, row) in enumerate(read_table(args.spec, SYNTH_COLUMNS)):
         sid, group, spec = _parse_synth_row(row, line_no, index, args.seed)
         if sid in seen:
             raise MalformedRow(line_no, f"duplicate subject {sid!r}")
         seen.add(sid)
+        subjects.append((sid, group, spec))
+    args.out.mkdir(parents=True, exist_ok=True)
+    for sid, _, spec in subjects:
         series = generate_synthetic(spec, subject_id=sid)
         report._write(args.out / f"{sid}.csv", serialize_triaxial_csv(series))
-        manifest_rows.append((sid, group.value, sid + ".csv"))
     report._write(args.out / "manifest.csv",
-                  report.csv_text(("subject_id", "group", "path"), manifest_rows))
-    print(f"wrote {len(rows)} subjects and manifest.csv to {args.out}")
+                  report.csv_text(("subject_id", "group", "path"),
+                                  [(sid, group.value, sid + ".csv")
+                                   for sid, group, _ in subjects]))
+    print(f"wrote {len(subjects)} subjects and manifest.csv to {args.out}")
     return 0
 
 

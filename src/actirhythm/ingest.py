@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -364,21 +365,44 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
                           samples=np.frombuffer(counts, dtype=float).reshape(-1, 3))
 
 
+def _count_code(column: np.ndarray) -> tuple[bytes, list]:
+    """The %-code and values of one block's count column, by the rule of
+    serialize_triaxial_csv. Below 1e16 repr writes a whole float as all its
+    digits and ``.0``, which is the text of ``%d.0``."""
+    if (column.max() < 1e16 and not np.signbit(column).any()
+            and np.array_equal(np.trunc(column), column)):
+        return b"%d.0", column.astype(np.int64).tolist()
+    return b"%r", column.tolist()
+
+
+def _format_block(stamps: np.ndarray, samples: np.ndarray) -> bytes:
+    """The ASCII rows of one block, its S19 stamps and (n, 3) counts, made
+    by one %-call; a function of its own so that the block's temporaries
+    are freed before the next block's are made."""
+    codes, columns = zip(*map(_count_code, samples.T))
+    row = b"%s," + b",".join(codes) + b"\n"
+    values = tuple(chain.from_iterable(zip(stamps.tolist(), *columns)))
+    return (row * stamps.size) % values
+
+
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
     """Inverse of parse_triaxial_csv (always the four-column format).
 
     Stamps are the canonical ones of _stamp_column, local times to the
     second: a start time's microseconds and UTC offset are dropped. A
-    series that runs past year 9999 raises OverflowError. The text is made
-    _STAMP_BLOCK rows at a time.
+    series that runs past year 9999 raises OverflowError. Each count is
+    written as its float's repr. The rows are made _STAMP_BLOCK at a time,
+    each block by one %-format: a count column whose values in the block
+    are all whole, at least 0 and below 1e16, and none -0.0, is written as
+    ``%d.0`` of its integers, which is the same text without a repr per
+    count; any other column as ``%r``. The blocks are joined as bytes and
+    decoded once.
     """
     start = series.start_time.replace(microsecond=0, tzinfo=None)
-    blocks = ["timestamp,axis1,axis2,axis3\n"]
+    blocks = [b"timestamp,axis1,axis2,axis3\n"]
     for i, stamps in _stamp_blocks(start, series.epoch_length, len(series)):
-        samples = series.samples[i:i + stamps.size]
-        columns = [stamps.astype("U19").tolist(), *(map(repr, c) for c in samples.T.tolist())]
-        blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
-    return "".join(blocks)
+        blocks.append(_format_block(stamps, series.samples[i:i + stamps.size]))
+    return b"".join(blocks).decode("ascii")
 
 
 def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:

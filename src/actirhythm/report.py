@@ -403,6 +403,8 @@ def read_subject(entry, manifest_dir: Path,
         content = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except ValueError:   # a NUL byte in the path
+        raise DataError(f"cannot read {str(path)!r}: NUL byte in path") from None
     tri = aggregate_to_minutes(parse_triaxial_csv(content, entry.subject_id))
     series = to_activity_series(tri)
     bouts = detect_nonwear_bouts(series, min_bout=config.nonwear_min,

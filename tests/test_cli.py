@@ -183,6 +183,31 @@ def test_synth_rejects_line_break_in_subject_id(tmp_path, capsys, sid):
     assert "line break" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sid", ["../escaped", "sub/dir", "a\\b", "a\0b", ".", "..",
+                                 "manifest", "MANIFEST"])
+def test_synth_rejects_subject_id_that_cannot_name_a_file(tmp_path, capsys, sid):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\na1,cci,10,50,0,5,14,3,1\n"
+                    f"{sid},rr,10,50,0,5,14,3,1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "line 3: subject_id" in capsys.readouterr().err
+    # every row is parsed before anything is written
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.csv"]
+
+
+def test_nul_byte_in_manifest_path_skips_that_subject(cohort, tmp_path, capsys):
+    cohort.write_text(cohort.read_text().replace("p01.csv", "p01\0.csv"), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(cohort), "--out", str(out)]) == 0
+    with (out / "skips.csv").open(newline="", encoding="utf-8") as fh:
+        skips = list(csv.DictReader(fh))
+    assert [row["subject_id"] for row in skips] == ["p01"]
+    assert "NUL byte in path" in skips[0]["reason"]
+    assert "\0" not in (out / "skips.csv").read_text(encoding="utf-8")
+
+
 def test_count_overflow_skips_only_that_subject(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     spec.write_text(

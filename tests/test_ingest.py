@@ -1,13 +1,14 @@
 import codecs
 import math
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from actirhythm import errors
+from actirhythm import errors, ingest
 from actirhythm.ingest import (
     GroupLabel,
     SynthSpec,
@@ -332,6 +333,54 @@ class TestColumnarMatchesRowLoop:
         assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
         last = text.rindex("\n", 0, -1) + 1   # the last row's stamp, in the last block
         assert _parse_columnar((text[:last] + "1" + text[last + 1:]).encode(), "s1") is None
+
+
+# counts around the writer's rule: a whole count below 1e16 and not -0.0
+# is written as %d.0, anything else as its repr
+EDGE_COUNTS = [0.0, -0.0, 5e-324, 0.5, 2.0 ** 53, 2.0 ** 53 + 2, 1e16 - 2, 1e16, 1e22]
+WHOLE_COUNTS = st.integers(0, 10 ** 16 - 1).map(float)
+
+
+@st.composite
+def whole_rows(draw):
+    """Up to 12 rows of whole counts; perhaps one count swapped for an edge
+    count or any float."""
+    rows = draw(st.lists(st.lists(WHOLE_COUNTS, min_size=3, max_size=3),
+                         min_size=1, max_size=12))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[i][j] = draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.floats(0, 1e300)))
+    return rows
+
+
+class TestWholeCountWriter:
+    @given(whole_rows(), st.integers(1, 5))
+    @example([[1.0, 2.0, 3.0], [4.0, -0.0, 6.0]], 2)
+    @example([[1.0, 1e16, 3.0]], 1)
+    @example([[1.0, 2.0, 3.0], [0.5, 2.0, 3.0]], 2)
+    @example([[x, x, x] for x in EDGE_COUNTS], 1)
+    def test_writer_matches_the_row_loop_writer(self, counts, block):
+        """Blocks of ``block`` rows, so that one series has whole blocks and
+        blocks with one other count in the same column."""
+        series = TriaxialSeries("s1", STARTS[1], 15, np.array(counts))
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            text = serialize_triaxial_csv(series)
+        assert text == row_loop_serialize_triaxial_csv(series)
+
+    def test_whole_block_then_other_block_across_the_block_boundary(self):
+        samples = np.tile([[2.0 ** 53 + 2, 0.0, 1e16 - 2]], (_STAMP_BLOCK + 3, 1))
+        samples[_STAMP_BLOCK + 1] = [0.5, 1e16, 5e-324]
+        series = TriaxialSeries("s1", STARTS[0], 1, samples)
+        lines = serialize_triaxial_csv(series).split("\n")
+        expected = row_loop_serialize_triaxial_csv(series).split("\n")
+        # line by line: pytest would take minutes to diff two whole texts
+        wrong = next((i for i, (a, b) in enumerate(zip(lines, expected)) if a != b), None)
+        assert (wrong, len(lines)) == (None, len(expected))
+        # the last row of the first block, then the first two of the second
+        assert lines[_STAMP_BLOCK:_STAMP_BLOCK + 3] == [
+            "2016-05-02T02:42:15,9007199254740994.0,0.0,9999999999999998.0",
+            "2016-05-02T02:42:16,9007199254740994.0,0.0,9999999999999998.0",
+            "2016-05-02T02:42:17,0.5,1e+16,5e-324"]
 
 
 # the last day numpy and datetime can both write as a stamp
