@@ -80,7 +80,8 @@ def _add_compare_flags(p: argparse.ArgumentParser):
                    help="pairwise test (default %(default)s)")
     p.add_argument("--exact", action="store_true",
                    help="exact permutation rank-sum p, from the counted "
-                        "rank-sum distribution, when both groups have n <= 12")
+                        "rank-sum distribution, when both groups have n <= 12 "
+                        "(with --posthoc ranksum only)")
 
 
 def _add_smooth_flag(p: argparse.ArgumentParser):
@@ -279,6 +280,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "exact", False) and args.posthoc == "dunn":
+            parser.error("--exact applies to --posthoc ranksum only")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ two-sided Mann-Whitney U (normal approximation with tie-corrected variance
 and continuity correction, optional exact permutation p from the rank-sum
 distribution, optional Dunn z tests), and median/IQR summaries.
 
+The exact null distribution depends only on the first group's size and the
+pooled tie pattern, so one comparison counts each distinct one once and
+every feature and pair with the same sizes and ties reuses it.
+
 Significance markers follow a fixed letter scheme: a group's cell is
 flagged with the letter of every group it differs from, at p < 0.01 for
 pairs involving the healthy controls and p < 0.05 otherwise.
@@ -99,18 +103,21 @@ class GroupComparisonRow:
 def ranks_with_ties(values) -> np.ndarray:
     """Mid-ranks: tied values get the mean of the ranks they span."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=float)
+    order = np.argsort(values, kind="stable").tolist()
+    values = values.tolist()
+    n = len(values)
+    ranks = [0.0] * n
     i = 0
     while i < n:
         j = i
         while j + 1 < n and values[order[j + 1]] == values[order[i]]:
             j += 1
         # i..j (0-based) share ranks i+1..j+1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        rank = (i + j) / 2.0 + 1.0
+        for k in order[i:j + 1]:
+            ranks[k] = rank
         i = j + 1
-    return ranks
+    return np.array(ranks, dtype=float)
 
 
 def _tie_term(values: np.ndarray) -> float:
@@ -222,42 +229,57 @@ def _mwu_normal_p(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, 2.0 * _normal_sf(max(z, 0.0)))
 
 
-def _mwu_exact_p(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact two-sided p over all C(n1+n2, n1) group assignments, ties kept.
-
-    Doubled mid-ranks are integers, so the permutation distribution of the
-    first group's rank sum is counted exactly: ``counts[k, s]`` is the
-    number of size-k subsets of the pooled items whose doubled rank sum is
-    s, built by one shift-add per item (Mann & Whitney 1947; Streitberg &
-    Roehmel 1986 for ties). U <= U_obs exactly when R >= R_obs. The int64
-    counts are exact while C(n1+n2, n1) < 2**63, i.e. for n1 + n2 <= 66.
-    """
-    n1 = x.size
-    doubled = np.rint(2.0 * ranks_with_ties(np.concatenate([x, y]))).astype(np.int64)
-    top = int(doubled.sum())
+def _rank_sum_counts(doubled: Sequence[int], n1: int) -> np.ndarray:
+    """``counts[s]``: the number of size-n1 subsets of ``doubled`` whose sum
+    is s, by one shift-add per item over all subset sizes."""
+    top = sum(doubled)
     counts = np.zeros((n1 + 1, top + 1), dtype=np.int64)
     counts[0, 0] = 1
     for r in doubled:
         counts[1:, r:] += counts[:-1, :top + 1 - r].copy()
-    dist = counts[n1]
-    obs = int(doubled[:n1].sum())
+    return counts[n1]
+
+
+def _mwu_exact_p(x: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
+    """Exact two-sided p over all C(n1+n2, n1) group assignments, ties kept.
+
+    Doubled mid-ranks are integers, so the permutation distribution of the
+    first group's doubled rank sum is counted exactly (Mann & Whitney 1947;
+    Streitberg & Roehmel 1986 for ties). U <= U_obs exactly when
+    R >= R_obs. The int64 counts are exact while C(n1+n2, n1) < 2**63,
+    i.e. for n1 + n2 <= 66. The distribution depends only on n1 and the
+    multiset of doubled ranks; ``memo`` maps that key to it, so a caller
+    that passes one dict to many tests counts each distribution once.
+    """
+    memo = {} if memo is None else memo
+    n1 = x.size
+    ranks = ranks_with_ties(np.concatenate([x, y]))
+    doubled = np.rint(2.0 * ranks).astype(np.int64).tolist()
+    key = (n1, tuple(sorted(doubled)))
+    dist = memo.get(key)
+    if dist is None:
+        dist = memo[key] = _rank_sum_counts(doubled, n1)
+    obs = sum(doubled[:n1])
     n_le = int(dist[obs:].sum())
     n_ge = int(dist[:obs + 1].sum())
     total = int(dist.sum())
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
-def pairwise_ranksum(samples: GroupSamples, exact: bool = False) -> PairwiseFlags:
+def pairwise_ranksum(samples: GroupSamples, exact: bool = False, *,
+                     memo: dict | None = None) -> PairwiseFlags:
     """Two-sided Mann-Whitney U for every group pair.
 
     ``exact`` takes the exact permutation p for pairs where both groups have
     n <= 12, the small-sample regime the analysis targets; larger pairs keep
-    the normal approximation.
+    the normal approximation. ``memo`` holds the exact null distributions
+    counted so far (see ``_mwu_exact_p``); without one each test counts its
+    own.
     """
     results = []
     for (la, va), (lb, vb) in itertools.combinations(samples.groups, 2):
         if exact and va.size <= 12 and vb.size <= 12:
-            p = _mwu_exact_p(va, vb)
+            p = _mwu_exact_p(va, vb, memo)
         else:
             p = _mwu_normal_p(va, vb)
         threshold = STRICT_ALPHA if GroupLabel.CONTROL_HEALTHY in (la, lb) \
@@ -295,13 +317,39 @@ def pairwise_dunn(samples: GroupSamples) -> PairwiseFlags:
     return PairwiseFlags(pairs=tuple(results))
 
 
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(ordered, q)`` (method "linear") of a sorted NaN-free
+    list, by the same float operations: virtual index (n-1)q, both
+    neighbours the last value at or past it with weight index + 1, and
+    numpy's two-sided lerp."""
+    index = (len(ordered) - 1) * q
+    if index >= len(ordered) - 1:
+        lo = hi = ordered[-1]
+        t = index + 1.0
+    else:
+        below = math.floor(index)
+        lo, hi = ordered[below], ordered[below + 1]
+        t = index - below
+    diff = hi - lo
+    return hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t
+
+
 def median_iqr(values) -> tuple[float, float, float]:
-    """(median, q25, q75) with linear interpolation at 1 + (n-1)q."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
+    """(median, q25, q75) with linear interpolation at 1 + (n-1)q.
+
+    Bitwise equal to ``np.quantile(values, [0.5, 0.25, 0.75])``, without
+    its per-call overhead: any NaN gives NaN. One case may differ: where
+    +0.0 and -0.0 tie at a quantile, numpy's partition returns either zero
+    in no defined order, and this returns the one a stable sort puts there.
+    """
+    values = np.asarray(values, dtype=float).tolist()
+    if not values:
         raise ValueError("need at least one value")
-    med, q25, q75 = np.quantile(values, [0.5, 0.25, 0.75])
-    return float(med), float(q25), float(q75)
+    if any(map(math.isnan, values)):
+        return math.nan, math.nan, math.nan
+    values.sort()
+    return (_linear_quantile(values, 0.5), _linear_quantile(values, 0.25),
+            _linear_quantile(values, 0.75))
 
 
 def comparison_rows(values: Mapping[str, Mapping[str, float]],
@@ -316,10 +364,13 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
     """
     if posthoc not in ("ranksum", "dunn"):
         raise ValueError(f"unknown posthoc {posthoc!r}")
+    if exact and posthoc == "dunn":
+        raise ValueError("exact applies to the rank-sum test, not to posthoc 'dunn'")
     present = [g for g in GROUP_ORDER if g in set(groups.values())]
     if len(present) < 2:
         raise InsufficientData("need subjects from at least 2 groups")
     subjects = sorted(values)
+    memo: dict = {}   # exact null distributions, shared by every feature
     rows = []
     for feature in order:
         per_group: dict[GroupLabel, list[float]] = {g: [] for g in present}
@@ -332,7 +383,7 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
         if len(sampled) >= 2 and sum(len(v) for _, v in sampled) >= 3:
             kw = kruskal_wallis(samples)
             flags = pairwise_dunn(samples) if posthoc == "dunn" \
-                else pairwise_ranksum(samples, exact=exact)
+                else pairwise_ranksum(samples, exact=exact, memo=memo)
         else:
             kw = KwResult(h=0.0, df=max(len(sampled) - 1, 0), p=1.0,
                           tie_corrected=False, degenerate=True)

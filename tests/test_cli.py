@@ -77,6 +77,25 @@ def test_compare_command(cohort, tmp_path, capsys):
         "feature,group,median,q25,q75,kw_h,kw_p,markers"
 
 
+@pytest.mark.parametrize("command", ["compare", "run"])
+def test_exact_with_dunn_is_a_usage_error(cohort, tmp_path, capsys, command):
+    # both commands succeed on these inputs without --exact
+    if command == "compare":
+        rows = "".join(f"s{i},{g},{i}\n" for i, g in enumerate(["cci", "cci", "rr", "rr"]))
+        (tmp_path / "f.csv").write_text("subject_id,group,mean\n" + rows)
+        (tmp_path / "c.csv").write_text("subject_id,group,amplitude\n" + rows)
+        inputs = ["--features", str(tmp_path / "f.csv"),
+                  "--cosinor", str(tmp_path / "c.csv")]
+    else:
+        inputs = ["--manifest", str(cohort)]
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--out", str(out), "--posthoc", "dunn"]
+    assert main(argv + ["--exact"]) == 1
+    assert "--exact applies to --posthoc ranksum only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+
+
 def test_curves_command(cohort, tmp_path, capsys):
     out = tmp_path / "curves"
     assert main(["curves", "--manifest", str(cohort), "--out", str(out),

@@ -1,13 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from actirhythm import errors
-from actirhythm.ingest import GroupLabel
+from actirhythm import errors, stats
+from actirhythm.ingest import GROUP_ORDER, GroupLabel
 from actirhythm.stats import (
     CIRCADIAN_ORDER,
     FEATURE_ORDER,
@@ -21,7 +22,7 @@ from actirhythm.stats import (
     pairwise_ranksum,
     ranks_with_ties,
 )
-from reference_impls import brute_kruskal_h, brute_mwu_exact_p
+from reference_impls import brute_kruskal_h, brute_mid_ranks, brute_mwu_exact_p
 
 ICU = GroupLabel.CONTROL_ICU
 CCI = GroupLabel.CCI
@@ -42,6 +43,13 @@ class TestRanks:
     ])
     def test_values(self, values, expected):
         assert np.array_equal(ranks_with_ties(values), expected)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf]),
+                              st.floats(allow_nan=False)), max_size=40))
+    def test_matches_brute_mid_ranks(self, values):
+        ranks = ranks_with_ties(values)
+        assert isinstance(ranks, np.ndarray) and ranks.dtype == np.float64
+        assert ranks.tolist() == brute_mid_ranks(values)
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
     def test_ranks_sum(self, values):
@@ -194,6 +202,54 @@ class TestExactRankSum:
         p = _mwu_exact_p(np.array(x, float), np.array(y, float))
         assert p == brute_mwu_exact_p(x, y)
 
+    def test_each_distribution_counted_once_per_comparison(self, monkeypatch):
+        # groups of 6/8/9/10: every pair is exact; a and b are tie-free, so
+        # they share the six distributions of the group-size pairs, and c and
+        # d have ties of their own
+        rng = np.random.default_rng(3)
+        labels = [g for g, n in zip(GROUP_ORDER, (6, 8, 9, 10)) for _ in range(n)]
+        groups = {f"s{i:02d}": g for i, g in enumerate(labels)}
+        values = {sid: {"a": rng.normal(), "b": rng.normal(),
+                        "c": float(rng.integers(0, 6)), "d": float(rng.integers(0, 3))}
+                  for sid in groups}
+        order = ["a", "b", "c", "d"]
+        expected_keys = set()
+        for name in order:
+            columns = [[values[sid][name] for sid in sorted(groups) if groups[sid] is g]
+                       for g in GROUP_ORDER]
+            for x, y in itertools.combinations(columns, 2):
+                doubled = sorted(int(2 * r) for r in brute_mid_ranks(x + y))
+                expected_keys.add((len(x), tuple(doubled)))
+        counted = []
+        real = stats._rank_sum_counts
+
+        def spy(doubled, n1):
+            counted.append((n1, tuple(sorted(doubled))))
+            return real(doubled, n1)
+
+        monkeypatch.setattr(stats, "_rank_sum_counts", spy)
+        rows = comparison_rows(values, groups, order, exact=True)
+        tie_free = {key for key in expected_keys if len(set(key[1])) == len(key[1])}
+        assert len(tie_free) == 6
+        assert len(counted) == len(set(counted)) == len(expected_keys)
+        assert set(counted) == expected_keys
+        # a second comparison keeps nothing from the first
+        assert comparison_rows(values, groups, order, exact=True) == rows
+        assert len(counted) == 2 * len(expected_keys)
+        for row in rows:
+            columns = {g: [values[sid][row.feature] for sid in sorted(groups)
+                           if groups[sid] is g] for g in GROUP_ORDER}
+            for pair in row.pairwise.pairs:
+                assert pair.p == brute_mwu_exact_p(columns[pair.a], columns[pair.b])
+
+    def test_memo_keeps_first_group_size_apart(self):
+        # 2 + 5 and 3 + 4 pool the same seven tie-free ranks
+        memo = {}
+        for x, y in (([1, 2], [3, 4, 5, 6, 7]), ([1, 2, 3], [4, 5, 6, 7])):
+            flags = pairwise_ranksum(samples((CCI, x), (RR, y)), exact=True, memo=memo)
+            assert flags.get(CCI, RR).p == brute_mwu_exact_p(x, y)
+        assert len(memo) == 2
+
     def test_twelve_v_twelve_with_ties_matches_enumeration(self):
         # brute_mwu_exact_p on this pair counts 563887 of the C(24, 12)
         # assignments in the smaller tail: p = 2 * 563887 / 2704156
@@ -216,6 +272,25 @@ class TestMedianIqr:
     def test_ordering(self, values):
         med, q25, q75 = median_iqr(values)
         assert q25 <= med <= q75
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf,
+                                               math.nan]),
+                              st.floats(-1e300, 1e300)),
+                    min_size=1, max_size=40))
+    @example([1.0, math.nan, 2.0])
+    def test_bitwise_equal_to_numpy_quantile(self, values):
+        with np.errstate(all="ignore"):   # inf - inf inside numpy's lerp
+            expected = np.quantile(values, [0.5, 0.25, 0.75]).tolist()
+        # numpy's partition returns +0.0 or -0.0 where the two tie; the sign
+        # of a zero result is then undefined
+        both_zeros = {math.copysign(1.0, v) for v in values if v == 0.0} == {1.0, -1.0}
+        for got, want in zip(median_iqr(values), expected):
+            if math.isnan(want):
+                assert math.isnan(got)
+            elif both_zeros and want == 0.0:
+                assert got == 0.0
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestComparisonRows:
@@ -258,6 +333,11 @@ class TestComparisonRows:
         rows = comparison_rows(values, groups, ["x"])
         assert rows[0].kw.p == 1.0
         assert rows[0].cells[0].markers == ""
+
+    def test_exact_dunn_is_rejected(self):
+        values, groups = self._cohort()
+        with pytest.raises(ValueError, match="exact"):
+            comparison_rows(values, groups, ["amplitude"], posthoc="dunn", exact=True)
 
     def test_requires_two_groups(self):
         values = {"a": {"x": 1.0}, "b": {"x": 2.0}}
