@@ -7,6 +7,11 @@ File formats:
                second resolution, non-negative decimal counts.
   manifest CSV header ``subject_id,group,path``; group is one of
                control_icu, cci, rr, control_healthy (case-insensitive).
+
+Epoch files are written, and parsed when in canonical form, a block of
+rows at a time, so that such a parse holds the file's bytes, the parsed
+samples and one block; any other epoch file is parsed row by row from its
+decoded text.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ _STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
 _STAMP_PARTS = np.dtype([("date", "S10"), ("t", "S1"), ("h", "S2"), ("c1", "S1"),
                          ("m", "S2"), ("c2", "S1"), ("s", "S2")])
 _TWO_DIGITS = np.array([b"%02d" % i for i in range(60)])
-# Rows whose stamps are made at a time, for the writer and for the columnar
-# parse's check; bounds the working memory of both.
+# Rows made, or read by the columnar parse, at a time, with their stamps;
+# bounds the working memory of the writer and of that parse.
 _STAMP_BLOCK = 65536
 
 # Start timestamp for synthetic series; midnight so that model time equals
@@ -242,9 +247,43 @@ def _stamp_blocks(start: datetime, epoch: int, n: int):
                                min(_STAMP_BLOCK, n - i))
 
 
+def _read_stamp(line: bytes) -> datetime | None:
+    """The time of a line's first field if that field has the form of a
+    canonical stamp and is a valid date and time; None otherwise."""
+    field = line.split(b",", 1)[0]
+    if not _STAMP.fullmatch(field):
+        return None
+    try:
+        return datetime.fromisoformat(field.decode())
+    except ValueError:
+        return None
+
+
+def _load_block(lines: io.BytesIO, stamps: np.ndarray, out: np.ndarray) -> bool:
+    """Fill ``out``, an (m, width) view of the samples, with the counts of
+    the next m rows of ``lines`` if those rows are the given stamps byte for
+    byte with finite, non-negative counts; False if they are not. A
+    function of its own so that the block's table is freed before the next
+    one is made."""
+    try:
+        # S20 holds one byte more than a canonical stamp, so a longer field
+        # differs from the grid instead of being cut to match it
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                           max_rows=stamps.size,
+                           dtype=[("t", "S20"), ("c", "f8", (out.shape[1],))])
+    except ValueError:
+        return False
+    counts = table["c"]
+    if (not np.array_equal(table["t"], stamps)
+            or not np.all(np.isfinite(counts)) or counts.min() < 0):
+        return False
+    out[:] = counts
+    return True
+
+
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
-    """The series of a file in canonical form, parsed in one numpy pass;
-    None for any other file.
+    """The series of a file in canonical form, parsed block by block with
+    numpy; None for any other file.
 
     Canonical form is an exact lower-case header, no blank lines, the
     stamps _stamp_column makes for the grid of the first stamp and a
@@ -256,7 +295,12 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     after the row loop.
 
     The header and the first two stamps are checked before any pass over
-    the whole file, so most other files cost only those few bytes.
+    the whole file, so most other files cost only those few bytes. The row
+    count comes from the last line's stamp and is checked against the
+    file's size before the samples array is made. That array is then
+    filled _STAMP_BLOCK rows at a time, each block by one loadtxt call that
+    reads its rows from the bytes, so the parse holds the file's bytes, the
+    samples and one block.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
@@ -264,36 +308,26 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
         return None
     lines = io.BytesIO(content)
     lines.seek(len(header))
-    head = [lines.readline().split(b",", 1)[0] for _ in range(2)]
-    if not all(map(_STAMP.fullmatch, head)):
-        return None
-    try:
-        start, second = (datetime.fromisoformat(s.decode()) for s in head)
-    except ValueError:
+    start, second = (_read_stamp(lines.readline()) for _ in range(2))
+    if start is None or second is None:
         return None
     epoch = int((second - start).total_seconds())
-    if epoch <= 0 or content.translate(None, _CANONICAL_BYTES) or b"\n\n" in content:
+    last = _read_stamp(content[content.rfind(b"\n", 0, len(content) - 1) + 1:])
+    if (epoch <= 0 or last is None or b"\n\n" in content
+            or content.translate(None, _CANONICAL_BYTES)):
         return None
-    lines.seek(0)
-    try:
-        # S20 holds one byte more than a canonical stamp, so a longer field
-        # differs from the grid below instead of being cut to match it
-        table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None,
-                           ndmin=1, dtype=[("t", "S20"), ("c", "f8", (width,))])
-    except ValueError:
+    steps, off_grid = divmod(int((last - start).total_seconds()), epoch)
+    n = steps + 1
+    # a row is at least 22 bytes, "<stamp>,0\n", and the last one 21
+    if off_grid or n < 2 or 22 * n - 1 > len(content) - len(header):
         return None
-    stamps = table["t"]
-    try:
-        on_grid = all(np.array_equal(stamps[i:i + block.size], block)
-                      for i, block in _stamp_blocks(start, epoch, stamps.size))
-    except OverflowError:
+    samples = np.zeros((n, 3))
+    lines.seek(len(header))
+    for i, stamps in _stamp_blocks(start, epoch, n):
+        if not _load_block(lines, stamps, samples[i:i + stamps.size, :width]):
+            return None
+    if lines.tell() != len(content):
         return None
-    counts = table["c"]
-    if (not on_grid
-            or not np.all(np.isfinite(counts)) or counts.min() < 0):
-        return None
-    samples = np.zeros((stamps.size, 3))
-    samples[:, :width] = counts
     return TriaxialSeries(subject_id=subject_id, start_time=start,
                           epoch_length=epoch, samples=samples)
 
@@ -306,10 +340,10 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     stored as (vm, 0, 0).
 
     A file in the canonical form that serialize_triaxial_csv writes is
-    parsed in one numpy pass. Every other file goes through the row loop,
-    which is the only code that reports errors in the file's text, so each
-    error's class, message and line number do not depend on which path
-    ran. (An epoch that does not align with minutes is raised by
+    parsed block by block with numpy. Every other file goes through the
+    row loop, which is the only code that reports errors in the file's
+    text, so each error's class, message and line number do not depend on
+    which path ran. (An epoch that does not align with minutes is raised by
     TriaxialSeries after either path.)
     """
     raw = content.encode() if isinstance(content, str) and content.isascii() else content
@@ -396,13 +430,16 @@ def serialize_triaxial_csv(series: TriaxialSeries) -> str:
     are all whole, at least 0 and below 1e16, and none -0.0, is written as
     ``%d.0`` of its integers, which is the same text without a repr per
     count; any other column as ``%r``. The blocks are joined as bytes and
-    decoded once.
+    decoded once, after the list of blocks is dropped, so the writer holds
+    at most twice its text and one block.
     """
     start = series.start_time.replace(microsecond=0, tzinfo=None)
     blocks = [b"timestamp,axis1,axis2,axis3\n"]
     for i, stamps in _stamp_blocks(start, series.epoch_length, len(series)):
         blocks.append(_format_block(stamps, series.samples[i:i + stamps.size]))
-    return b"".join(blocks).decode("ascii")
+    data = b"".join(blocks)
+    del blocks   # so that the blocks and the text are not held together
+    return data.decode("ascii")
 
 
 def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:

@@ -130,11 +130,15 @@ class PipelineResult:
 
 
 def _moving_average(arr: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average over ``window`` samples, each mean taken over
+    the samples its window covers; the same length as ``arr`` even for a
+    window longer than it (where convolve's "same" mode returns more)."""
     if window <= 1:
         return arr.copy()
     kernel = np.ones(window)
-    sums = np.convolve(arr, kernel, mode="same")
-    counts = np.convolve(np.ones(arr.size), kernel, mode="same")
+    centre = slice((window - 1) // 2, (window - 1) // 2 + arr.size)
+    sums = np.convolve(arr, kernel)[centre]
+    counts = np.convolve(np.ones(arr.size), kernel)[centre]
     return sums / counts
 
 

@@ -104,6 +104,27 @@ def test_curves_command(cohort, tmp_path, capsys):
     assert (out / "curves.csv").read_text().startswith("group,minute,")
 
 
+def _curve_rows(path):
+    """group -> its rows of curves.csv."""
+    groups = {}
+    for row in csv.DictReader(path.open(newline="")):
+        groups.setdefault(row["group"], []).append(row)
+    return groups
+
+
+@pytest.mark.parametrize("command", ["curves", "run"])
+def test_smooth_longer_than_the_window(cohort, tmp_path, capsys, command):
+    """A window longer than the 5 x 1440 minutes of the analysis window
+    keeps each curve at that length."""
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(cohort), "--out", str(out),
+                 "--smooth", "9000"]) == 0
+    groups = _curve_rows(out / "curves.csv")
+    assert len(groups) == 4
+    for rows in groups.values():
+        assert [int(r["minute"]) for r in rows] == list(range(5 * 1440))
+
+
 def test_synth_then_run_roundtrip(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     spec.write_text(

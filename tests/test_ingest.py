@@ -1,5 +1,6 @@
 import codecs
 import math
+import tracemalloc
 from datetime import date, datetime, timedelta
 from unittest import mock
 
@@ -103,6 +104,15 @@ class TestParse:
         with pytest.raises(errors.MalformedRow) as exc:
             parse_triaxial_csv(content, "s1")
         assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_bad_byte_after_a_bad_row_names_the_byte(self, end):
+        content = end.join([b"timestamp,axis1,axis2,axis3", b"2016-05-01T00:00:00,1,1,1",
+                            b"2016-05-01T00:01:00,1,oops,1", b"2016-05-01T00:02:00,1,1,1",
+                            b"2016-05-01T00:03:00,1,\xff,1", b""])
+        with pytest.raises(errors.MalformedRow, match="byte 0xff is not UTF-8") as exc:
+            parse_triaxial_csv(content, "s1")
+        assert exc.value.line_no == 5
 
     def test_bad_header(self):
         with pytest.raises(errors.MalformedRow):
@@ -333,6 +343,103 @@ class TestColumnarMatchesRowLoop:
         assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
         last = text.rindex("\n", 0, -1) + 1   # the last row's stamp, in the last block
         assert _parse_columnar((text[:last] + "1" + text[last + 1:]).encode(), "s1") is None
+
+
+def traced_peak(fn, *args):
+    """The most memory traced while ``fn(*args)`` ran, in bytes, and what it
+    returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockwiseParse:
+    """The columnar parse takes its row count from the last stamp and reads
+    the file _STAMP_BLOCK rows at a time."""
+
+    @settings(max_examples=200)
+    @given(epoch_files(), st.integers(1, 3))
+    def test_small_blocks_give_the_same_series_or_error(self, case, block):
+        text, canonical = case
+        expected = parse_outcome(row_loop_parse_triaxial_csv, text)
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
+            if canonical:
+                assert _parse_columnar(text.encode(), "s1") is not None
+
+    @pytest.mark.parametrize("block", [1, 2, 3, _STAMP_BLOCK])
+    def test_no_final_line_feed(self, block):
+        text = HEADER + "\n".join([
+            "2016-05-01T08:30:00,1,2,3", "2016-05-01T08:30:30,4,5,6",
+            "2016-05-01T08:31:00,7,8,9", "2016-05-01T08:31:30,1.5,0,2",
+            "2016-05-01T08:32:00,0,0,7"])
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            series = _parse_columnar(text.encode(), "s1")
+        assert series is not None
+        assert_series_equal(series, row_loop_parse_triaxial_csv(text, "s1"))
+
+    @pytest.mark.parametrize("last", [
+        "9999-12-31T23:59:00",   # far more rows than the file has bytes for
+        "2016-05-01T08:33:00",   # one row more than the file has
+        "2016-05-01T08:31:00",   # one row fewer
+        "2016-05-01T08:32:30",   # off the grid
+        "2016-05-01T08:29:00",   # before the first stamp
+    ])
+    def test_last_stamp_off_the_rows(self, last):
+        text = CANONICAL.replace("2016-05-01T08:32:00", last)
+        peak, series = traced_peak(_parse_columnar, text.encode(), "s1")
+        assert series is None and peak < 64 * 1024
+        assert parse_outcome(parse_triaxial_csv, text.encode()) == parse_outcome(
+            row_loop_parse_triaxial_csv, text)
+
+    @pytest.mark.parametrize("tail", ["2016-05-01T08:32:00,7,8,9\n", "2016-05-01T08:32:00"])
+    def test_lines_after_the_last_stamps_row(self, tail):
+        text = CANONICAL + tail
+        assert _parse_columnar(text.encode(), "s1") is None
+        assert parse_outcome(parse_triaxial_csv, text.encode()) == parse_outcome(
+            row_loop_parse_triaxial_csv, text)
+
+
+def second_counts(n):
+    """``n`` seconds of whole counts, as a 1 s-epoch export holds them."""
+    return np.random.default_rng(n).poisson(3.0, (n, 3)).astype(float)
+
+
+class TestMemoryBounds:
+    """Peak memory of the canonical parse and of the writer, by tracemalloc,
+    with blocks of BLOCK rows so that a small file has many blocks.
+    ``samples`` is the parsed series' (n, 3) array; a block's allowance is
+    the peak of the same path on a file of one block."""
+
+    BLOCK = 1024
+    ROWS = 16 * BLOCK
+
+    def file(self, n):
+        series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(n))
+        return serialize_triaxial_csv(series).encode()
+
+    def test_canonical_parse_holds_samples_and_one_block(self):
+        with mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK):
+            content, one_block = self.file(self.ROWS), self.file(self.BLOCK)
+            block_peak, _ = traced_peak(_parse_columnar, one_block, "s1")
+            peak, series = traced_peak(_parse_columnar, content, "s1")
+        assert series is not None and len(series) == self.ROWS
+        # the byte check's translate allocates a result as long as the file
+        # before the samples exist; it writes no byte of a canonical file,
+        # so it is traced but never resident
+        assert peak <= max(len(content), series.samples.nbytes + 2 * block_peak)
+
+    def test_writer_holds_twice_its_text_and_one_block(self):
+        series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(self.ROWS))
+        one_block = TriaxialSeries("s1", datetime(2016, 5, 1), 1,
+                                   second_counts(self.BLOCK))
+        with mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK):
+            block_peak, _ = traced_peak(serialize_triaxial_csv, one_block)
+            peak, text = traced_peak(serialize_triaxial_csv, series)
+        assert peak <= 2 * len(text) + block_peak
 
 
 # counts around the writer's rule: a whole count below 1e16 and not -0.0

@@ -62,6 +62,22 @@ class TestGroupAverageCurve:
         smoothed = group_average_curve({ICU: [make_window(values)]}, smoothing=31)
         assert smoothed[0].mean.std() < values.std()
 
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=60), st.integers(2, 130))
+    def test_moving_average_is_the_mean_over_each_window(self, values, window):
+        """Minute i averages minutes i - window//2 to i + (window-1)//2 that
+        exist; up to the series' length this is convolve's "same" mode, bit
+        for bit."""
+        arr = np.array(values)
+        smoothed = report._moving_average(arr, window)
+        lo, hi = window // 2, (window - 1) // 2
+        expected = [arr[max(0, i - lo):i + hi + 1].mean() for i in range(arr.size)]
+        assert np.allclose(smoothed, expected, rtol=1e-12, atol=0)
+        if window <= arr.size:
+            kernel = np.ones(window)
+            same = (np.convolve(arr, kernel, mode="same")
+                    / np.convolve(np.ones(arr.size), kernel, mode="same"))
+            assert smoothed.tobytes() == same.tobytes()
+
     def test_subject_order_invariance(self, rng):
         a = make_window(rng.integers(0, 50, 1440).astype(float))
         b = make_window(rng.integers(0, 50, 1440).astype(float))
