@@ -12,7 +12,7 @@ minute. The model is 24 h-periodic and every sample sits
 at a minute midpoint t = 24d + (m + 1/2)/60, so for any mask
 sum (y - f)^2 = sum_m n_m (ybar_m - f(t_m))^2 + C, where C is the
 within-minute sum of squares: the fits are those of the full data, and the
-reported rss adds C back.
+reported rss adds C back. The guards read the valid rows of the grid.
 """
 
 from __future__ import annotations
@@ -79,21 +79,21 @@ def model_value(t, fit: SigmoidalCosinorFit):
     return curve.evaluate(t, fit.min, fit.amplitude, fit.alpha, fit.beta, fit.phase)
 
 
-def _fit_data(series: ActivitySeries, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clock hours and transformed counts of the valid recorded minutes, in
-    time order; hours count 24 per grid row, so t mod 24 is time of day."""
-    rows = np.flatnonzero(series.day_valid)
-    scaled = TRANSFORMS[config.transform](series.grid[rows])
-    recorded = ~np.isnan(scaled)
-    hours = rows[:, None] * 24.0 + (np.arange(MINUTES_PER_DAY) + 0.5) / 60.0
-    return hours[recorded], scaled[recorded]
+def _span_hours(cells: np.ndarray) -> float:
+    """Hours from the first to the last minute midpoint of the flat grid
+    indices, at 24 h per grid row."""
+    rows, minutes = np.divmod(cells[[0, -1]], MINUTES_PER_DAY)
+    first, last = rows * 24.0 + (minutes + 0.5) / 60.0
+    return float(last - first)
 
 
 def fit_linear_cosinor(series: ActivitySeries,
                        config: FitConfig = FitConfig()) -> LinearCosinorFit:
-    """Least-squares projection onto [1, cos, sin] of 24 h period."""
-    t, _ = _fit_data(series, config)
-    if t.size < 3 or (t.max() - t.min()) <= 12.0:
+    """Least-squares projection onto [1, cos, sin] of 24 h period; fewer
+    than 3 recorded minutes on the valid days, or 12 h or less from the
+    first to the last of them, raise InsufficientSpan."""
+    cells = np.flatnonzero(~np.isnan(series.grid) & series.day_valid[:, None])
+    if cells.size < 3 or _span_hours(cells) <= 12.0:
         raise InsufficientSpan(
             "need at least 3 valid minutes spanning more than 12 hours")
     profile = day_profile(series, config.transform)
@@ -121,14 +121,6 @@ def initial_sigmoidal_params(linear: LinearCosinorFit,
     if linear.amplitude == 0.0:
         return np.array([linear.mesor, 0.0, 0.0, 0.0, 2.0])
     return np.array([min0, 2.0 * linear.amplitude, linear.acrophase, 0.0, 2.0])
-
-
-def _degenerate_fit(y: np.ndarray, config: FitConfig, n_points: int) -> SigmoidalCosinorFit:
-    level = float(y[0])
-    return SigmoidalCosinorFit(min=level, amplitude=0.0, alpha=0.0, beta=2.0,
-                               phase=0.0, mesor=level, rss=0.0, converged=False,
-                               n_points=n_points, degenerate=True,
-                               transform=config.transform)
 
 
 def _profile_problem(profile: DayProfile) -> ResidualProblem:
@@ -177,15 +169,21 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     """Two-stage fit of the sigmoidally transformed cosine.
 
     Stage 2 runs Levenberg-Marquardt (nls, with its fixed stop rules) from
-    config.multistart phase-rotated starts and keeps the lowest rss. A fit
-    whose amplitude collapses below 1e-9 of the data range is returned
-    with degenerate=True and converged=False rather than raised. Fewer than
-    5 populated minutes of day raise InsufficientSpan.
+    config.multistart phase-rotated starts and keeps the lowest rss. A
+    series constant on the fitting scale, or a fit whose amplitude collapses
+    below 1e-9 of that scale's range, is returned with degenerate=True and
+    converged=False rather than raised. fit_linear_cosinor's span guard and
+    fewer than 5 populated minutes of day raise InsufficientSpan.
     """
-    _, y = _fit_data(series, config)
-    data_range = float(y.max() - y.min()) if y.size else 0.0
-    if y.size and data_range == 0.0:
-        return _degenerate_fit(y, config, int(y.size))
+    scaled = TRANSFORMS[config.transform](series.grid[series.day_valid])
+    n_points = int(np.count_nonzero(~np.isnan(scaled)))
+    low, high = (np.nanmin(scaled), np.nanmax(scaled)) if n_points else (0.0, 0.0)
+    data_range = float(high - low)
+    if n_points and data_range == 0.0:
+        return SigmoidalCosinorFit(
+            min=float(low), amplitude=0.0, alpha=0.0, beta=2.0, phase=0.0,
+            mesor=float(low), rss=0.0, converged=False, n_points=n_points,
+            degenerate=True, transform=config.transform)
 
     linear = fit_linear_cosinor(series, config)
     profile = day_profile(series, config.transform)
@@ -216,7 +214,7 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
         phase=phase, mesor=float(min_) + amplitude / 2.0,
         rss=float(best.rss) + profile.within_ss,
         converged=bool(best.converged and not degenerate),
-        n_points=int(y.size), degenerate=degenerate, at_bound=at_bound,
+        n_points=n_points, degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)
 
 

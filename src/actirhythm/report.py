@@ -113,7 +113,7 @@ class PipelineConfig:
         return FitConfig(transform=self.transform, multistart=self.multistart)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubjectRecord:
     subject_id: str
     group: GroupLabel
@@ -132,7 +132,9 @@ class PipelineResult:
 def _moving_average(arr: np.ndarray, window: int) -> np.ndarray:
     """Centred moving average over ``window`` samples, each mean taken over
     the samples its window covers; the same length as ``arr`` even for a
-    window longer than it (where convolve's "same" mode returns more)."""
+    window longer than it (where convolve's "same" mode returns more). Any
+    window over 2 * arr.size - 1, which covers every sample, acts as that."""
+    window = min(window, 2 * arr.size - 1)
     if window <= 1:
         return arr.copy()
     kernel = np.ones(window)
@@ -416,30 +418,29 @@ def read_subject(entry, manifest_dir: Path,
     return filter_invalid_days(series, bouts), bouts
 
 
-def prepare_subject(entry, manifest_dir: Path, config: PipelineConfig) -> ActivitySeries:
-    """read_subject, then the analysis window."""
+def prepare_subject(entry, manifest_dir: Path, config: PipelineConfig,
+                    features: bool = False, fit: bool = False) -> SubjectRecord:
+    """One subject's whole chain: read_subject, the analysis window and,
+    when asked, compute_features and fit_sigmoidal_cosinor."""
     series, _ = read_subject(entry, manifest_dir, config)
-    return select_analysis_window(series, n_days=config.days)
+    window = select_analysis_window(series, n_days=config.days)
+    return SubjectRecord(
+        entry.subject_id, entry.group, window,
+        compute_features(window, config.feature_config()) if features else None,
+        fit_sigmoidal_cosinor(window, config.fit_config()) if fit else None)
 
 
 def load_cohort(manifest_path: Path, config: PipelineConfig, features: bool = False,
                 fit: bool = False) -> tuple[list[SubjectRecord],
                                             list[tuple[str, str, str]]]:
-    """Every manifest subject in ID order through prepare_subject and, when
-    asked, compute_features and fit_sigmoidal_cosinor. A subject failing
-    any stage with a DataError becomes a (subject_id, group, reason) skip."""
+    """prepare_subject on each manifest subject in ID order; a DataError at
+    any stage makes the subject a (subject_id, group, reason) skip."""
     manifest = load_manifest(manifest_path.read_bytes())
-    records = []
-    skipped = []
+    records, skipped = [], []
     for entry in sorted(manifest.entries, key=lambda e: e.subject_id):
         try:
-            window = prepare_subject(entry, manifest_path.parent, config)
-            rec = SubjectRecord(entry.subject_id, entry.group, window)
-            if features:
-                rec.features = compute_features(window, config.feature_config())
-            if fit:
-                rec.fit = fit_sigmoidal_cosinor(window, config.fit_config())
-            records.append(rec)
+            records.append(prepare_subject(entry, manifest_path.parent, config,
+                                           features, fit))
         except DataError as exc:
             skipped.append((entry.subject_id, entry.group.value, str(exc)))
     return records, skipped

@@ -490,7 +490,9 @@ def loop_rmssd(series):
 
 
 def loop_fit_data(series, transform):
-    """cosinor._fit_data, with the transform given as a function."""
+    """Clock hours (24 per calendar day) and transformed counts of the valid
+    recorded minutes in time order: the full data that the cosinor fits
+    reduce to a minute-of-day profile."""
     mask = series.valid_minutes_mask()
     return series.time_hours()[mask], transform(series.values[mask])
 

@@ -112,13 +112,14 @@ def _curve_rows(path):
     return groups
 
 
+@pytest.mark.parametrize("smooth", ["9000", str(10**20)])
 @pytest.mark.parametrize("command", ["curves", "run"])
-def test_smooth_longer_than_the_window(cohort, tmp_path, capsys, command):
+def test_smooth_longer_than_the_window(cohort, tmp_path, capsys, command, smooth):
     """A window longer than the 5 x 1440 minutes of the analysis window
     keeps each curve at that length."""
     out = tmp_path / "out"
     assert main([command, "--manifest", str(cohort), "--out", str(out),
-                 "--smooth", "9000"]) == 0
+                 "--smooth", smooth]) == 0
     groups = _curve_rows(out / "curves.csv")
     assert len(groups) == 4
     for rows in groups.values():

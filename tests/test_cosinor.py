@@ -29,6 +29,12 @@ from reference_impls import (
 )
 
 RAW = FitConfig(transform="raw")
+SPAN_MESSAGE = "need at least 3 valid minutes spanning more than 12 hours"
+ELEVEN_PM = datetime(2016, 5, 1, 23, 0)
+
+
+def with_valid(series, day_valid):
+    return dataclasses.replace(series, day_valid=np.array(day_valid))
 
 
 def midpoint_hours(n_days=5):
@@ -114,10 +120,36 @@ class TestLinearCosinor:
         assert fit.amplitude == pytest.approx(5.0, abs=1e-8)
         assert fit.acrophase == pytest.approx(6.0, abs=1e-8)
 
-    def test_insufficient_span(self):
-        s = make_series(np.ones(600))  # 10 hours
-        with pytest.raises(errors.InsufficientSpan):
-            fit_linear_cosinor(s, RAW)
+    @pytest.mark.parametrize("fit", [fit_linear_cosinor, fit_sigmoidal_cosinor])
+    @pytest.mark.parametrize("series", [
+        make_series(np.arange(600.0) % 7),     # 10 hours
+        # the first and last minute midpoints lie exactly 12 hours apart
+        make_series(np.arange(721.0) % 7),
+        make_series([1.0, 2.0]),
+        # 23:59 and 00:00 two days later: two minutes 24 h apart
+        with_valid(make_series(np.arange(1442.0) % 7, start=datetime(2016, 5, 1, 23, 59)),
+                   [True, False, True]),
+        with_valid(make_series(np.arange(2880.0) % 7), [False, False]),
+        # only the last day's 10 minutes are valid
+        with_valid(make_series(np.arange(1510.0) % 7, start=ELEVEN_PM),
+                   [False, False, True]),
+    ], ids=["10h", "12h", "two-minutes", "two-minutes-24h-apart", "no-valid-day",
+         "10-minutes-valid"])
+    def test_insufficient_span(self, fit, series):
+        with pytest.raises(errors.InsufficientSpan) as exc:
+            fit(series, RAW)
+        assert str(exc.value) == SPAN_MESSAGE
+
+    @pytest.mark.parametrize("series, n_points", [
+        (make_series(np.arange(722.0) % 7), 722),
+        # 23:00 to 00:10 two days later with the middle day invalid: the
+        # span counts 24 h for that day, so 70 valid minutes span 25.2 h
+        (with_valid(make_series(np.arange(1510.0) % 7, start=ELEVEN_PM),
+                    [True, False, True]), 70),
+    ], ids=["722-minutes", "past-an-invalid-day"])
+    def test_span_over_twelve_hours_fits(self, series, n_points):
+        fit_linear_cosinor(series, RAW)
+        assert fit_sigmoidal_cosinor(series, RAW).n_points == n_points
 
 
 class TestInitialParams:
@@ -154,11 +186,15 @@ class TestSigmoidalFit:
         assert hours_apart(fit.phase, 14.0) < 1e-6
         assert fit.mesor == pytest.approx(fit.min + fit.amplitude / 2, rel=1e-12)
 
-    def test_constant_series_degenerate(self):
-        fit = fit_sigmoidal_cosinor(make_window(np.full(1440 * 5, 6.0)), RAW)
+    @pytest.mark.parametrize("n", [2, 600, 1440 * 5])
+    def test_constant_series_degenerate(self, n):
+        """A flat series is degenerate before any span guard runs."""
+        fit = fit_sigmoidal_cosinor(make_series(np.full(n, 6.0)), RAW)
         assert fit.degenerate
         assert not fit.converged
         assert fit.amplitude == 0.0
+        assert fit.min == 6.0
+        assert fit.n_points == n
 
     def test_stage_two_never_worsens_stage_one_seed(self, rng):
         t = midpoint_hours()
@@ -324,5 +360,6 @@ class TestProfileReduction:
         # the span exceeds 12 h but only four minutes of day are populated
         series = make_series(np.arange(1444.0) % 7, start=datetime(2016, 5, 1, 23, 58))
         series = dataclasses.replace(series, day_valid=np.array([True, False, True]))
-        with pytest.raises(errors.InsufficientSpan):
+        with pytest.raises(errors.InsufficientSpan) as exc:
             fit_sigmoidal_cosinor(series, RAW)
+        assert str(exc.value) == "need at least 5 distinct valid minutes of day"

@@ -77,6 +77,8 @@ class TestGroupAverageCurve:
             same = (np.convolve(arr, kernel, mode="same")
                     / np.convolve(np.ones(arr.size), kernel, mode="same"))
             assert smoothed.tobytes() == same.tobytes()
+        widest = report._moving_average(arr, 2 * arr.size - 1)
+        assert report._moving_average(arr, 10**20).tobytes() == widest.tobytes()
 
     def test_subject_order_invariance(self, rng):
         a = make_window(rng.integers(0, 50, 1440).astype(float))
