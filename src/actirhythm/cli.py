@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 from . import report
-from .errors import DataError, InvalidSpec, MalformedRow, UsageError
+from .errors import DataError, InvalidSpec, MalformedRow, TooFewGroups, UsageError
 from .ingest import (
     GroupLabel,
     SynthSpec,
@@ -170,6 +170,11 @@ def _cmd_validate(args) -> int:
     return 0 if all_ok else 2
 
 
+def _list_skips(skipped) -> None:
+    for sid, _, reason in skipped:
+        print(f"skipped {sid}: {reason}", file=sys.stderr)
+
+
 def _cohort(args, **stages) -> list[report.SubjectRecord]:
     """report.load_cohort with ``stages``; writes skips.csv under --out and
     lists the skips on stderr. A data error if no subject survived."""
@@ -177,8 +182,7 @@ def _cohort(args, **stages) -> list[report.SubjectRecord]:
     args.out.mkdir(parents=True, exist_ok=True)
     records, skipped = report.load_cohort(args.manifest, config, **stages)
     report._write(args.out / "skips.csv", report.skips_csv(skipped))
-    for sid, _, reason in skipped:
-        print(f"skipped {sid}: {reason}", file=sys.stderr)
+    _list_skips(skipped)
     if not records:
         raise DataError("no subject survived")
     return records
@@ -257,9 +261,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from(args)
-    result = report.run_pipeline(args.manifest, args.out, config)
-    for sid, _, reason in result.skipped:
-        print(f"skipped {sid}: {reason}", file=sys.stderr)
+    try:
+        result = report.run_pipeline(args.manifest, args.out, config)
+    except TooFewGroups as exc:
+        _list_skips(exc.skipped)
+        raise
+    _list_skips(result.skipped)
     print(f"processed {len(result.records)} subjects "
           f"({len(result.skipped)} skipped); outputs in {args.out}")
     return 0

@@ -28,12 +28,6 @@ from .errors import InsufficientSpan
 from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
 from .preprocess import MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile
 
-__all__ = [
-    "FitConfig", "LinearCosinorFit", "SigmoidalCosinorFit", "antilogistic",
-    "model_value", "fit_linear_cosinor", "initial_sigmoidal_params",
-    "fit_sigmoidal_cosinor", "export_fitted_curve",
-]
-
 _OMEGA = 2.0 * np.pi / 24.0
 # |u| or |v| beyond this means tanh/exp is pinned at its numerical limit
 _BOUND_LIMIT = 20.0

@@ -106,3 +106,12 @@ class InsufficientSpan(DataError):
 # report
 class MisalignedSeries(DataError):
     pass
+
+
+class TooFewGroups(InsufficientData):
+    """Fewer than two groups survived a run; ``skipped`` holds the
+    (subject_id, group, reason) rows of the subjects that did not."""
+
+    def __init__(self, skipped):
+        self.skipped = skipped
+        super().__init__("fewer than 2 groups survived preprocessing")

@@ -100,29 +100,21 @@ def relative_amplitude(m10: float, l5: float, raw_sums: bool = False) -> float:
 def rmssd(series: ActivitySeries) -> float:
     """Root mean square of successive differences over valid minutes; pairs
     that span a removed day are excluded."""
-    within = np.diff(series.grid, axis=1)
-    recorded = ~np.isnan(within) & series.day_valid[:, None]
-    within[~recorded] = 0.0
-    n_within = recorded.sum(axis=1)
-    # one dot product per day, each summed in the order `d @ d` sums it
-    dots = np.matmul(within[:, None, :], within[:, :, None]).ravel()
-    # only the first and last day can be partial; the zeros that pad them
-    # in the grid would change how the dot product groups its terms
-    diffs = np.diff(series.values)
-    first, last = diffs[:n_within[0]], diffs[diffs.size - n_within[-1]:]
-    dots[0], dots[-1] = first @ first, last @ last
-    dates = np.array(series.day_dates, dtype="datetime64[D]")
-    joined = (series.day_valid[1:] & series.day_valid[:-1]
-              & (np.diff(dates) == np.timedelta64(1, "D")))
-    steps = series.grid[1:, 0] - series.grid[:-1, -1]
-    count = int(n_within.sum() + joined.sum())
+    grid, valid, dates = series.grid, series.day_valid, series.day_dates
+    total, count = 0.0, 0
+    # each valid day, then its join to the next, added in time order
+    for d in np.flatnonzero(valid).tolist():
+        row = grid[d]
+        diffs = np.diff(row[~np.isnan(row)])
+        total += diffs @ diffs
+        count += diffs.size
+        if d + 1 < len(dates) and valid[d + 1] and (dates[d + 1] - dates[d]).days == 1:
+            step = grid[d + 1, 0] - row[-1]
+            total += step * step
+            count += 1
     if count == 0:
         raise TooShort("need at least two consecutive valid minutes")
-    # each day, then its join to the next, added in time order
-    terms = np.zeros(2 * series.n_days - 1)
-    terms[0::2] = dots
-    terms[1::2] = np.where(joined, steps * steps, 0.0)
-    return math.sqrt(np.cumsum(terms)[-1] / count)
+    return math.sqrt(total / count)
 
 
 def immobile_minutes(series: ActivitySeries, threshold: float = 0.0) -> float:

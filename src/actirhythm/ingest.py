@@ -156,16 +156,18 @@ class SynthSpec:
     def __post_init__(self):
         if not math.isfinite(self.min) or self.min < 0:
             raise InvalidSpec(f"min must be finite and >= 0, got {self.min}")
-        if not self.amplitude >= 0:
-            raise InvalidSpec(f"amplitude must be >= 0, got {self.amplitude}")
+        if not math.isfinite(self.amplitude) or self.amplitude < 0:
+            raise InvalidSpec(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not math.isfinite(self.min + self.amplitude):
+            raise InvalidSpec(f"min + amplitude overflows, got {self.min} + {self.amplitude}")
         if not -1.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must be in (-1, 1), got {self.alpha}")
         if not self.beta > 0:
             raise InvalidSpec(f"beta must be > 0, got {self.beta}")
         if not 0.0 <= self.phase < 24.0:
             raise InvalidSpec(f"phase must be in [0, 24), got {self.phase}")
-        if not self.noise_sd >= 0:
-            raise InvalidSpec(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not math.isfinite(self.noise_sd) or self.noise_sd < 0:
+            raise InvalidSpec(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.days < 1:
             raise InvalidSpec(f"days must be >= 1, got {self.days}")
         if self.seed < 0:
@@ -176,8 +178,6 @@ def _decode(content) -> str:
     """Text of a file's bytes as UTF-8, or the text given, after any
     byte-order mark (as utf-8-sig decodes); MalformedRow names the line of
     a bad byte."""
-    if hasattr(content, "read"):
-        content = content.read()
     if not isinstance(content, bytes):
         return str(content).removeprefix("\ufeff")
     content = content.removeprefix(codecs.BOM_UTF8)
@@ -524,15 +524,20 @@ def generate_synthetic(spec: SynthSpec, subject_id: str = "synthetic") -> Triaxi
     The model is evaluated at minute midpoints; Gaussian noise of sd
     ``noise_sd`` is added and the result clamped at 0. All counts go on the
     x axis so the vector magnitude reproduces the model exactly.
-    Deterministic for a given seed.
+    Deterministic for a given seed. Noise that overflows a count is an
+    InvalidSpec naming the subject.
     """
     n = spec.days * 1440
     t = (np.arange(n) + 0.5) / 60.0
     vm = curve.evaluate(t, spec.min, spec.amplitude, spec.alpha, spec.beta, spec.phase)
     if spec.noise_sd > 0:
         rng = np.random.default_rng(spec.seed)
-        vm = vm + rng.normal(0.0, spec.noise_sd, size=n)
+        with np.errstate(over="ignore"):
+            vm = vm + rng.normal(0.0, spec.noise_sd, size=n)
     vm = np.maximum(vm, 0.0)
+    if not np.all(np.isfinite(vm)):
+        raise InvalidSpec(f"subject {subject_id!r}: counts overflow with "
+                          f"noise_sd {spec.noise_sd}")
     samples = np.column_stack([vm, np.zeros(n), np.zeros(n)])
     return TriaxialSeries(subject_id=subject_id, start_time=SYNTH_START,
                           epoch_length=60, samples=samples)

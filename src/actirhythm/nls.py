@@ -112,9 +112,6 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
         d[d <= 0] = 1.0
 
         accepted = False
-        delta = None
-        x_new = r_new = None
-        rss_new = rss
         while True:
             try:
                 delta = np.linalg.solve(A + lam * np.diag(d), -g)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import stats
 from .cosinor import FitConfig, SigmoidalCosinorFit, export_fitted_curve, fit_sigmoidal_cosinor
-from .errors import DataError, InsufficientData, MisalignedSeries
+from .errors import DataError, InsufficientData, MisalignedSeries, TooFewGroups
 from .features import ActivityFeatures, FeatureConfig, compute_features
 from .ingest import (GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest,
                      parse_triaxial_csv, read_table)
@@ -295,8 +295,8 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
     return _svg_document(parts)
 
 
-def build_overlay(record: SubjectRecord, config: PipelineConfig) -> CurveOverlay:
-    observed = day_profile(record.window, config.transform).means
+def build_overlay(record: SubjectRecord) -> CurveOverlay:
+    observed = day_profile(record.window, record.fit.transform).means
     fitted = export_fitted_curve(record.fit, resolution=1.0)[:, 1]
     return CurveOverlay(subject_id=record.subject_id, group=record.group,
                         observed=observed, fitted=fitted)
@@ -402,9 +402,7 @@ def read_subject(entry, manifest_dir: Path,
                  config: PipelineConfig) -> tuple[ActivitySeries, list[NonwearBout]]:
     """ingest -> minutes -> vector magnitude -> non-wear bouts -> day
     filter; returns the filtered series and the bouts found."""
-    path = Path(entry.source_path)
-    if not path.is_absolute():
-        path = manifest_dir / path
+    path = manifest_dir / entry.source_path
     try:
         content = path.read_bytes()
     except OSError as exc:
@@ -458,15 +456,16 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     """Full cohort run; every output file is written under out_dir.
 
     Subjects failing any stage land in the skip report and are excluded
-    from all outputs. Fails only if fewer than two groups survive. The
-    comparison is write_comparison on the features.csv and cosinor.csv
-    written here, so ``compare`` on those tables reproduces it.
+    from all outputs. Fails only if fewer than two groups survive, with a
+    TooFewGroups that holds the skip rows. The comparison is
+    write_comparison on the features.csv and cosinor.csv written here, so
+    ``compare`` on those tables reproduces it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     records, skipped = load_cohort(manifest_path, config, features=True, fit=True)
     skips = _write(out_dir / "skips.csv", skips_csv(skipped))
     if len({rec.group for rec in records}) < 2:
-        raise InsufficientData("fewer than 2 groups survived preprocessing")
+        raise TooFewGroups(skipped)
 
     features = _write(out_dir / "features.csv", features_csv(records))
     cosinor = _write(out_dir / "cosinor.csv", cosinor_csv(records))
@@ -476,7 +475,7 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     first_per_group = {}
     for rec in records:
         first_per_group.setdefault(rec.group, rec)
-    overlays = [build_overlay(first_per_group[g], config)
+    overlays = [build_overlay(first_per_group[g])
                 for g in GROUP_ORDER if g in first_per_group]
 
     result = PipelineResult(records=records, skipped=skipped)

@@ -58,7 +58,6 @@ class KwResult:
     h: float
     df: int
     p: float
-    tie_corrected: bool
     degenerate: bool = False   # all pooled values identical
 
 
@@ -208,10 +207,9 @@ def kruskal_wallis(samples: GroupSamples) -> KwResult:
     tie_term = _tie_term(pooled)
     correction = 1.0 - tie_term / (n_total ** 3 - n_total)
     if correction == 0.0:
-        return KwResult(h=0.0, df=df, p=1.0, tie_corrected=True, degenerate=True)
+        return KwResult(h=0.0, df=df, p=1.0, degenerate=True)
     h = max(h / correction, 0.0)
-    return KwResult(h=h, df=df, p=chi_square_sf(h, df),
-                    tie_corrected=tie_term > 0)
+    return KwResult(h=h, df=df, p=chi_square_sf(h, df))
 
 
 def _mwu_normal_p(x: np.ndarray, y: np.ndarray) -> float:
@@ -266,6 +264,13 @@ def _mwu_exact_p(x: np.ndarray, y: np.ndarray, memo: dict | None = None) -> floa
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
+def _pair_result(a: GroupLabel, b: GroupLabel, p: float) -> PairResult:
+    """The pair's p against its threshold: STRICT_ALPHA when either group is
+    the healthy controls, DEFAULT_ALPHA otherwise."""
+    threshold = STRICT_ALPHA if GroupLabel.CONTROL_HEALTHY in (a, b) else DEFAULT_ALPHA
+    return PairResult(a=a, b=b, p=p, threshold=threshold, significant=p < threshold)
+
+
 def pairwise_ranksum(samples: GroupSamples, exact: bool = False, *,
                      memo: dict | None = None) -> PairwiseFlags:
     """Two-sided Mann-Whitney U for every group pair.
@@ -282,10 +287,7 @@ def pairwise_ranksum(samples: GroupSamples, exact: bool = False, *,
             p = _mwu_exact_p(va, vb, memo)
         else:
             p = _mwu_normal_p(va, vb)
-        threshold = STRICT_ALPHA if GroupLabel.CONTROL_HEALTHY in (la, lb) \
-            else DEFAULT_ALPHA
-        results.append(PairResult(a=la, b=lb, p=p, threshold=threshold,
-                                  significant=p < threshold))
+        results.append(_pair_result(la, lb, p))
     return PairwiseFlags(pairs=tuple(results))
 
 
@@ -310,10 +312,7 @@ def pairwise_dunn(samples: GroupSamples) -> PairwiseFlags:
         else:
             z = abs(means[i] - means[j]) / math.sqrt(var)
             p = min(1.0, 2.0 * _normal_sf(z))
-        threshold = STRICT_ALPHA if GroupLabel.CONTROL_HEALTHY in (labels[i], labels[j]) \
-            else DEFAULT_ALPHA
-        results.append(PairResult(a=labels[i], b=labels[j], p=p,
-                                  threshold=threshold, significant=p < threshold))
+        results.append(_pair_result(labels[i], labels[j], p))
     return PairwiseFlags(pairs=tuple(results))
 
 
@@ -385,8 +384,7 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
             flags = pairwise_dunn(samples) if posthoc == "dunn" \
                 else pairwise_ranksum(samples, exact=exact, memo=memo)
         else:
-            kw = KwResult(h=0.0, df=max(len(sampled) - 1, 0), p=1.0,
-                          tie_corrected=False, degenerate=True)
+            kw = KwResult(h=0.0, df=max(len(sampled) - 1, 0), p=1.0, degenerate=True)
             flags = PairwiseFlags(pairs=())
         # markers come only from the pairs that were tested
         significant = {frozenset((pair.a, pair.b)) for pair in flags.pairs

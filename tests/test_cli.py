@@ -313,6 +313,24 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
                  str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("row, message", [
+    ("9,inf,0,5,12,1", "line 3: amplitude must be finite and >= 0, got inf"),
+    ("9,100,0,5,12,inf", "line 3: noise_sd must be finite and >= 0, got inf"),
+    ("1e308,1e308,0,5,12,1", "line 3: min + amplitude overflows, got 1e+308 + 1e+308"),
+    ("9,100,0,5,12,1e308", "subject 'x': counts overflow with noise_sd 1e+308"),
+], ids=["amplitude-inf", "noise-inf", "min-plus-amplitude", "noise-overflows"])
+def test_synth_rejects_counts_that_overflow(tmp_path, capsys, row, message):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\nok,cci,9,100,0,5,12,1,1\nx,rr,"
+                    + row + ",1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (out / "x.csv").exists() and not (out / "manifest.csv").exists()
+    if message.startswith("line"):   # rejected before any file is written
+        assert not out.exists()
+
+
 def test_synth_rejects_short_spec_row(tmp_path, capsys):
     spec = tmp_path / "spec.csv"
     spec.write_text(",".join(SYNTH_COLUMNS) + "\na1,cci\n", encoding="utf-8")
@@ -566,6 +584,19 @@ def test_run_exit_code_2_when_one_group(tmp_path, capsys):
     manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.RR: 3})
     assert main(["run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "o"), "--transform", "raw"]) == 2
+
+
+def test_run_lists_its_skips_when_one_group_survives(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + "\na,cci,10,100,0,5,14,3,7\n"
+                    "b,rr,10,100,0,5,14,3,2\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(tmp_path / "c" / "manifest.csv"),
+                 "--out", str(tmp_path / "o"), "--transform", "raw"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "skipped b: subject 'b': 2 valid complete days, need 5",
+        "data error: fewer than 2 groups survived preprocessing"]
 
 
 def _fit_failing_for(subject_id, error, fit):

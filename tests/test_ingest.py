@@ -638,7 +638,8 @@ class TestSynthetic:
     @pytest.mark.parametrize("field,value", [
         ("alpha", 1.0), ("alpha", -1.5), ("beta", 0.0), ("phase", 24.0),
         ("phase", -1.0), ("noise_sd", -1.0), ("days", 0), ("amplitude", -2.0),
-        ("min", -1.0),
+        ("min", -1.0), ("amplitude", math.inf), ("amplitude", math.nan),
+        ("noise_sd", math.inf), ("noise_sd", math.nan),
     ])
     def test_invalid_spec(self, field, value):
         kwargs = dict(min=0, amplitude=1, alpha=0, beta=2, phase=0,
@@ -646,3 +647,14 @@ class TestSynthetic:
         kwargs[field] = value
         with pytest.raises(errors.InvalidSpec):
             SynthSpec(**kwargs)
+
+    def test_min_plus_amplitude_must_not_overflow(self):
+        with pytest.raises(errors.InvalidSpec, match="min \\+ amplitude overflows"):
+            SynthSpec(min=1e308, amplitude=1e308, alpha=0, beta=2, phase=0,
+                      noise_sd=0, days=1, seed=0)
+
+    def test_noise_that_overflows_is_an_invalid_spec(self):
+        spec = SynthSpec(min=0, amplitude=1, alpha=0, beta=2, phase=0,
+                         noise_sd=1e308, days=1, seed=0)
+        with pytest.raises(errors.InvalidSpec, match="subject 'n': counts overflow"):
+            generate_synthetic(spec, subject_id="n")

@@ -160,10 +160,20 @@ class TestPairwise:
         b = pairwise_ranksum(samples((RR, [9, 3, 4]), (CCI, [1, 5, 2])))
         assert a.get(CCI, RR).p == pytest.approx(b.get(RR, CCI).p, abs=1e-12)
 
-    def test_healthy_pairs_use_strict_threshold(self):
-        flags = pairwise_ranksum(samples(
-            (ICU, [1.0, 2.0]), (HEALTHY, [50.0, 60.0, 70.0])))
-        assert flags.get(ICU, HEALTHY).threshold == 0.01
+    # n values per group, each group above the last, puts the p of both
+    # neighbouring pairs between the two thresholds
+    @pytest.mark.parametrize("pairwise, n", [(pairwise_ranksum, 4), (pairwise_dunn, 8)],
+                             ids=["ranksum", "dunn"])
+    def test_healthy_pairs_use_strict_threshold(self, pairwise, n):
+        flags = pairwise(samples(*((label, np.arange(n) + i * n)
+                                   for i, label in enumerate((ICU, CCI, HEALTHY)))))
+        assert [(p.a, p.b, p.threshold) for p in flags.pairs] == [
+            (ICU, CCI, 0.05), (ICU, HEALTHY, 0.01), (CCI, HEALTHY, 0.01)]
+        for a, b in ((ICU, CCI), (CCI, HEALTHY)):
+            assert 0.01 < flags.get(a, b).p < 0.05
+        assert flags.get(ICU, CCI).significant
+        assert not flags.get(CCI, HEALTHY).significant
+        assert all(p.significant == (p.p < p.threshold) for p in flags.pairs)
 
     def test_exact_small_case(self):
         # [1,2] vs [3,4]: U=0; one-tail P(U<=0)=1/6, two-sided 1/3
