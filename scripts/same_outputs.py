@@ -5,9 +5,14 @@ Extracts REV with ``git archive`` into a temporary directory and runs each
 tree's ``scripts/make_demo_cohort.py`` for seeds 1 and 2, under the default
 log1p transform and under ``--transform raw``. Each tree then runs
 ``compare --exact`` and ``compare --posthoc dunn`` on its own run's
-features.csv and cosinor.csv. Both trees write to the same out-dir paths,
-so every output file and stdout must be byte-identical. Each one that
-differs is named, and the exit status is then 1.
+features.csv and cosinor.csv. The demo's epoch files hold the writer's
+float counts, so this script also writes, once and with its own
+formatting, a cohort of whole counts as device exports hold them: four
+subjects, one per group, 6 days at 15 s epochs of seeded Poisson counts,
+written as plain digits for two subjects and as ``%d.0`` for the others.
+Each tree then runs ``run`` on that cohort. Both trees write to the same
+out-dir paths, so every output file and stdout must be byte-identical.
+Each one that differs is named, and the exit status is then 1.
 
     python3 scripts/same_outputs.py HEAD~
 """
@@ -18,11 +23,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = [(seed, transform) for seed in (1, 2) for transform in ("log1p", "raw")]
 COMPARES = {"compare-exact": ["--exact"], "compare-dunn": ["--posthoc", "dunn"]}
+GROUPS = ("control_icu", "cci", "rr", "control_healthy")
+WHOLE_DAYS, WHOLE_EPOCH = 6, 15
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
@@ -31,6 +41,12 @@ def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, check=True).stdout
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    """Every file under out by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
 
 
 def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
@@ -46,9 +62,41 @@ def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
                               "--features", str(tables / "features.csv"),
                               "--cosinor", str(tables / "cosinor.csv"),
                               "--out", str(out / name), *flags], out.parent)
-    outputs = {p.relative_to(out).as_posix(): p.read_bytes()
-               for p in out.rglob("*") if p.is_file()}
-    return {**outputs, "stdout": stdout}
+    return {**_files(out), "stdout": stdout}
+
+
+def write_whole_cohort(root: Path) -> Path:
+    """Write the whole-count cohort under root and return its manifest's
+    path. Each subject's three axes are Poisson counts around a daily
+    cosine; subjects 0 and 2 are written as plain digits, 1 and 3 as
+    ``%d.0``."""
+    root.mkdir()
+    rng = np.random.default_rng(17)
+    n = WHOLE_DAYS * 86400 // WHOLE_EPOCH
+    hours = np.arange(n) * WHOLE_EPOCH / 3600
+    stamps = [(datetime(2016, 5, 1) + timedelta(seconds=i * WHOLE_EPOCH)).isoformat()
+              for i in range(n)]
+    manifest = ["subject_id,group,path"]
+    for i, group in enumerate(GROUPS):
+        rate = 5 + 10 * i + (30 + 20 * i) * (1 + np.cos((hours - 14 - i) * np.pi / 12))
+        counts = rng.poisson(np.outer(rate, (0.8, 0.48, 0.36))).tolist()
+        row = "%s,%d,%d,%d\n" if i % 2 == 0 else "%s,%d.0,%d.0,%d.0\n"
+        text = "timestamp,axis1,axis2,axis3\n" + "".join(
+            row % (stamp, *c) for stamp, c in zip(stamps, counts))
+        (root / f"w{i}.csv").write_text(text, encoding="ascii", newline="\n")
+        manifest.append(f"w{i},{group},w{i}.csv")
+    path = root / "manifest.csv"
+    path.write_text("\n".join(manifest) + "\n", encoding="ascii", newline="\n")
+    return path
+
+
+def whole_run(tree: Path, manifest: Path, out: Path) -> dict[str, bytes]:
+    """Every file that tree's ``run`` writes under out from the whole-count
+    cohort by relative path, and its stdout under the key "stdout"."""
+    shutil.rmtree(out, ignore_errors=True)
+    stdout = _run(tree, ["-m", "actirhythm.cli", "run", "--manifest", str(manifest),
+                         "--out", str(out)], out.parent)
+    return {**_files(out), "stdout": stdout}
 
 
 def main(argv=None) -> int:
@@ -70,6 +118,11 @@ def main(argv=None) -> int:
                        for name in sorted(theirs.keys() | ours.keys())
                        if theirs.get(name) != ours.get(name)]
             print(f"seed {seed} {transform}: {len(ours)} outputs compared", file=sys.stderr)
+        manifest = write_whole_cohort(Path(tmp) / "whole")
+        theirs, ours = (whole_run(tree, manifest, out) for tree in (base, ROOT))
+        differ += [f"whole counts: {name}" for name in sorted(theirs.keys() | ours.keys())
+                   if theirs.get(name) != ours.get(name)]
+        print(f"whole counts: {len(ours)} outputs compared", file=sys.stderr)
     for line in differ:
         print(f"differs: {line}")
     return 1 if differ else 0

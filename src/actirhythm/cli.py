@@ -247,6 +247,8 @@ def _cmd_synth(args) -> int:
             raise MalformedRow(line_no, f"duplicate subject {sid!r}")
         seen.add(sid)
         subjects.append((sid, group, spec))
+    for sid, _, spec in subjects:   # noise that overflows is raised before any write
+        generate_synthetic(spec, subject_id=sid)
     args.out.mkdir(parents=True, exist_ok=True)
     for sid, _, spec in subjects:
         series = generate_synthetic(spec, subject_id=sid)

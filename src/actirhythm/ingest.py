@@ -10,8 +10,10 @@ File formats:
 
 Epoch files are written, and parsed when in canonical form, a block of
 rows at a time, so that such a parse holds the file's bytes, the parsed
-samples and one block; any other epoch file is parsed row by row from its
-decoded text.
+samples and one block. A canonical block of whole counts, as device
+exports and the writer's ``%d.0`` rule give, is read straight from the
+bytes with numpy, and any other canonical block by ``np.loadtxt``; any
+other epoch file is parsed row by row from its decoded text.
 """
 
 from __future__ import annotations
@@ -85,6 +87,15 @@ _TWO_DIGITS = np.array([b"%02d" % i for i in range(60)])
 # Rows made, or read by the columnar parse, at a time, with their stamps;
 # bounds the working memory of the writer and of that parse.
 _STAMP_BLOCK = 65536
+# A row of whole counts, by header width: a stamp's 19 bytes, then each
+# count as 1-18 digits, perhaps followed by ".0", and LF. Below 1e18 an
+# int64 holds such a count exactly, and its cast to float64 rounds as
+# float() does.
+_WHOLE_ROW = {width: re.compile(rb".{19}(?:,\d{1,18}(?:\.0)?){%d}\n" % width)
+              for width in (1, 3)}
+# Bytes of a whole-count block read at a time; bounds that read's
+# temporaries.
+_SCAN = 1 << 18
 
 # Start timestamp for synthetic series; midnight so that model time equals
 # clock time.
@@ -281,6 +292,85 @@ def _load_block(lines: io.BytesIO, stamps: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
+def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the fields ``window[begin:end]`` if each is 1-18
+    digits, perhaps followed by ".0"; None otherwise. Built digit by digit
+    from the last, one pass for each digit of the longest field."""
+    end = end - 2 * ((window[end - 2] == ord(".")) & (window[end - 1] == ord("0")))
+    digits = end - begin
+    # a read whose fields were all empty would check no byte below
+    if digits.min() < 1 or digits.max() > 18:
+        return None
+    values = np.zeros(end.shape, np.int64)
+    for place in range(digits.max()):
+        digit = window[end - 1 - place]
+        digit -= ord("0")   # wraps any other byte past 9
+        if place:
+            digit *= digits > place
+        if digit.max() > 9:
+            return None
+        values += digit * np.int64(10 ** place)
+    return values
+
+
+def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
+                     out: np.ndarray) -> tuple[int, int] | None:
+    """Fill the first k rows of ``out``, an (m, width) view of the samples,
+    with the counts of the k complete rows that ``window`` starts with,
+    k <= m, if those rows are the first k ``stamps`` byte for byte with
+    whole counts (see _WHOLE_ROW), and return k and the rows' length in
+    bytes; None if any row breaks that form or the window holds no complete
+    row."""
+    m, width = out.shape
+    # a whole-count row's only bytes at or below the comma: the comma after
+    # the stamp and before each other count, and LF
+    sep = np.flatnonzero(window <= ord(","))
+    k = min(sep.size // (width + 1), m)
+    if not k:
+        return None
+    sep = sep[:k * (width + 1)].reshape(k, width + 1)
+    if (sep[0, 0] != 19 or not np.array_equal(sep[1:, 0], sep[:-1, -1] + 20)
+            or np.any(window[sep] != np.frombuffer(b"," * width + b"\n", np.uint8))):
+        return None
+    # the stamps as three overlapping 8-byte words: bytes 0-7, 8-15, 11-18
+    words = np.ndarray((window.size - 7,), "<u8", window, strides=(1,))
+    start = sep[:, 0] - 19
+    for at in (0, 8, 11):
+        if not np.array_equal(words[start + at],
+                              np.ndarray((k,), "<u8", stamps, at, (19,))):
+            return None
+    values = _whole_counts(window, sep[:, :-1] + 1, sep[:, 1:])
+    if values is None:
+        return None
+    out[:k] = values
+    return k, int(sep[-1, -1]) + 1
+
+
+def _read_whole_block(content: bytes, pos: int, stamps: np.ndarray,
+                      out: np.ndarray) -> int | None:
+    """Fill ``out``, an (m, width) view of the samples, with the counts of
+    the m rows of ``content`` from byte ``pos`` if those rows are the given
+    stamps byte for byte with whole counts, and return the offset after
+    them; None if the first row's counts are not whole or any row breaks
+    that form. Reads the rows straight from the bytes, _SCAN bytes at a
+    time, so that its temporaries stay below a loadtxt block's."""
+    m, width = out.shape
+    if not _WHOLE_ROW[width].match(content, pos):
+        return None
+    row = 0
+    while row < m:
+        # at most _SCAN bytes, and no more than the rows left can fill: a
+        # stamp, a comma and up to 20 bytes for each count, and LF
+        size = min(_SCAN, (m - row) * (20 + 21 * width), len(content) - pos)
+        window = np.frombuffer(content, np.uint8, size, pos)
+        read = _read_whole_rows(window, stamps[row:], out[row:])
+        if read is None:
+            return None
+        row += read[0]
+        pos += read[1]
+    return pos
+
+
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     """The series of a file in canonical form, parsed block by block with
     numpy; None for any other file.
@@ -298,9 +388,13 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     the whole file, so most other files cost only those few bytes. The row
     count comes from the last line's stamp and is checked against the
     file's size before the samples array is made. That array is then
-    filled _STAMP_BLOCK rows at a time, each block by one loadtxt call that
-    reads its rows from the bytes, so the parse holds the file's bytes, the
-    samples and one block.
+    filled _STAMP_BLOCK rows at a time, so the parse holds the file's
+    bytes, the samples and one block. The block's first row picks its
+    reader: when its counts are whole, _read_whole_block reads the block
+    from the bytes, and when they are not, or a later row breaks that form,
+    one loadtxt call reads it again from the same offset. Either reader
+    gives the float() of each count, so the samples do not depend on which
+    one ran.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
@@ -313,8 +407,7 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
         return None
     epoch = int((second - start).total_seconds())
     last = _read_stamp(content[content.rfind(b"\n", 0, len(content) - 1) + 1:])
-    if (epoch <= 0 or last is None or b"\n\n" in content
-            or content.translate(None, _CANONICAL_BYTES)):
+    if epoch <= 0 or last is None or content.translate(None, _CANONICAL_BYTES):
         return None
     steps, off_grid = divmod(int((last - start).total_seconds()), epoch)
     n = steps + 1
@@ -322,11 +415,24 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     if off_grid or n < 2 or 22 * n - 1 > len(content) - len(header):
         return None
     samples = np.zeros((n, 3))
-    lines.seek(len(header))
+    pos = len(header)
+    blanks_checked = False
     for i, stamps in _stamp_blocks(start, epoch, n):
-        if not _load_block(lines, stamps, samples[i:i + stamps.size, :width]):
-            return None
-    if lines.tell() != len(content):
+        block = samples[i:i + stamps.size, :width]
+        end = _read_whole_block(content, pos, stamps, block)
+        if end is None:
+            # loadtxt skips a blank line, with a warning, where
+            # _read_whole_block turns it away; so before loadtxt's first
+            # block, the rest of the file is searched for one
+            if not blanks_checked and content.find(b"\n\n", pos - 1) >= 0:
+                return None
+            blanks_checked = True
+            lines.seek(pos)
+            if not _load_block(lines, stamps, block):
+                return None
+            end = lines.tell()
+        pos = end
+    if pos != len(content):
         return None
     return TriaxialSeries(subject_id=subject_id, start_time=start,
                           epoch_length=epoch, samples=samples)
@@ -340,7 +446,9 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     stored as (vm, 0, 0).
 
     A file in the canonical form that serialize_triaxial_csv writes is
-    parsed block by block with numpy. Every other file goes through the
+    parsed block by block with numpy: a block of whole counts (1-18
+    digits, perhaps followed by ".0") straight from the bytes, any other
+    block by loadtxt. Every other file goes through the
     row loop, which is the only code that reports errors in the file's
     text, so each error's class, message and line number do not depend on
     which path ran. (An epoch that does not align with minutes is raised by

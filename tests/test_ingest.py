@@ -1,5 +1,6 @@
 import codecs
 import math
+import re
 import tracemalloc
 from datetime import date, datetime, timedelta
 from unittest import mock
@@ -417,13 +418,17 @@ class TestMemoryBounds:
     BLOCK = 1024
     ROWS = 16 * BLOCK
 
-    def file(self, n):
-        series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(n))
+    def file(self, counts, n):
+        series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, counts(n))
         return serialize_triaxial_csv(series).encode()
 
-    def test_canonical_parse_holds_samples_and_one_block(self):
+    # whole counts go to _read_whole_block, halves to loadtxt
+    @pytest.mark.parametrize("counts", [second_counts, lambda n: second_counts(n) + 0.5],
+                             ids=["whole", "halves"])
+    def test_canonical_parse_holds_samples_and_one_block(self, counts):
         with mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK):
-            content, one_block = self.file(self.ROWS), self.file(self.BLOCK)
+            content = self.file(counts, self.ROWS)
+            one_block = self.file(counts, self.BLOCK)
             block_peak, _ = traced_peak(_parse_columnar, one_block, "s1")
             peak, series = traced_peak(_parse_columnar, content, "s1")
         assert series is not None and len(series) == self.ROWS
@@ -440,6 +445,128 @@ class TestMemoryBounds:
             block_peak, _ = traced_peak(serialize_triaxial_csv, one_block)
             peak, text = traced_peak(serialize_triaxial_csv, series)
         assert peak <= 2 * len(text) + block_peak
+
+
+# whole counts around float64's and int64's limits: 2**53 + 1 rounds to
+# 2**53 as float() rounds it, 18 digits is the longest whole field, and
+# 19 or 20 digits overflow an int64
+WHOLE_EDGES = [0, 9, 2 ** 53 + 1, 10 ** 16 - 1, 10 ** 16 + 1, 10 ** 17 - 1, 10 ** 18 - 1,
+               10 ** 19 - 1, 2 ** 64 + 1]
+# %d.0 as the writer has it, plain digits, leading zeros, 18 digits
+WHOLE_FORMS = ["%d.0", "%d", "0%d", "00%d.0", "%018d"]
+WHOLE_FIELD = re.compile(r"\d{1,18}(\.0)?")
+# fields one step from a whole count
+NEAR_WHOLE = ["", ".0", "5.", "5.00", "5.1", "05.0", "5e0", "-0", "5.0.0", "5 "]
+# how far one row's stamp is moved: each changes other bytes of the stamp
+STAMP_SHIFTS = [1, -1, 10, 60, 3600, 86400, 31 * 86400, 366 * 86400]
+
+
+@st.composite
+def whole_count_files(draw):
+    """(text, kind): a canonical epoch CSV of up to 8 rows whose counts are
+    whole, each in one of WHOLE_FORMS. Some have one count swapped for an
+    ODD_COUNTS or NEAR_WHOLE entry or a float's repr, one row's stamp moved
+    or one byte put before it. ``kind`` is "whole" when every count is 1-18
+    digits, perhaps followed by ".0", and no row was changed, "canonical"
+    when the file is still canonical, and "other" when it may not be."""
+    header = draw(st.sampled_from(HEADERS[:2]))
+    width = header.count(",")
+    epoch = draw(st.sampled_from([1, 15, 60]))
+    start = draw(st.sampled_from(STARTS[:2]))
+    count = st.one_of(st.integers(0, 99), st.integers(0, 10 ** 18 - 1),
+                      st.sampled_from(WHOLE_EDGES))
+    rows = [[(start + timedelta(seconds=k * epoch)).isoformat()]
+            + [draw(st.sampled_from(WHOLE_FORMS)) % draw(count) for _ in range(width)]
+            for k in range(draw(st.integers(2, 8)))]
+    kind = "whole" if all(WHOLE_FIELD.fullmatch(f) for row in rows for f in row[1:]) \
+        else "canonical"
+    edit = draw(st.sampled_from(["none", "count", "repr", "shift", "prefix"]))
+    row = draw(st.sampled_from(rows))
+    if edit == "count":
+        row[draw(st.integers(1, width))] = draw(st.sampled_from(ODD_COUNTS + NEAR_WHOLE))
+        kind = "other"
+    elif edit == "repr":
+        row[draw(st.integers(1, width))] = repr(draw(st.floats(0, 1e300)))
+        kind = "canonical"
+    elif edit == "shift":
+        moved = datetime.fromisoformat(row[0]) + timedelta(
+            seconds=draw(st.sampled_from(STAMP_SHIFTS)))
+        row[0] = moved.isoformat()
+        kind = "other"
+    elif edit == "prefix":
+        row[0] = draw(st.sampled_from(["0", "T", ":", "x"])) + row[0]
+        kind = "other"
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n", kind
+
+
+class TestWholeCountReader:
+    """Canonical blocks whose counts are all whole are read from the bytes
+    by _read_whole_block, and other blocks by loadtxt, to the same series."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400)
+    @given(whole_count_files(), st.integers(1, 3), st.sampled_from([48, 100, ingest._SCAN]))
+    @example(("timestamp,vm\n2016-05-01T08:30:00,9007199254740993\n"
+              "2016-05-01T08:31:00,999999999999999999.0\n", "whole"), 1, ingest._SCAN)
+    @example(("timestamp,vm\n2016-05-01T08:30:00,0009999999999999999\n"
+              "2016-05-01T08:31:00,7.0\n", "canonical"), 3, ingest._SCAN)
+    @example(("timestamp,vm\n2016-05-01T08:30:00,1\n2016-05-01T08:31:00,"
+              "9999999999999999999\n2016-05-01T08:32:00,1\n", "canonical"), 3, ingest._SCAN)
+    # a read that holds only the row with no count
+    @example(("timestamp,vm\n2016-05-01T08:30:00,1\n2016-05-01T08:31:00,\n"
+              "2016-05-01T08:32:00,1\n", "other"), 3, 24)
+    @example(("timestamp,vm\n2016-05-01T08:30:00,1\n2016-05-01T08:31:00,1\n"
+              "02016-05-01T08:32:00,1\n2016-05-01T08:33:00,1\n", "other"), 3, ingest._SCAN)
+    @example(("timestamp,vm\n2016-05-01T08:30:00,1\n2016-05-01T08:31:00,1\n"
+              "2016-05-01T08:32:01,1\n2016-05-01T08:33:00,1\n", "other"), 3, ingest._SCAN)
+    def test_same_series_or_same_error(self, case, block, scan):
+        """Blocks of 1-3 rows, so that whole and other blocks mix, and reads
+        of ``scan`` bytes, so that a read ends inside a row or holds none."""
+        text, kind = case
+        expected = parse_outcome(row_loop_parse_triaxial_csv, text)
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
+              mock.patch.object(ingest, "_SCAN", scan),
+              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+            assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
+            if kind != "other":
+                assert _parse_columnar(text.encode(), "s1") is not None
+        if kind == "whole" and scan == ingest._SCAN:
+            assert not loadtxt.called
+
+    @pytest.mark.parametrize("header", ["timestamp,axis1,axis2,axis3", "timestamp,vm"])
+    def test_whole_count_files_never_call_loadtxt(self, header):
+        width = header.count(",")
+        # whole counts of 1 to 16 digits, so that fields of one block differ
+        # in length
+        rng = np.random.default_rng(5)
+        samples = np.zeros((50, 3))
+        samples[:, :width] = (rng.integers(1, 10, (50, width))
+                              * 10.0 ** rng.integers(0, 16, (50, width)))
+        series = TriaxialSeries("s1", STARTS[1], 15, samples)
+        text = serialize_triaxial_csv(series).replace("timestamp,axis1,axis2,axis3", header)
+        if width == 1:
+            text = text.replace(",0.0,0.0\n", "\n")
+        for block in (7, _STAMP_BLOCK):
+            with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
+                  mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+                assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
+            assert not loadtxt.called
+
+    def test_other_blocks_go_to_loadtxt_from_their_first_row(self):
+        """A first block of repr floats, then a whole block with one other
+        count in a later row: loadtxt reads those two blocks, and
+        _read_whole_block the other two."""
+        samples = second_counts(28)
+        samples[:7] = np.random.default_rng(1).uniform(0, 100, (7, 3))
+        samples[12, 2] = 1e-3
+        series = TriaxialSeries("s1", STARTS[0], 60, samples)
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", 7),
+              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+            text = serialize_triaxial_csv(series)
+            assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
+        assert [call.kwargs["max_rows"] for call in loadtxt.call_args_list] == [7, 7]
+        assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
+            row_loop_parse_triaxial_csv, text)
 
 
 # counts around the writer's rule: a whole count below 1e16 and not -0.0
