@@ -9,7 +9,8 @@ features.csv and cosinor.csv. The demo's epoch files hold the writer's
 float counts, so this script also writes, once and with its own
 formatting, a cohort of whole counts as device exports hold them: four
 subjects, one per group, 6 days at 15 s epochs of seeded Poisson counts,
-written as plain digits for two subjects and as ``%d.0`` for the others.
+written as plain digits for two subjects and as ``%d.0`` for the others;
+one subject's stamps cross a month end and a year end.
 Each tree then runs ``run`` on that cohort. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, and the exit status is then 1.
@@ -69,15 +70,17 @@ def write_whole_cohort(root: Path) -> Path:
     """Write the whole-count cohort under root and return its manifest's
     path. Each subject's three axes are Poisson counts around a daily
     cosine; subjects 0 and 2 are written as plain digits, 1 and 3 as
-    ``%d.0``."""
+    ``%d.0``. Subject 3's stamps run from 2016-12-28 across a month end and
+    a year end, the others' from 2016-05-01."""
     root.mkdir()
     rng = np.random.default_rng(17)
     n = WHOLE_DAYS * 86400 // WHOLE_EPOCH
     hours = np.arange(n) * WHOLE_EPOCH / 3600
-    stamps = [(datetime(2016, 5, 1) + timedelta(seconds=i * WHOLE_EPOCH)).isoformat()
-              for i in range(n)]
     manifest = ["subject_id,group,path"]
     for i, group in enumerate(GROUPS):
+        start = datetime(2016, 12, 28) if i == 3 else datetime(2016, 5, 1)
+        stamps = [(start + timedelta(seconds=k * WHOLE_EPOCH)).isoformat()
+                  for k in range(n)]
         rate = 5 + 10 * i + (30 + 20 * i) * (1 + np.cos((hours - 14 - i) * np.pi / 12))
         counts = rng.poisson(np.outer(rate, (0.8, 0.48, 0.36))).tolist()
         row = "%s,%d,%d,%d\n" if i % 2 == 0 else "%s,%d.0,%d.0,%d.0\n"

@@ -12,8 +12,11 @@ Epoch files are written, and parsed when in canonical form, a block of
 rows at a time, so that such a parse holds the file's bytes, the parsed
 samples and one block. A canonical block of whole counts, as device
 exports and the writer's ``%d.0`` rule give, is read straight from the
-bytes with numpy, and any other canonical block by ``np.loadtxt``; any
-other epoch file is parsed row by row from its decoded text.
+bytes with numpy, its stamps compared as 8-byte words computed from the
+grid and every other byte checked as it is read. Any other canonical
+block is read by ``np.loadtxt``, after one pass over the rest of the
+file for bytes and blank lines that loadtxt reads otherwise than the row
+loop. Any other epoch file is parsed row by row from its decoded text.
 """
 
 from __future__ import annotations
@@ -84,6 +87,25 @@ _STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
 _STAMP_PARTS = np.dtype([("date", "S10"), ("t", "S1"), ("h", "S2"), ("c1", "S1"),
                          ("m", "S2"), ("c2", "S1"), ("s", "S2")])
 _TWO_DIGITS = np.array([b"%02d" % i for i in range(60)])
+
+
+def _word_table(parts: np.ndarray, at: int) -> np.ndarray:
+    """The little-endian 8-byte words that hold each row of ``parts``, a
+    (k, size) uint8 array, at byte ``at``, and zeros elsewhere."""
+    table = np.zeros((len(parts), 8), np.uint8)
+    table[:, at:at + parts.shape[1]] = parts
+    return table.view("<u8").ravel()
+
+
+# The time of a canonical stamp in the words _stamp_words makes: for each
+# minute of the day, "HH:MM" as bytes 11-15 of the word at byte 8 and
+# "HH:MM:" as bytes 11-16 of the word at byte 11; for each second of the
+# minute, "SS" as bytes 17-18 of the word at byte 11.
+_CLOCK = np.frombuffer(b"".join(b"%02d:%02d:" % divmod(m, 60) for m in range(1440)),
+                       np.uint8).reshape(1440, 6)
+_MINUTE_WORDS = (_word_table(_CLOCK[:, :5], 3), _word_table(_CLOCK, 0))
+_SECOND_WORDS = _word_table(_TWO_DIGITS.view(np.uint8).reshape(60, 2), 6)
+
 # Rows made, or read by the columnar parse, at a time, with their stamps;
 # bounds the working memory of the writer and of that parse.
 _STAMP_BLOCK = 65536
@@ -126,9 +148,11 @@ class TriaxialSeries:
             raise IrregularEpoch(
                 f"epoch of {self.epoch_length} s does not align with minutes")
         if samples.size:
-            if not np.all(np.isfinite(samples)):
+            # NaN is the min and max of any array that holds one
+            low, high = samples.min(), samples.max()
+            if not (math.isfinite(low) and math.isfinite(high)):
                 raise ValueError("counts must be finite")
-            if samples.min() < 0:
+            if low < 0:
                 raise NegativeCount("counts must be non-negative")
 
     def __len__(self) -> int:
@@ -249,6 +273,42 @@ def _stamp_column(start: datetime, epoch: int, n: int) -> np.ndarray:
     return stamps.view("S19")
 
 
+def _stamp_words(start: datetime, epoch: int, n: int) -> np.ndarray:
+    """The canonical stamps of _stamp_column's grid as a (3, n) array of
+    the little-endian 8-byte words at bytes 0-7, 8-15 and 11-18 of each
+    stamp, the form in which _read_whole_rows compares them. ``epoch``
+    divides a minute or is whole minutes, as TriaxialSeries requires.
+
+    The grid is laid out in slots, one for each minute it passes through,
+    of the rows in that minute. A slot's day and minute give the words of
+    its date and minute, and a row's place in its slot its second, so no
+    stamp is made and the only work per row is to write its words. A grid
+    that runs past year 9999 raises OverflowError, as in _stamp_column.
+    """
+    if n:
+        start + timedelta(seconds=epoch * (n - 1))
+    midnight = start.replace(hour=0, minute=0, second=0)
+    clock = (start - midnight).seconds
+    # rows a slot, and minutes between slots; the first slot has `lead`
+    # rows before the start, and its first row is at `second`
+    per, step = max(60 // epoch, 1), max(epoch // 60, 1)
+    lead, second = divmod(clock % 60, epoch)
+    minute = np.arange(-(-(lead + n) // per) if n else 0) * step + clock // 60
+    day = minute // 1440
+    minute -= 1440 * day
+    # each day's "YYYY-MM-DDT" and five zeros, as the words at bytes 0 and 8
+    dates = np.zeros((day[-1] + 1 if n else 0, 16), np.uint8)
+    days = np.datetime64(midnight, "D") + np.arange(len(dates))
+    dates[:, :10] = days.astype("S10").view(np.uint8).reshape(-1, 10)
+    dates[:, 10] = ord("T")
+    dates = dates.view("<u8")[day]
+    words = np.empty((3, len(minute), per), "<u8")
+    words[0] = dates[:, :1]
+    words[1] = (dates[:, 1] + _MINUTE_WORDS[0][minute])[:, None]
+    np.add(_MINUTE_WORDS[1][minute][:, None], _SECOND_WORDS[second::epoch], out=words[2])
+    return words.reshape(3, -1)[:, lead:lead + n]
+
+
 def _stamp_blocks(start: datetime, epoch: int, n: int):
     """``(i, stamps)`` for each block of _STAMP_BLOCK rows of the grid of
     _stamp_column, i its first row, so that no caller holds the whole
@@ -313,14 +373,16 @@ def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.
     return values
 
 
-def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
+def _read_whole_rows(window: np.ndarray, words: np.ndarray,
                      out: np.ndarray) -> tuple[int, int] | None:
     """Fill the first k rows of ``out``, an (m, width) view of the samples,
     with the counts of the k complete rows that ``window`` starts with,
-    k <= m, if those rows are the first k ``stamps`` byte for byte with
-    whole counts (see _WHOLE_ROW), and return k and the rows' length in
-    bytes; None if any row breaks that form or the window holds no complete
-    row."""
+    k <= m, if those rows are the first k stamps of ``words``, a (3, m)
+    array from _stamp_words, byte for byte with whole counts (see
+    _WHOLE_ROW), and return k and the rows' length in bytes; None if any
+    row breaks that form or the window holds no complete row. Every byte of
+    the k rows is checked: the stamp's as three words, and each other one
+    as a comma, LF, digit or the ".0" of a count."""
     m, width = out.shape
     # a whole-count row's only bytes at or below the comma: the comma after
     # the stamp and before each other count, and LF
@@ -332,12 +394,11 @@ def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
     if (sep[0, 0] != 19 or not np.array_equal(sep[1:, 0], sep[:-1, -1] + 20)
             or np.any(window[sep] != np.frombuffer(b"," * width + b"\n", np.uint8))):
         return None
-    # the stamps as three overlapping 8-byte words: bytes 0-7, 8-15, 11-18
-    words = np.ndarray((window.size - 7,), "<u8", window, strides=(1,))
+    # the window's 8-byte words at every offset
+    window_words = np.ndarray((window.size - 7,), "<u8", window, strides=(1,))
     start = sep[:, 0] - 19
-    for at in (0, 8, 11):
-        if not np.array_equal(words[start + at],
-                              np.ndarray((k,), "<u8", stamps, at, (19,))):
+    for at, stamp_words in zip((0, 8, 11), words):
+        if not np.array_equal(window_words[start + at], stamp_words[:k]):
             return None
     values = _whole_counts(window, sep[:, :-1] + 1, sep[:, 1:])
     if values is None:
@@ -346,29 +407,42 @@ def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
     return k, int(sep[-1, -1]) + 1
 
 
-def _read_whole_block(content: bytes, pos: int, stamps: np.ndarray,
+def _read_whole_block(content: bytes, pos: int, words: np.ndarray,
                       out: np.ndarray) -> int | None:
     """Fill ``out``, an (m, width) view of the samples, with the counts of
-    the m rows of ``content`` from byte ``pos`` if those rows are the given
-    stamps byte for byte with whole counts, and return the offset after
-    them; None if the first row's counts are not whole or any row breaks
-    that form. Reads the rows straight from the bytes, _SCAN bytes at a
-    time, so that its temporaries stay below a loadtxt block's."""
+    the m rows of ``content`` from byte ``pos`` if those rows are the
+    stamps of ``words``, a (3, m) array from _stamp_words, byte for byte
+    with whole counts, and return the offset after them; None if any row
+    breaks that form. Reads the rows straight from the bytes, _SCAN bytes
+    at a time, so that its temporaries stay below a loadtxt block's."""
     m, width = out.shape
-    if not _WHOLE_ROW[width].match(content, pos):
-        return None
     row = 0
     while row < m:
         # at most _SCAN bytes, and no more than the rows left can fill: a
         # stamp, a comma and up to 20 bytes for each count, and LF
         size = min(_SCAN, (m - row) * (20 + 21 * width), len(content) - pos)
         window = np.frombuffer(content, np.uint8, size, pos)
-        read = _read_whole_rows(window, stamps[row:], out[row:])
+        read = _read_whole_rows(window, words[:, row:], out[row:])
         if read is None:
             return None
         row += read[0]
         pos += read[1]
     return pos
+
+
+def _line_feeds(content: bytes, pos: int) -> int | None:
+    """The number of LFs in ``content`` from byte ``pos`` on if every byte
+    there is one of _CANONICAL_BYTES; None otherwise. Reads at most _SCAN
+    bytes at a time, and no more than a block's rows hold at the least, so
+    that its temporaries stay below a loadtxt block's."""
+    step = min(_SCAN, 22 * _STAMP_BLOCK)
+    count = 0
+    for at in range(pos, len(content), step):
+        part = content[at:at + step]
+        if part.translate(None, _CANONICAL_BYTES):
+            return None
+        count += part.count(b"\n")
+    return count
 
 
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
@@ -380,9 +454,9 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     positive epoch, byte for byte, and at least two rows of finite,
     non-negative counts. It holds only _CANONICAL_BYTES, so loadtxt's
     float syntax there is a subset of float()'s with bit-identical values,
-    and the file parses to the same series in the row loop. An epoch that
-    does not align with minutes is reported by TriaxialSeries, as it is
-    after the row loop.
+    and the file parses to the same series in the row loop. A file whose
+    epoch does not align with minutes goes to the row loop, after which
+    TriaxialSeries reports it.
 
     The header and the first two stamps are checked before any pass over
     the whole file, so most other files cost only those few bytes. The row
@@ -390,11 +464,15 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     file's size before the samples array is made. That array is then
     filled _STAMP_BLOCK rows at a time, so the parse holds the file's
     bytes, the samples and one block. The block's first row picks its
-    reader: when its counts are whole, _read_whole_block reads the block
-    from the bytes, and when they are not, or a later row breaks that form,
-    one loadtxt call reads it again from the same offset. Either reader
-    gives the float() of each count, so the samples do not depend on which
-    one ran.
+    reader. When its counts are whole (see _WHOLE_ROW), _read_whole_block
+    reads the block from the bytes against the grid's _stamp_words, and
+    checks each byte it reads. When they are not, or a later row breaks
+    that form, one loadtxt call reads the block again from the same
+    offset against its _stamp_column. Before the first such call, the rest
+    of the file is checked once for bytes outside _CANONICAL_BYTES and for
+    an LF in excess of its rows (a blank line), which loadtxt would read
+    otherwise than the row loop. Either reader gives the float() of each
+    count, so the samples do not depend on which one ran.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
@@ -407,7 +485,7 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
         return None
     epoch = int((second - start).total_seconds())
     last = _read_stamp(content[content.rfind(b"\n", 0, len(content) - 1) + 1:])
-    if epoch <= 0 or last is None or content.translate(None, _CANONICAL_BYTES):
+    if epoch <= 0 or (60 % epoch and epoch % 60) or last is None:
         return None
     steps, off_grid = divmod(int((last - start).total_seconds()), epoch)
     n = steps + 1
@@ -416,19 +494,22 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
         return None
     samples = np.zeros((n, 3))
     pos = len(header)
-    blanks_checked = False
-    for i, stamps in _stamp_blocks(start, epoch, n):
-        block = samples[i:i + stamps.size, :width]
-        end = _read_whole_block(content, pos, stamps, block)
+    checked = False
+    for i in range(0, n, _STAMP_BLOCK):
+        block = samples[i:i + _STAMP_BLOCK, :width]
+        first = start + timedelta(seconds=i * epoch)
+        end = None
+        if _WHOLE_ROW[width].match(content, pos):
+            end = _read_whole_block(content, pos, _stamp_words(first, epoch, len(block)),
+                                    block)
         if end is None:
-            # loadtxt skips a blank line, with a warning, where
-            # _read_whole_block turns it away; so before loadtxt's first
-            # block, the rest of the file is searched for one
-            if not blanks_checked and content.find(b"\n\n", pos - 1) >= 0:
+            # one LF for each row left, but for a last row without one
+            if not checked and _line_feeds(content, pos) != (
+                    n - i - (not content.endswith(b"\n"))):
                 return None
-            blanks_checked = True
+            checked = True
             lines.seek(pos)
-            if not _load_block(lines, stamps, block):
+            if not _load_block(lines, _stamp_column(first, epoch, len(block)), block):
                 return None
             end = lines.tell()
         pos = end

@@ -18,6 +18,7 @@ from actirhythm.ingest import (
     _STAMP_BLOCK,
     _parse_columnar,
     _stamp_column,
+    _stamp_words,
     aggregate_to_minutes,
     generate_synthetic,
     load_manifest,
@@ -151,6 +152,22 @@ class TestParse:
                                 np.array([[0.1, 2.3456789012345, 7e-3]]))
         again = parse_triaxial_csv(serialize_triaxial_csv(series), "subj")
         assert_series_equal(series, again)
+
+
+class TestTriaxialSeries:
+    @pytest.mark.parametrize("bad", [
+        [[1.0, np.nan, -2.0]], [[-2.0, 1.0, np.nan]], [[0.0, -np.inf, 1.0]],
+        [[np.inf, 1.0, -2.0]], [[-2.0, 0.0, np.inf]], [[np.nan, np.inf, -np.inf]],
+    ])
+    def test_non_finite_counts_raise_before_negative_ones(self, bad):
+        samples = np.vstack([np.ones((4, 3)), bad])
+        with pytest.raises(ValueError, match="^counts must be finite$") as exc:
+            TriaxialSeries("s1", datetime(2016, 5, 1), 60, samples)
+        assert not isinstance(exc.value, errors.NegativeCount)
+
+    def test_negative_count(self):
+        with pytest.raises(errors.NegativeCount, match="^counts must be non-negative$"):
+            TriaxialSeries("s1", datetime(2016, 5, 1), 60, [[1.0, -5e-324, 1e308]])
 
 
 HEADERS = ["timestamp,axis1,axis2,axis3", "timestamp,vm",
@@ -314,6 +331,17 @@ class TestColumnarMatchesRowLoop:
         assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
             row_loop_parse_triaxial_csv, text)
 
+    @pytest.mark.parametrize("epoch", [7, 45, 61, 90])
+    @pytest.mark.parametrize("counts", ["1,2,3", "1.5,2,3"])
+    def test_epochs_off_the_minute_go_to_the_row_loop(self, epoch, counts):
+        text = HEADER + "".join(
+            f"{(STARTS[1] + timedelta(seconds=k * epoch)).isoformat()},{counts}\n"
+            for k in range(5))
+        assert _parse_columnar(text.encode(), "s1") is None
+        outcome = parse_outcome(parse_triaxial_csv, text.encode())
+        assert outcome[0] is errors.IrregularEpoch
+        assert outcome == parse_outcome(row_loop_parse_triaxial_csv, text)
+
     @pytest.mark.parametrize("text", [CANONICAL, CANONICAL.replace("\n", "\r\n")])
     def test_byte_order_mark_is_skipped(self, text):
         expected = parse_outcome(parse_triaxial_csv, text.encode())
@@ -432,10 +460,7 @@ class TestMemoryBounds:
             block_peak, _ = traced_peak(_parse_columnar, one_block, "s1")
             peak, series = traced_peak(_parse_columnar, content, "s1")
         assert series is not None and len(series) == self.ROWS
-        # the byte check's translate allocates a result as long as the file
-        # before the samples exist; it writes no byte of a canonical file,
-        # so it is traced but never resident
-        assert peak <= max(len(content), series.samples.nbytes + 2 * block_peak)
+        assert peak <= series.samples.nbytes + 2 * block_peak
 
     def test_writer_holds_twice_its_text_and_one_block(self):
         series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(self.ROWS))
@@ -569,6 +594,65 @@ class TestWholeCountReader:
             row_loop_parse_triaxial_csv, text)
 
 
+# bytes no canonical file holds: numpy and the csv module read each of them
+# otherwise than the row loop, or it is not UTF-8, or a byte-order mark
+# past the start of the file
+NOT_CANONICAL = [b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\t",
+                 b"\x7f", b"\xff", b"\xc3", codecs.BOM_UTF8]
+WHOLE_TEXT = serialize_triaxial_csv(TriaxialSeries("s1", STARTS[1], 15, second_counts(8)))
+
+
+def row_loop_outcome(content):
+    """parse_outcome of parse_triaxial_csv's own row loop, which also reads
+    bytes that are not UTF-8."""
+    with mock.patch.object(ingest, "_parse_columnar", return_value=None):
+        return parse_outcome(parse_triaxial_csv, content)
+
+
+class TestWholeCountBytes:
+    """A whole-count file is checked byte by byte: by _read_whole_rows in its
+    whole blocks, and by _line_feeds before loadtxt reads any block."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [3, _STAMP_BLOCK])
+    @pytest.mark.parametrize("place", ["stamp start", "stamp end", "count start",
+                                       "count end", "after the last LF"])
+    @pytest.mark.parametrize("byte", NOT_CANONICAL, ids=lambda b: b.hex())
+    def test_other_bytes_go_to_the_row_loop(self, byte, place, block):
+        content = WHOLE_TEXT.encode()
+        # the seventh row, which starts the third block of three rows
+        row = content.index(b"\n", content.index(b"T00:01:00")) + 1
+        at = {"stamp start": row, "stamp end": row + 19, "count start": row + 20,
+              "count end": content.index(b"\n", row),
+              "after the last LF": len(content)}[place]
+        content = content[:at] + byte + content[at:]
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            assert _parse_columnar(content, "s1") is None
+            assert parse_outcome(parse_triaxial_csv, content) == row_loop_outcome(content)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [2, 3, _STAMP_BLOCK])
+    @pytest.mark.parametrize("counts", ["whole", "halves"])
+    @pytest.mark.parametrize("final_lf", [True, False])
+    @pytest.mark.parametrize("blank", [None, 1, 4, 7])
+    def test_blank_lines_and_a_last_row_without_lf(self, blank, final_lf, counts, block):
+        """A blank line is one LF more than the rows; a last row without
+        LF one fewer, and the file is still canonical."""
+        samples = second_counts(8) + (0.5 if counts == "halves" else 0.0)
+        lines = serialize_triaxial_csv(TriaxialSeries("s1", STARTS[1], 15, samples)).split("\n")
+        if blank is not None:
+            lines.insert(blank + 1, "")
+        text = "\n".join(lines) if final_lf else "\n".join(lines).removesuffix("\n")
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            series = _parse_columnar(text.encode(), "s1")
+            assert parse_outcome(parse_triaxial_csv, text.encode()) == parse_outcome(
+                row_loop_parse_triaxial_csv, text)
+        if blank is None:
+            assert_series_equal(series, row_loop_parse_triaxial_csv(text, "s1"))
+        else:
+            assert series is None
+
+
 # counts around the writer's rule: a whole count below 1e16 and not -0.0
 # is written as %d.0, anything else as its repr
 EDGE_COUNTS = [0.0, -0.0, 5e-324, 0.5, 2.0 ** 53, 2.0 ** 53 + 2, 1e16 - 2, 1e16, 1e22]
@@ -621,18 +705,25 @@ class TestWholeCountWriter:
 LAST_DAY = date(9999, 12, 31)
 
 
+def stamp_grids(test):
+    """Run ``test`` on grids of start day, second of that day, epoch and
+    row count, some of which run past year 9999."""
+    for args in [(LAST_DAY, 86340, 1, 60), (LAST_DAY, 86340, 1, 61),
+                 (LAST_DAY, 0, 86400, 1), (LAST_DAY, 86399, 1, 0),
+                 (date(2015, 12, 31), 86399, 1, 2)]:
+        test = example(*args)(test)
+    test = given(st.sampled_from([date(2016, 2, 28), date(2016, 2, 29), date(2015, 2, 28),
+                                  date(2100, 2, 28), date(2000, 2, 29), date(2015, 12, 31),
+                                  date(1, 1, 1), date(999, 12, 31), LAST_DAY]),
+                 st.one_of(st.sampled_from([0, 86399, 86340]), st.integers(0, 86399)),
+                 st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60,
+                                  120, 420, 3600, 86400]),
+                 st.integers(0, 3000))(test)
+    return settings(max_examples=300)(test)
+
+
 class TestStampColumn:
-    @settings(max_examples=300)
-    @given(st.sampled_from([date(2016, 2, 28), date(2016, 2, 29), date(2015, 2, 28),
-                            date(2100, 2, 28), date(2000, 2, 29), date(2015, 12, 31),
-                            date(1, 1, 1), date(999, 12, 31), LAST_DAY]),
-           st.one_of(st.sampled_from([0, 86399, 86340]), st.integers(0, 86399)),
-           st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60,
-                            120, 420, 3600, 86400]),
-           st.integers(0, 3000))
-    @example(LAST_DAY, 86340, 1, 60)
-    @example(LAST_DAY, 86340, 1, 61)
-    @example(LAST_DAY, 0, 86400, 1)
+    @stamp_grids
     def test_matches_numpy_stamps(self, day, second, epoch, n):
         start = datetime.combine(day, datetime.min.time()) + timedelta(seconds=second)
         grid = np.datetime64(start, "s") + epoch * np.arange(n)
@@ -645,6 +736,24 @@ class TestStampColumn:
         # every byte, so that a NUL the S19 comparison ignores still counts
         wrong = np.flatnonzero(stamps.view(np.uint8) != expected.view(np.uint8)) // 19
         assert wrong.size == 0, (stamps[wrong[0]], expected[wrong[0]])
+
+    @stamp_grids
+    def test_words_are_the_stamp_columns_bytes(self, day, second, epoch, n):
+        start = datetime.combine(day, datetime.min.time()) + timedelta(seconds=second)
+        try:
+            stamps = _stamp_column(start, epoch, n)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _stamp_words(start, epoch, n)
+            return
+        words = _stamp_words(start, epoch, n)
+        assert words.dtype == np.dtype("<u8") and words.shape == (3, n)
+        # each row's three words as bytes: stamp bytes 0-7, 8-15 and 11-18
+        got = np.ascontiguousarray(words.T).view(np.uint8).reshape(n, 3, 8)
+        expected = stamps.view(np.uint8).reshape(n, 19)
+        for word, at in enumerate((0, 8, 11)):
+            wrong = np.flatnonzero((got[:, word] != expected[:, at:at + 8]).any(axis=1))
+            assert wrong.size == 0, (word, stamps[wrong[0]], got[wrong[0]].tobytes())
 
 
 class TestAggregate:
