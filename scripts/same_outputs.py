@@ -7,10 +7,12 @@ log1p transform and under ``--transform raw``. Each tree then runs
 ``compare --exact`` and ``compare --posthoc dunn`` on its own run's
 features.csv and cosinor.csv. The demo's epoch files hold the writer's
 float counts, so this script also writes, once and with its own
-formatting, a cohort of whole counts as device exports hold them: four
-subjects, one per group, 6 days at 15 s epochs of seeded Poisson counts,
-written as plain digits for two subjects and as ``%d.0`` for the others;
-one subject's stamps cross a month end and a year end.
+formatting, a cohort of whole counts as device exports hold them: five
+subjects, 6 days of seeded Poisson counts, written as plain digits for
+three subjects and as ``%d.0`` for the others. Four, one per group, have
+15 s epochs, and one of those has stamps that cross a month end and a
+year end. The fifth has 5 s epochs from 15 s before midnight, so that the
+parse's second block of 65,536 rows starts in the middle of a minute.
 Each tree then runs ``run`` on that cohort. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, and the exit status is then 1.
@@ -33,7 +35,10 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = [(seed, transform) for seed in (1, 2) for transform in ("log1p", "raw")]
 COMPARES = {"compare-exact": ["--exact"], "compare-dunn": ["--posthoc", "dunn"]}
 GROUPS = ("control_icu", "cci", "rr", "control_healthy")
-WHOLE_DAYS, WHOLE_EPOCH = 6, 15
+WHOLE_DAYS = 6
+# each whole-count subject's first stamp and epoch in seconds
+WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15)] * 3 + [(datetime(2016, 12, 28), 15)]
+               + [(datetime(2016, 5, 1, 23, 59, 45), 5)])
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
@@ -69,18 +74,16 @@ def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
 def write_whole_cohort(root: Path) -> Path:
     """Write the whole-count cohort under root and return its manifest's
     path. Each subject's three axes are Poisson counts around a daily
-    cosine; subjects 0 and 2 are written as plain digits, 1 and 3 as
-    ``%d.0``. Subject 3's stamps run from 2016-12-28 across a month end and
-    a year end, the others' from 2016-05-01."""
+    cosine, on its grid of WHOLE_GRIDS; subjects 0, 2 and 4 are written as
+    plain digits, 1 and 3 as ``%d.0``."""
     root.mkdir()
     rng = np.random.default_rng(17)
-    n = WHOLE_DAYS * 86400 // WHOLE_EPOCH
-    hours = np.arange(n) * WHOLE_EPOCH / 3600
     manifest = ["subject_id,group,path"]
-    for i, group in enumerate(GROUPS):
-        start = datetime(2016, 12, 28) if i == 3 else datetime(2016, 5, 1)
-        stamps = [(start + timedelta(seconds=k * WHOLE_EPOCH)).isoformat()
-                  for k in range(n)]
+    for i, (start, epoch) in enumerate(WHOLE_GRIDS):
+        group = GROUPS[i % len(GROUPS)]
+        n = WHOLE_DAYS * 86400 // epoch
+        hours = np.arange(n) * epoch / 3600
+        stamps = [(start + timedelta(seconds=k * epoch)).isoformat() for k in range(n)]
         rate = 5 + 10 * i + (30 + 20 * i) * (1 + np.cos((hours - 14 - i) * np.pi / 12))
         counts = rng.poisson(np.outer(rate, (0.8, 0.48, 0.36))).tolist()
         row = "%s,%d,%d,%d\n" if i % 2 == 0 else "%s,%d.0,%d.0,%d.0\n"

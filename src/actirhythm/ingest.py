@@ -10,10 +10,11 @@ File formats:
 
 Epoch files are written, and parsed when in canonical form, a block of
 rows at a time, so that such a parse holds the file's bytes, the parsed
-samples and one block. A canonical block of whole counts, as device
-exports and the writer's ``%d.0`` rule give, is read straight from the
-bytes with numpy, its stamps compared as 8-byte words computed from the
-grid and every other byte checked as it is read. Any other canonical
+samples and one block. Each block's stamps come from _stamp_blocks, the
+one generator of canonical stamps. A canonical block of whole counts, as
+device exports and the writer's ``%d.0`` rule give, is read straight from
+the bytes with numpy, its stamps compared as 8-byte words of those stamps
+and every other byte checked as it is read. Any other canonical
 block is read by ``np.loadtxt``, after one pass over the rest of the
 file for bytes and blank lines that loadtxt reads otherwise than the row
 loop. Any other epoch file is parsed row by row from its decoded text.
@@ -82,29 +83,22 @@ _MANIFEST_HEADER = ("subject_id", "group", "path")
 # 0x1c-0x1f around a number where float() rejects them.
 _CANONICAL_BYTES = bytes(c for c in range(0x20, 0x7f) if c != ord('"')) + b"\n"
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
-# The parts of a canonical stamp, packed into its 19 bytes, and the
-# two-digit hours, minutes and seconds they are picked from.
-_STAMP_PARTS = np.dtype([("date", "S10"), ("t", "S1"), ("h", "S2"), ("c1", "S1"),
-                         ("m", "S2"), ("c2", "S1"), ("s", "S2")])
-_TWO_DIGITS = np.array([b"%02d" % i for i in range(60)])
 
 
-def _word_table(parts: np.ndarray, at: int) -> np.ndarray:
-    """The little-endian 8-byte words that hold each row of ``parts``, a
-    (k, size) uint8 array, at byte ``at``, and zeros elsewhere."""
+def _word_table(parts: list[bytes], at: int) -> np.ndarray:
+    """The little-endian 8-byte words that hold each of ``parts``, bytes
+    of one length, at byte ``at``, and zeros elsewhere."""
     table = np.zeros((len(parts), 8), np.uint8)
-    table[:, at:at + parts.shape[1]] = parts
+    table[:, at:at + len(parts[0])] = np.frombuffer(b"".join(parts), np.uint8).reshape(
+        len(parts), -1)
     return table.view("<u8").ravel()
 
 
-# The time of a canonical stamp in the words _stamp_words makes: for each
-# minute of the day, "HH:MM" as bytes 11-15 of the word at byte 8 and
-# "HH:MM:" as bytes 11-16 of the word at byte 11; for each second of the
-# minute, "SS" as bytes 17-18 of the word at byte 11.
-_CLOCK = np.frombuffer(b"".join(b"%02d:%02d:" % divmod(m, 60) for m in range(1440)),
-                       np.uint8).reshape(1440, 6)
-_MINUTE_WORDS = (_word_table(_CLOCK[:, :5], 3), _word_table(_CLOCK, 0))
-_SECOND_WORDS = _word_table(_TWO_DIGITS.view(np.uint8).reshape(60, 2), 6)
+# The time of a canonical stamp in the words _stamp_blocks makes: for each
+# minute of the day, "HH:MM" as stamp bytes 11-15 of the word at byte 8;
+# for each second of the minute, ":SS" as bytes 16-18 of the word at 16.
+_MINUTE_WORDS = _word_table([b"%02d:%02d" % divmod(m, 60) for m in range(1440)], 3)
+_SECOND_WORDS = _word_table([b":%02d" % s for s in range(60)], 0)
 
 # Rows made, or read by the columnar parse, at a time, with their stamps;
 # bounds the working memory of the writer and of that parse.
@@ -245,77 +239,58 @@ def _parse_count(text: str, line_no: int) -> float:
     return value
 
 
-def _stamp_column(start: datetime, epoch: int, n: int) -> np.ndarray:
-    """The canonical stamps of the grid ``start + i * epoch`` seconds,
-    i < n: ``YYYY-MM-DDTHH:MM:SS`` as an S19 array, the one definition of a
-    canonical stamp for writing and parsing alike.
+def _stamp_blocks(start: datetime, epoch: int, n: int):
+    """``(i, stamps)`` for each block of _STAMP_BLOCK rows of the grid
+    ``start + i * epoch`` seconds, i < n, i the block's first row: the one
+    definition of a canonical stamp, ``YYYY-MM-DDTHH:MM:SS``, for writing
+    and parsing alike, made a block at a time so that no caller holds the
+    whole column.
 
-    ``start`` is naive and whole-second. Each calendar day's date is
-    formatted once and the times are picked from a two-digit table, so no
-    datetime is formatted per row. A grid that runs past year 9999 raises
-    OverflowError, as its last stamp would.
+    ``stamps`` is an S24 array: each stamp's 19 bytes and five NULs, which
+    numpy compares and lists as the stamp. Its bytes read as three
+    little-endian 8-byte words a stamp, of stamp bytes 0-7, 8-15 and 16-18.
+    It is a view of one buffer, made once per grid and filled again for
+    each block, so it is valid only until the next block is made.
+
+    ``start`` is naive and whole-second, and ``epoch`` divides a minute or
+    is whole minutes, as TriaxialSeries requires. The grid is laid out in
+    slots, one for each minute it passes through, of the rows in that
+    minute; the first slot has ``lead`` rows before the start, and a block
+    that starts in a slot's middle skips that slot's rows before it. A
+    slot's day and minute give its date and minute words, and a row's
+    place in its slot its second word, which is the same in every slot, so
+    no stamp is formatted and the only work per row is to write its words.
+    A grid that runs past year 9999 raises OverflowError before the first
+    block, as its last stamp would.
     """
-    if n:
-        start + timedelta(seconds=epoch * (n - 1))
-    midnight = start.replace(hour=0, minute=0, second=0)
-    clock = np.arange(n)   # seconds from midnight, worked on in place
-    clock *= epoch
-    clock += (start - midnight).seconds
-    stamps = np.empty(n, _STAMP_PARTS)
-    days = np.datetime64(midnight, "D") + np.arange(clock[-1] // 86400 + 1 if n else 0)
-    stamps["date"] = days.astype("S10")[clock // 86400]
-    stamps["t"], stamps["c1"], stamps["c2"] = b"T", b":", b":"
-    clock %= 86400
-    for part in ("s", "m"):
-        stamps[part] = _TWO_DIGITS[clock % 60]
-        clock //= 60
-    stamps["h"] = _TWO_DIGITS[clock]
-    return stamps.view("S19")
-
-
-def _stamp_words(start: datetime, epoch: int, n: int) -> np.ndarray:
-    """The canonical stamps of _stamp_column's grid as a (3, n) array of
-    the little-endian 8-byte words at bytes 0-7, 8-15 and 11-18 of each
-    stamp, the form in which _read_whole_rows compares them. ``epoch``
-    divides a minute or is whole minutes, as TriaxialSeries requires.
-
-    The grid is laid out in slots, one for each minute it passes through,
-    of the rows in that minute. A slot's day and minute give the words of
-    its date and minute, and a row's place in its slot its second, so no
-    stamp is made and the only work per row is to write its words. A grid
-    that runs past year 9999 raises OverflowError, as in _stamp_column.
-    """
-    if n:
-        start + timedelta(seconds=epoch * (n - 1))
+    if not n:
+        return
+    start + timedelta(seconds=epoch * (n - 1))
     midnight = start.replace(hour=0, minute=0, second=0)
     clock = (start - midnight).seconds
-    # rows a slot, and minutes between slots; the first slot has `lead`
-    # rows before the start, and its first row is at `second`
+    # rows a slot, and minutes between slots; the first row is at `second`
     per, step = max(60 // epoch, 1), max(epoch // 60, 1)
     lead, second = divmod(clock % 60, epoch)
-    minute = np.arange(-(-(lead + n) // per) if n else 0) * step + clock // 60
-    day = minute // 1440
-    minute -= 1440 * day
-    # each day's "YYYY-MM-DDT" and five zeros, as the words at bytes 0 and 8
-    dates = np.zeros((day[-1] + 1 if n else 0, 16), np.uint8)
-    days = np.datetime64(midnight, "D") + np.arange(len(dates))
+    # each day's "YYYY-MM-DDT" and five zeros, as the words at bytes 0 and
+    # 8, through the day of the last row's minute
+    last = (lead + n - 1) // per * step + clock // 60
+    days = np.datetime64(midnight, "D") + np.arange(last // 1440 + 1)
+    dates = np.zeros((len(days), 16), np.uint8)
     dates[:, :10] = days.astype("S10").view(np.uint8).reshape(-1, 10)
     dates[:, 10] = ord("T")
-    dates = dates.view("<u8")[day]
-    words = np.empty((3, len(minute), per), "<u8")
-    words[0] = dates[:, :1]
-    words[1] = (dates[:, 1] + _MINUTE_WORDS[0][minute])[:, None]
-    np.add(_MINUTE_WORDS[1][minute][:, None], _SECOND_WORDS[second::epoch], out=words[2])
-    return words.reshape(3, -1)[:, lead:lead + n]
-
-
-def _stamp_blocks(start: datetime, epoch: int, n: int):
-    """``(i, stamps)`` for each block of _STAMP_BLOCK rows of the grid of
-    _stamp_column, i its first row, so that no caller holds the whole
-    column."""
+    dates = dates.view("<u8")
+    # as many slots as a block with the most rows skipped spans
+    buffer = np.zeros(-(-(per - 1 + min(n, _STAMP_BLOCK)) // per) * per, "S24")
+    words = buffer.view("<u8").reshape(-1, per, 3)
+    words[:, :, 2] = _SECOND_WORDS[second::epoch]
     for i in range(0, n, _STAMP_BLOCK):
-        yield i, _stamp_column(start + timedelta(seconds=i * epoch), epoch,
-                               min(_STAMP_BLOCK, n - i))
+        rows = min(_STAMP_BLOCK, n - i)
+        slot, skip = divmod(lead + i, per)
+        slots = -(-(skip + rows) // per)
+        day, minute = np.divmod(np.arange(slot, slot + slots) * step + clock // 60, 1440)
+        words[:slots, :, 0] = dates[day, :1]
+        words[:slots, :, 1] = (dates[day, 1] + _MINUTE_WORDS[minute])[:, None]
+        yield i, buffer[skip:skip + rows]
 
 
 def _read_stamp(line: bytes) -> datetime | None:
@@ -373,16 +348,16 @@ def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.
     return values
 
 
-def _read_whole_rows(window: np.ndarray, words: np.ndarray,
+def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
                      out: np.ndarray) -> tuple[int, int] | None:
     """Fill the first k rows of ``out``, an (m, width) view of the samples,
     with the counts of the k complete rows that ``window`` starts with,
-    k <= m, if those rows are the first k stamps of ``words``, a (3, m)
-    array from _stamp_words, byte for byte with whole counts (see
-    _WHOLE_ROW), and return k and the rows' length in bytes; None if any
-    row breaks that form or the window holds no complete row. Every byte of
-    the k rows is checked: the stamp's as three words, and each other one
-    as a comma, LF, digit or the ".0" of a count."""
+    k <= m, if those rows are the first k of ``stamps``, m stamps from
+    _stamp_blocks, byte for byte with whole counts (see _WHOLE_ROW), and
+    return k and the rows' length in bytes; None if any row breaks that
+    form or the window holds no complete row. Every byte of the k rows is
+    checked: the stamp's as the three words of _stamp_blocks, and each
+    other one as a comma, LF, digit or the ".0" of a count."""
     m, width = out.shape
     # a whole-count row's only bytes at or below the comma: the comma after
     # the stamp and before each other count, and LF
@@ -397,9 +372,12 @@ def _read_whole_rows(window: np.ndarray, words: np.ndarray,
     # the window's 8-byte words at every offset
     window_words = np.ndarray((window.size - 7,), "<u8", window, strides=(1,))
     start = sep[:, 0] - 19
-    for at, stamp_words in zip((0, 8, 11), words):
-        if not np.array_equal(window_words[start + at], stamp_words[:k]):
-            return None
+    words = stamps[:k].view("<u8").reshape(k, 3)
+    # stamp bytes 16-18 are the word at byte 11 with bytes 11-15 shifted out
+    if not (np.array_equal(window_words[start], words[:, 0])
+            and np.array_equal(window_words[start + 8], words[:, 1])
+            and np.array_equal(window_words[start + 11] >> 40, words[:, 2])):
+        return None
     values = _whole_counts(window, sep[:, :-1] + 1, sep[:, 1:])
     if values is None:
         return None
@@ -407,14 +385,14 @@ def _read_whole_rows(window: np.ndarray, words: np.ndarray,
     return k, int(sep[-1, -1]) + 1
 
 
-def _read_whole_block(content: bytes, pos: int, words: np.ndarray,
+def _read_whole_block(content: bytes, pos: int, stamps: np.ndarray,
                       out: np.ndarray) -> int | None:
     """Fill ``out``, an (m, width) view of the samples, with the counts of
-    the m rows of ``content`` from byte ``pos`` if those rows are the
-    stamps of ``words``, a (3, m) array from _stamp_words, byte for byte
-    with whole counts, and return the offset after them; None if any row
-    breaks that form. Reads the rows straight from the bytes, _SCAN bytes
-    at a time, so that its temporaries stay below a loadtxt block's."""
+    the m rows of ``content`` from byte ``pos`` if those rows are the m
+    ``stamps`` of a block of _stamp_blocks, byte for byte with whole
+    counts, and return the offset after them; None if any row breaks that
+    form. Reads the rows straight from the bytes, _SCAN bytes at a time, so
+    that its temporaries stay below a loadtxt block's."""
     m, width = out.shape
     row = 0
     while row < m:
@@ -422,7 +400,7 @@ def _read_whole_block(content: bytes, pos: int, words: np.ndarray,
         # stamp, a comma and up to 20 bytes for each count, and LF
         size = min(_SCAN, (m - row) * (20 + 21 * width), len(content) - pos)
         window = np.frombuffer(content, np.uint8, size, pos)
-        read = _read_whole_rows(window, words[:, row:], out[row:])
+        read = _read_whole_rows(window, stamps[row:], out[row:])
         if read is None:
             return None
         row += read[0]
@@ -450,7 +428,7 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     numpy; None for any other file.
 
     Canonical form is an exact lower-case header, no blank lines, the
-    stamps _stamp_column makes for the grid of the first stamp and a
+    stamps _stamp_blocks makes for the grid of the first stamp and a
     positive epoch, byte for byte, and at least two rows of finite,
     non-negative counts. It holds only _CANONICAL_BYTES, so loadtxt's
     float syntax there is a subset of float()'s with bit-identical values,
@@ -462,13 +440,13 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     the whole file, so most other files cost only those few bytes. The row
     count comes from the last line's stamp and is checked against the
     file's size before the samples array is made. That array is then
-    filled _STAMP_BLOCK rows at a time, so the parse holds the file's
-    bytes, the samples and one block. The block's first row picks its
-    reader. When its counts are whole (see _WHOLE_ROW), _read_whole_block
-    reads the block from the bytes against the grid's _stamp_words, and
-    checks each byte it reads. When they are not, or a later row breaks
-    that form, one loadtxt call reads the block again from the same
-    offset against its _stamp_column. Before the first such call, the rest
+    filled a block of _stamp_blocks at a time, so the parse holds the
+    file's bytes, the samples and one block. The block's first row picks
+    its reader. When its counts are whole (see _WHOLE_ROW),
+    _read_whole_block reads the block from the bytes against the block's
+    stamps as words, and checks each byte it reads. When they are not, or
+    a later row breaks that form, one loadtxt call reads the block again
+    from the same offset against the same stamps. Before the first such call, the rest
     of the file is checked once for bytes outside _CANONICAL_BYTES and for
     an LF in excess of its rows (a blank line), which loadtxt would read
     otherwise than the row loop. Either reader gives the float() of each
@@ -495,13 +473,11 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     samples = np.zeros((n, 3))
     pos = len(header)
     checked = False
-    for i in range(0, n, _STAMP_BLOCK):
-        block = samples[i:i + _STAMP_BLOCK, :width]
-        first = start + timedelta(seconds=i * epoch)
+    for i, stamps in _stamp_blocks(start, epoch, n):
+        block = samples[i:i + stamps.size, :width]
         end = None
         if _WHOLE_ROW[width].match(content, pos):
-            end = _read_whole_block(content, pos, _stamp_words(first, epoch, len(block)),
-                                    block)
+            end = _read_whole_block(content, pos, stamps, block)
         if end is None:
             # one LF for each row left, but for a last row without one
             if not checked and _line_feeds(content, pos) != (
@@ -509,7 +485,7 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
                 return None
             checked = True
             lines.seek(pos)
-            if not _load_block(lines, _stamp_column(first, epoch, len(block)), block):
+            if not _load_block(lines, stamps, block):
                 return None
             end = lines.tell()
         pos = end
@@ -599,7 +575,7 @@ def _count_code(column: np.ndarray) -> tuple[bytes, list]:
 
 
 def _format_block(stamps: np.ndarray, samples: np.ndarray) -> bytes:
-    """The ASCII rows of one block, its S19 stamps and (n, 3) counts, made
+    """The ASCII rows of one block, its stamps and (n, 3) counts, made
     by one %-call; a function of its own so that the block's temporaries
     are freed before the next block's are made."""
     codes, columns = zip(*map(_count_code, samples.T))
@@ -611,7 +587,7 @@ def _format_block(stamps: np.ndarray, samples: np.ndarray) -> bytes:
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
     """Inverse of parse_triaxial_csv (always the four-column format).
 
-    Stamps are the canonical ones of _stamp_column, local times to the
+    Stamps are the canonical ones of _stamp_blocks, local times to the
     second: a start time's microseconds and UTC offset are dropped. A
     series that runs past year 9999 raises OverflowError. Each count is
     written as its float's repr. The rows are made _STAMP_BLOCK at a time,

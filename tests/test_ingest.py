@@ -17,8 +17,7 @@ from actirhythm.ingest import (
     TriaxialSeries,
     _STAMP_BLOCK,
     _parse_columnar,
-    _stamp_column,
-    _stamp_words,
+    _stamp_blocks,
     aggregate_to_minutes,
     generate_synthetic,
     load_manifest,
@@ -471,6 +470,17 @@ class TestMemoryBounds:
             peak, text = traced_peak(serialize_triaxial_csv, series)
         assert peak <= 2 * len(text) + block_peak
 
+    def test_stamp_blocks_refill_one_buffer(self):
+        """Every block's stamps are a view of one buffer made for the grid:
+        a buffer made per block fragments the heap of the writer's caller."""
+        with mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK):
+            blocks = [stamps for _, stamps in
+                      _stamp_blocks(datetime(2016, 5, 1, 23, 59, 45), 5, self.ROWS)]
+        assert len(blocks) == 16
+        assert all(stamps.base is blocks[0].base for stamps in blocks)
+        # a block's rows and at most two 12-row slots more
+        assert blocks[0].base.nbytes <= 24 * (self.BLOCK + 2 * 12)
+
 
 # whole counts around float64's and int64's limits: 2**53 + 1 rounds to
 # 2**53 as float() rounds it, 18 digits is the longest whole field, and
@@ -496,7 +506,7 @@ def whole_count_files(draw):
     when the file is still canonical, and "other" when it may not be."""
     header = draw(st.sampled_from(HEADERS[:2]))
     width = header.count(",")
-    epoch = draw(st.sampled_from([1, 15, 60]))
+    epoch = draw(st.sampled_from([1, 2, 15, 60, 120]))
     start = draw(st.sampled_from(STARTS[:2]))
     count = st.one_of(st.integers(0, 99), st.integers(0, 10 ** 18 - 1),
                       st.sampled_from(WHOLE_EDGES))
@@ -707,10 +717,13 @@ LAST_DAY = date(9999, 12, 31)
 
 def stamp_grids(test):
     """Run ``test`` on grids of start day, second of that day, epoch and
-    row count, some of which run past year 9999."""
-    for args in [(LAST_DAY, 86340, 1, 60), (LAST_DAY, 86340, 1, 61),
-                 (LAST_DAY, 0, 86400, 1), (LAST_DAY, 86399, 1, 0),
-                 (date(2015, 12, 31), 86399, 1, 2)]:
+    row count, some of which run past year 9999, made in blocks of a given
+    number of rows."""
+    for args in [(LAST_DAY, 86340, 1, 60, 7), (LAST_DAY, 86340, 1, 61, 7),
+                 (LAST_DAY, 0, 86400, 1, 60), (LAST_DAY, 86399, 1, 0, 7),
+                 (date(2015, 12, 31), 86399, 1, 2, 60),
+                 # 12 rows a slot from :45 s, so that blocks of 7 start mid-slot
+                 (date(2015, 12, 31), 86385, 5, 3000, 7)]:
         test = example(*args)(test)
     test = given(st.sampled_from([date(2016, 2, 28), date(2016, 2, 29), date(2015, 2, 28),
                                   date(2100, 2, 28), date(2000, 2, 29), date(2015, 12, 31),
@@ -718,42 +731,33 @@ def stamp_grids(test):
                  st.one_of(st.sampled_from([0, 86399, 86340]), st.integers(0, 86399)),
                  st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60,
                                   120, 420, 3600, 86400]),
-                 st.integers(0, 3000))(test)
+                 st.integers(0, 3000), st.sampled_from([7, 60, _STAMP_BLOCK]))(test)
     return settings(max_examples=300)(test)
 
 
 class TestStampColumn:
     @stamp_grids
-    def test_matches_numpy_stamps(self, day, second, epoch, n):
+    def test_matches_numpy_stamps(self, day, second, epoch, n, block):
+        """Blocks of 7 and 60 rows, so that blocks start in a slot's middle,
+        and of 65,536; the blocks' copies joined are the grid's stamps."""
         start = datetime.combine(day, datetime.min.time()) + timedelta(seconds=second)
         grid = np.datetime64(start, "s") + epoch * np.arange(n)
-        if n and grid[-1] >= np.datetime64("10000-01-01"):
-            with pytest.raises(OverflowError):
-                _stamp_column(start, epoch, n)
-            return
-        stamps, expected = _stamp_column(start, epoch, n), grid.astype("S19")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_STAMP_BLOCK", block)
+            blocks = _stamp_blocks(start, epoch, n)
+            if n and grid[-1] >= np.datetime64("10000-01-01"):
+                with pytest.raises(OverflowError):
+                    next(blocks)
+                return
+            copies = [(i, stamps.copy()) for i, stamps in blocks]
+        assert [i for i, _ in copies] == list(range(0, n, block))
+        stamps = np.concatenate([stamps for _, stamps in copies] or [np.zeros(0, "S24")])
+        expected = grid.astype("S24")
         assert stamps.dtype == expected.dtype and stamps.shape == expected.shape
-        # every byte, so that a NUL the S19 comparison ignores still counts
-        wrong = np.flatnonzero(stamps.view(np.uint8) != expected.view(np.uint8)) // 19
-        assert wrong.size == 0, (stamps[wrong[0]], expected[wrong[0]])
-
-    @stamp_grids
-    def test_words_are_the_stamp_columns_bytes(self, day, second, epoch, n):
-        start = datetime.combine(day, datetime.min.time()) + timedelta(seconds=second)
-        try:
-            stamps = _stamp_column(start, epoch, n)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _stamp_words(start, epoch, n)
-            return
-        words = _stamp_words(start, epoch, n)
-        assert words.dtype == np.dtype("<u8") and words.shape == (3, n)
-        # each row's three words as bytes: stamp bytes 0-7, 8-15 and 11-18
-        got = np.ascontiguousarray(words.T).view(np.uint8).reshape(n, 3, 8)
-        expected = stamps.view(np.uint8).reshape(n, 19)
-        for word, at in enumerate((0, 8, 11)):
-            wrong = np.flatnonzero((got[:, word] != expected[:, at:at + 8]).any(axis=1))
-            assert wrong.size == 0, (word, stamps[wrong[0]], got[wrong[0]].tobytes())
+        # every byte, the five NULs after each stamp too, which the bytes
+        # comparison ignores
+        wrong = np.flatnonzero(stamps.view(np.uint8) != expected.view(np.uint8)) // 24
+        assert wrong.size == 0, (stamps[wrong[0]].tobytes(), expected[wrong[0]])
 
 
 class TestAggregate:
