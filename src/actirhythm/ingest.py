@@ -9,15 +9,18 @@ File formats:
                control_icu, cci, rr, control_healthy (case-insensitive).
 
 Epoch files are written, and parsed when in canonical form, a block of
-rows at a time, so that such a parse holds the file's bytes, the parsed
-samples and one block. Each block's stamps come from _stamp_blocks, the
-one generator of canonical stamps. A canonical block of whole counts, as
-device exports and the writer's ``%d.0`` rule give, is read straight from
-the bytes with numpy, its stamps compared as 8-byte words of those stamps
-and every other byte checked as it is read. Any other canonical
-block is read by ``np.loadtxt``, after one pass over the rest of the
-file for bytes and blank lines that loadtxt reads otherwise than the row
-loop. Any other epoch file is parsed row by row from its decoded text.
+rows at a time. A canonical file of more than one block is split at row
+boundaries into as many parts as the process has CPUs, and the parts are
+read in threads, so that such a parse holds the file's bytes, the parsed
+samples and one block per part. Each block's stamps come from
+_stamp_blocks, the one generator of canonical stamps. A canonical block
+of whole counts, as device exports and the writer's ``%d.0`` rule give,
+is read straight from the bytes with numpy, its stamps compared as 8-byte
+words of those stamps and every other byte checked as it is read. Any
+other canonical block is read by ``np.loadtxt``, after one pass over the
+rest of its part for bytes and blank lines that loadtxt reads otherwise
+than the row loop. Any other epoch file is parsed row by row from its
+decoded text.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import codecs
 import csv
 import io
 import math
+import os
 import re
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -112,6 +117,11 @@ _WHOLE_ROW = {width: re.compile(rb".{19}(?:,\d{1,18}(?:\.0)?){%d}\n" % width)
 # Bytes of a whole-count block read at a time; bounds that read's
 # temporaries.
 _SCAN = 1 << 18
+# The most parts, each read in a thread of its own, that the columnar parse
+# splits a file into: the CPUs this process may run on. The whole-count
+# reader spends its time in numpy calls that release the GIL.
+_PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
 
 # Start timestamp for synthetic series; midnight so that model time equals
 # clock time.
@@ -408,19 +418,75 @@ def _read_whole_block(content: bytes, pos: int, stamps: np.ndarray,
     return pos
 
 
-def _line_feeds(content: bytes, pos: int) -> int | None:
-    """The number of LFs in ``content`` from byte ``pos`` on if every byte
-    there is one of _CANONICAL_BYTES; None otherwise. Reads at most _SCAN
-    bytes at a time, and no more than a block's rows hold at the least, so
-    that its temporaries stay below a loadtxt block's."""
+def _line_feeds(content: bytes, pos: int, end: int) -> int | None:
+    """The number of LFs in ``content[pos:end]`` if every byte there is one
+    of _CANONICAL_BYTES; None otherwise. Reads at most _SCAN bytes at a
+    time, and no more than a block's rows hold at the least, so that its
+    temporaries stay below a loadtxt block's."""
     step = min(_SCAN, 22 * _STAMP_BLOCK)
     count = 0
-    for at in range(pos, len(content), step):
-        part = content[at:at + step]
-        if part.translate(None, _CANONICAL_BYTES):
+    for at in range(pos, end, step):
+        chunk = content[at:min(at + step, end)]
+        if chunk.translate(None, _CANONICAL_BYTES):
             return None
-        count += part.count(b"\n")
+        count += chunk.count(b"\n")
     return count
+
+
+def _split(content: bytes, pos: int, start: datetime, epoch: int,
+           n: int) -> list[tuple[int, int]] | None:
+    """Where each part of a canonical body of ``n`` rows starts, as the
+    offset and grid index of its first row; the body starts at ``pos`` with
+    row 0. The body is cut into min(_PARTS, its blocks of _STAMP_BLOCK
+    rows) shares of about equal bytes, and each later part starts at the
+    first row start at or past its share's first byte. A cut that lands in
+    the last row, or in the row of the cut before it, is dropped. None if
+    a part's first stamp is not on the grid at an index past the part
+    before it, as it is in every canonical file."""
+    count = min(_PARTS, -(-n // _STAMP_BLOCK))
+    parts = [(pos, 0)]
+    for j in range(1, count):
+        at = content.find(b"\n", pos + j * (len(content) - pos) // count - 1) + 1
+        # no LF past that point, the last row's LF, or the split before
+        if at <= parts[-1][0] or at == len(content):
+            continue
+        stamp = _read_stamp(content[at:at + 20])
+        if stamp is None:
+            return None
+        k, off_grid = divmod(int((stamp - start).total_seconds()), epoch)
+        if off_grid or not parts[-1][1] < k < n:
+            return None
+        parts.append((at, k))
+    return parts
+
+
+def _read_part(content: bytes, pos: int, end: int, start: datetime, epoch: int,
+               out: np.ndarray) -> bool:
+    """Fill ``out``, an (m, width) view of the samples, with the counts of
+    ``content[pos:end]`` if those bytes are m rows with the stamps of the
+    grid of ``start`` and ``epoch``, read block by block as _parse_columnar
+    describes; False if they are not. ``end`` is the next part's first row,
+    or the end of the file, whose last row alone may lack an LF."""
+    m, width = out.shape
+    lines = io.BytesIO(content)
+    checked = False
+    for i, stamps in _stamp_blocks(start, epoch, m):
+        block = out[i:i + stamps.size]
+        read = None
+        if _WHOLE_ROW[width].match(content, pos):
+            read = _read_whole_block(content, pos, stamps, block)
+        if read is None:
+            # one LF for each row left, but for a last row without one
+            if not checked and _line_feeds(content, pos, end) != (
+                    m - i - (end == len(content) and not content.endswith(b"\n"))):
+                return False
+            checked = True
+            lines.seek(pos)
+            if not _load_block(lines, stamps, block):
+                return False
+            read = lines.tell()
+        pos = read
+    return pos == end
 
 
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
@@ -439,18 +505,23 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     The header and the first two stamps are checked before any pass over
     the whole file, so most other files cost only those few bytes. The row
     count comes from the last line's stamp and is checked against the
-    file's size before the samples array is made. That array is then
-    filled a block of _stamp_blocks at a time, so the parse holds the
-    file's bytes, the samples and one block. The block's first row picks
-    its reader. When its counts are whole (see _WHOLE_ROW),
-    _read_whole_block reads the block from the bytes against the block's
-    stamps as words, and checks each byte it reads. When they are not, or
-    a later row breaks that form, one loadtxt call reads the block again
-    from the same offset against the same stamps. Before the first such call, the rest
-    of the file is checked once for bytes outside _CANONICAL_BYTES and for
-    an LF in excess of its rows (a blank line), which loadtxt would read
-    otherwise than the row loop. Either reader gives the float() of each
-    count, so the samples do not depend on which one ran.
+    file's size before the samples array is made. The rows are then split
+    at row boundaries into parts (see _split), each part's first stamp
+    giving its rows of the samples. The first part is read in the calling
+    thread and each other one in a thread of its own, and no thread
+    outlives the parse. Each part is read by _read_part a block of
+    _stamp_blocks at a time, so the parse holds the file's bytes, the
+    samples and one block per part. The block's first row picks its
+    reader. When its counts are whole (see _WHOLE_ROW), _read_whole_block
+    reads the block from the bytes against the block's stamps as words,
+    and checks each byte it reads. When they are not, or a later row
+    breaks that form, one loadtxt call reads the block again from the same
+    offset against the same stamps. Before a part's first such call, the
+    rest of the part is checked once for bytes outside _CANONICAL_BYTES
+    and for an LF in excess of its rows (a blank line), which loadtxt would
+    read otherwise than the row loop. Either reader gives the float() of
+    each count, so the samples do not depend on which one ran. The series
+    is returned only if every part read exactly its bytes.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
@@ -470,26 +541,21 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     # a row is at least 22 bytes, "<stamp>,0\n", and the last one 21
     if off_grid or n < 2 or 22 * n - 1 > len(content) - len(header):
         return None
+    parts = _split(content, len(header), start, epoch, n)
+    if parts is None:
+        return None
     samples = np.zeros((n, 3))
-    pos = len(header)
-    checked = False
-    for i, stamps in _stamp_blocks(start, epoch, n):
-        block = samples[i:i + stamps.size, :width]
-        end = None
-        if _WHOLE_ROW[width].match(content, pos):
-            end = _read_whole_block(content, pos, stamps, block)
-        if end is None:
-            # one LF for each row left, but for a last row without one
-            if not checked and _line_feeds(content, pos) != (
-                    n - i - (not content.endswith(b"\n"))):
-                return None
-            checked = True
-            lines.seek(pos)
-            if not _load_block(lines, stamps, block):
-                return None
-            end = lines.tell()
-        pos = end
-    if pos != len(content):
+    bounds = [*parts, (len(content), n)]
+    reads = [(content, pos, end, start + timedelta(seconds=k * epoch), epoch,
+              samples[k:k_end, :width])
+             for (pos, k), (end, k_end) in zip(bounds, bounds[1:])]
+    if len(reads) == 1:
+        results = [_read_part(*reads[0])]
+    else:
+        with ThreadPoolExecutor(len(reads) - 1) as pool:
+            others = [pool.submit(_read_part, *args) for args in reads[1:]]
+            results = [_read_part(*reads[0])] + [part.result() for part in others]
+    if not all(results):
         return None
     return TriaxialSeries(subject_id=subject_id, start_time=start,
                           epoch_length=epoch, samples=samples)
@@ -505,7 +571,9 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     A file in the canonical form that serialize_triaxial_csv writes is
     parsed block by block with numpy: a block of whole counts (1-18
     digits, perhaps followed by ".0") straight from the bytes, any other
-    block by loadtxt. Every other file goes through the
+    block by loadtxt. A file of more than one block is split into parts
+    read in threads, one per CPU, and the parse holds the bytes, the
+    samples and one block per part. Every other file goes through the
     row loop, which is the only code that reports errors in the file's
     text, so each error's class, message and line number do not depend on
     which path ran. (An epoch that does not align with minutes is raised by

@@ -1,6 +1,8 @@
 import codecs
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from datetime import date, datetime, timedelta
 from unittest import mock
@@ -17,6 +19,7 @@ from actirhythm.ingest import (
     TriaxialSeries,
     _STAMP_BLOCK,
     _parse_columnar,
+    _split,
     _stamp_blocks,
     aggregate_to_minutes,
     generate_synthetic,
@@ -31,6 +34,11 @@ from reference_impls import (
 )
 
 HEADER = "timestamp,axis1,axis2,axis3\n"
+# Hypothesis warns of a deprecation in its own hook that reports a failing
+# example. Put above an "error" filter, this filter lets that report through,
+# and any other warning still raises.
+HYPOTHESIS_REPORT = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 def rows_csv(*rows):
@@ -272,6 +280,7 @@ WHOLE_FILES = [
 
 
 class TestColumnarMatchesRowLoop:
+    @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", [CANONICAL.replace(old, new, 1)
                                       for old, new in NEAR_CANONICAL] + WHOLE_FILES)
@@ -280,6 +289,7 @@ class TestColumnarMatchesRowLoop:
         assert parse_outcome(parse_triaxial_csv, text) == expected
         assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
 
+    @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=400)
     @given(epoch_files())
@@ -440,7 +450,8 @@ class TestMemoryBounds:
     """Peak memory of the canonical parse and of the writer, by tracemalloc,
     with blocks of BLOCK rows so that a small file has many blocks.
     ``samples`` is the parsed series' (n, 3) array; a block's allowance is
-    the peak of the same path on a file of one block."""
+    the peak of the same path on a file of one block, which is one part.
+    tracemalloc traces the parse's threads too."""
 
     BLOCK = 1024
     ROWS = 16 * BLOCK
@@ -449,17 +460,32 @@ class TestMemoryBounds:
         series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, counts(n))
         return serialize_triaxial_csv(series).encode()
 
-    # whole counts go to _read_whole_block, halves to loadtxt
-    @pytest.mark.parametrize("counts", [second_counts, lambda n: second_counts(n) + 0.5],
-                             ids=["whole", "halves"])
-    def test_canonical_parse_holds_samples_and_one_block(self, counts):
-        with mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK):
+    def parse_peaks(self, counts, parts):
+        """The traced peaks of parsing a file of one block and one of ROWS
+        rows in up to ``parts`` parts, and the latter's series."""
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK),
+              mock.patch.object(ingest, "_PARTS", parts)):
             content = self.file(counts, self.ROWS)
             one_block = self.file(counts, self.BLOCK)
             block_peak, _ = traced_peak(_parse_columnar, one_block, "s1")
             peak, series = traced_peak(_parse_columnar, content, "s1")
         assert series is not None and len(series) == self.ROWS
+        return block_peak, peak, series
+
+    # whole counts go to _read_whole_block, halves to loadtxt
+    COUNTS = pytest.mark.parametrize(
+        "counts", [second_counts, lambda n: second_counts(n) + 0.5], ids=["whole", "halves"])
+
+    @COUNTS
+    def test_canonical_parse_holds_samples_and_one_block(self, counts):
+        block_peak, peak, series = self.parse_peaks(counts, 1)
         assert peak <= series.samples.nbytes + 2 * block_peak
+
+    @COUNTS
+    @pytest.mark.parametrize("parts", [2], ids=lambda p: f"parts={p}")
+    def test_split_parse_holds_samples_and_one_block_per_part(self, counts, parts):
+        block_peak, peak, series = self.parse_peaks(counts, parts)
+        assert peak <= series.samples.nbytes + (parts + 1) * block_peak
 
     def test_writer_holds_twice_its_text_and_one_block(self):
         series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(self.ROWS))
@@ -538,6 +564,7 @@ class TestWholeCountReader:
     """Canonical blocks whose counts are all whole are read from the bytes
     by _read_whole_block, and other blocks by loadtxt, to the same series."""
 
+    @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=400)
     @given(whole_count_files(), st.integers(1, 3), st.sampled_from([48, 100, ingest._SCAN]))
@@ -623,6 +650,7 @@ class TestWholeCountBytes:
     """A whole-count file is checked byte by byte: by _read_whole_rows in its
     whole blocks, and by _line_feeds before loadtxt reads any block."""
 
+    @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", [3, _STAMP_BLOCK])
     @pytest.mark.parametrize("place", ["stamp start", "stamp end", "count start",
@@ -640,6 +668,7 @@ class TestWholeCountBytes:
             assert _parse_columnar(content, "s1") is None
             assert parse_outcome(parse_triaxial_csv, content) == row_loop_outcome(content)
 
+    @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", [2, 3, _STAMP_BLOCK])
     @pytest.mark.parametrize("counts", ["whole", "halves"])
@@ -661,6 +690,165 @@ class TestWholeCountBytes:
             assert_series_equal(series, row_loop_parse_triaxial_csv(text, "s1"))
         else:
             assert series is None
+
+
+def split_rows(counts, n=8):
+    """``n`` rows of one length, a minute apart from STARTS[0]: of eight, in
+    blocks of two rows and two parts, the second part starts at row 4."""
+    return [f"{(STARTS[0] + timedelta(minutes=k)).isoformat()},{counts}" for k in range(n)]
+
+
+def split_file(lines, final_lf=True):
+    return (HEADER + "\n".join(lines) + ("\n" if final_lf else "")).encode()
+
+
+def split_parse(lines, final_lf=True, block=2, parts=2):
+    """The first row of each part that _split gives for the file of
+    ``lines``, in blocks of ``block`` rows and up to ``parts`` parts, and
+    the series _parse_columnar gives for it, once the outcome of
+    parse_triaxial_csv is shown to be the row loop's."""
+    content = split_file(lines, final_lf)
+    with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
+          mock.patch.object(ingest, "_PARTS", parts)):
+        assert parse_outcome(parse_triaxial_csv, content) == row_loop_outcome(content)
+        last = datetime.fromisoformat(lines[-1][:19])
+        split = _split(content, len(HEADER), STARTS[0], 60,
+                       int((last - STARTS[0]).total_seconds()) // 60 + 1)
+        return split and [k for _, k in split], _parse_columnar(content, "s1")
+
+
+SPLIT_COUNTS = pytest.mark.parametrize("counts", ["1,2,3", "1.5,2,3"],
+                                       ids=["whole", "loadtxt"])
+
+
+class TestSplitParse:
+    """A file of more than one block is split at row boundaries into up to
+    _PARTS parts, read in threads, to the series that one part gives."""
+
+    @HYPOTHESIS_REPORT
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(epoch_files(), st.integers(1, 3), st.integers(1, 3))
+    def test_epoch_files_give_the_same_series_or_error(self, case, block, parts):
+        text, canonical = case
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
+              mock.patch.object(ingest, "_PARTS", parts)):
+            assert parse_outcome(parse_triaxial_csv, text.encode()) == parse_outcome(
+                row_loop_parse_triaxial_csv, text)
+            if canonical:
+                assert _parse_columnar(text.encode(), "s1") is not None
+
+    @HYPOTHESIS_REPORT
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(whole_count_files(), st.integers(1, 3), st.integers(1, 3))
+    def test_whole_count_files_give_the_same_series_or_error(self, case, block, parts):
+        text, kind = case
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
+              mock.patch.object(ingest, "_PARTS", parts)):
+            assert parse_outcome(parse_triaxial_csv, text.encode()) == parse_outcome(
+                row_loop_parse_triaxial_csv, text)
+            if kind != "other":
+                assert _parse_columnar(text.encode(), "s1") is not None
+
+    @SPLIT_COUNTS
+    @pytest.mark.parametrize("final_lf", [True, False], ids=["final LF", "no final LF"])
+    def test_parts_start_at_the_first_row_past_each_share(self, counts, final_lf):
+        """The last part alone may end without an LF."""
+        lines = split_rows(counts)
+        content = split_file(lines, final_lf)
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", 2),
+              mock.patch.object(ingest, "_PARTS", 2)):
+            assert _split(content, len(HEADER), STARTS[0], 60, 8) == [
+                (len(HEADER), 0), (len(HEADER) + 4 * len(lines[0]) + 4, 4)]
+        _, series = split_parse(lines, final_lf)
+        assert_series_equal(series, row_loop_parse_triaxial_csv(content, "s1"))
+
+    @pytest.mark.parametrize("final_lf", [True, False], ids=["final LF", "no final LF"])
+    def test_a_share_that_ends_in_the_last_row_is_dropped(self, final_lf):
+        lines = ["2016-05-01T08:30:00,1,2,3", "2016-05-01T08:31:00,100000,200000,300000"]
+        split, series = split_parse(lines, final_lf, block=1)
+        assert split == [0] and series is not None
+
+    def test_shares_that_end_in_one_row_give_one_split(self):
+        lines = ["2016-05-01T08:30:00,1,2,3", "2016-05-01T08:31:00," + ",".join(
+            ["1000000000000000"] * 3), "2016-05-01T08:32:00,1,2,3"]
+        split, series = split_parse(lines, block=1, parts=3)
+        assert split == [0, 2] and series is not None
+
+    @SPLIT_COUNTS
+    @pytest.mark.parametrize("stamp, split", [
+        pytest.param(stamp, split, id=name) for name, stamp, split in [
+            ("malformed", "2016-05-01T08:34:0x", None),
+            ("off the grid", "2016-05-01T08:34:30", None),
+            ("before the first", "2016-05-01T08:29:00", None),
+            ("past the last", "2016-05-01T08:38:00", None),
+            ("the row before's", "2016-05-01T08:33:00", [0, 3])]])
+    def test_a_split_row_off_its_place_is_not_canonical(self, counts, stamp, split):
+        """A stamp on the grid at an index that does not follow the split
+        before it ends the split; a stamp at an earlier index than its row's
+        leaves the part before it a row short of that row."""
+        lines = split_rows(counts)
+        lines[4] = stamp + lines[4][19:]
+        assert split_parse(lines) == (split, None)
+
+    @SPLIT_COUNTS
+    @pytest.mark.parametrize("edit, split", [
+        pytest.param(edit, split, id=name) for name, edit, split in [
+            ("blank line in part 0", lambda rows: rows[:2] + [""] + rows[2:], [0, 4]),
+            ("blank line in part 1", lambda rows: rows[:6] + [""] + rows[6:], [0, 4]),
+            ("row 1 missing", lambda rows: rows[:1] + rows[2:], [0, 5]),
+            ("row 5 missing", lambda rows: rows[:5] + rows[6:], [0, 4]),
+            ("row 3 twice", lambda rows: rows[:4] + rows[3:], [0, 4]),
+            ("row 5 twice", lambda rows: rows[:6] + rows[5:], [0, 5])]])
+    def test_a_break_in_one_part_is_not_canonical(self, counts, edit, split):
+        """Each part reads its rows and ends at the next part's first row:
+        row 3 twice leaves part 0 one row short of that."""
+        assert split_parse(edit(split_rows(counts))) == (split, None)
+
+    @pytest.fixture
+    def readers(self, monkeypatch):
+        """The thread that read each part."""
+        readers, read_part = [], ingest._read_part
+
+        def traced_read_part(*args):
+            readers.append(threading.current_thread())
+            return read_part(*args)
+
+        monkeypatch.setattr(ingest, "_read_part", traced_read_part)
+        return readers
+
+    def test_no_thread_outlives_the_parse(self, readers):
+        """Part 0 is read in the calling thread and part 1 in another, which
+        has ended when the parse returns, whether part 1 was read or not."""
+        before = set(threading.enumerate())
+        lines = split_rows("1,2,3")
+        assert split_parse(lines)[1] is not None
+        assert split_parse(lines[:6] + [""] + lines[6:])[1] is None
+        assert set(threading.enumerate()) == before
+        assert threading.current_thread() in readers and len(set(readers)) > 1
+
+    @SPLIT_COUNTS
+    def test_more_parts_than_cpus_at_a_short_switch_interval(self, counts):
+        """Eight parts write their rows of one samples array while the
+        interpreter switches threads every microsecond."""
+        lines = split_rows(counts, 64)
+        expected = row_loop_parse_triaxial_csv(split_file(lines), "s1")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                split, series = split_parse(lines, parts=8)
+                assert len(split) == 8
+                assert_series_equal(series, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_part_starts_no_thread(self, readers):
+        assert split_parse(split_rows("1,2,3"), parts=1)[1] is not None
+        # two parts allowed, but the file is one block
+        assert split_parse(split_rows("1,2,3"), block=8)[1] is not None
+        assert set(readers) == {threading.current_thread()}
 
 
 # counts around the writer's rule: a whole count below 1e16 and not -0.0
