@@ -118,8 +118,9 @@ _WHOLE_ROW = {width: re.compile(rb".{19}(?:,\d{1,18}(?:\.0)?){%d}\n" % width)
 # temporaries.
 _SCAN = 1 << 18
 # The most parts, each read in a thread of its own, that the columnar parse
-# splits a file into: the CPUs this process may run on. The whole-count
-# reader spends its time in numpy calls that release the GIL.
+# splits a file into: the CPUs in this process's affinity mask, which a
+# cgroup CPU quota does not shrink. The whole-count reader spends its time
+# in numpy calls that release the GIL.
 _PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
 
@@ -549,12 +550,10 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     reads = [(content, pos, end, start + timedelta(seconds=k * epoch), epoch,
               samples[k:k_end, :width])
              for (pos, k), (end, k_end) in zip(bounds, bounds[1:])]
-    if len(reads) == 1:
-        results = [_read_part(*reads[0])]
-    else:
-        with ThreadPoolExecutor(len(reads) - 1) as pool:
-            others = [pool.submit(_read_part, *args) for args in reads[1:]]
-            results = [_read_part(*reads[0])] + [part.result() for part in others]
+    # the executor starts a thread only on submit, so one part starts none
+    with ThreadPoolExecutor(len(reads)) as pool:
+        others = [pool.submit(_read_part, *args) for args in reads[1:]]
+        results = [_read_part(*reads[0])] + [part.result() for part in others]
     if not all(results):
         return None
     return TriaxialSeries(subject_id=subject_id, start_time=start,

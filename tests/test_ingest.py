@@ -482,7 +482,7 @@ class TestMemoryBounds:
         assert peak <= series.samples.nbytes + 2 * block_peak
 
     @COUNTS
-    @pytest.mark.parametrize("parts", [2], ids=lambda p: f"parts={p}")
+    @pytest.mark.parametrize("parts", [2, 3, 8], ids=lambda p: f"parts={p}")
     def test_split_parse_holds_samples_and_one_block_per_part(self, counts, parts):
         block_peak, peak, series = self.parse_peaks(counts, parts)
         assert peak <= series.samples.nbytes + (parts + 1) * block_peak
