@@ -7,15 +7,19 @@ log1p transform and under ``--transform raw``. Each tree then runs
 ``compare --exact`` and ``compare --posthoc dunn`` on its own run's
 features.csv and cosinor.csv. The demo's epoch files hold the writer's
 float counts, one block of the parse each, so this script also writes,
-once and with its own formatting, a cohort of six subjects with 6 days of
-seeded Poisson counts. Five hold whole counts as device exports hold
+once and with its own formatting, a cohort of seven subjects with 6 days
+of seeded Poisson counts. Five hold whole counts as device exports hold
 them, written as plain digits for three subjects and as ``%d.0`` for the
 others. Four of those, one per group, have 15 s epochs, and one of those
 has stamps that cross a month end and a year end. The fifth has 5 s
 epochs from 15 s before midnight, so that the parse's second block of
 65,536 rows starts in the middle of a minute. The sixth has 5 s epochs
-and float counts written as their repr, so that loadtxt reads its two
-blocks, in two parts where the host has two CPUs. Each tree then runs
+and float counts written as their repr, so that its two blocks are read
+as decimals, in two parts where the host has two CPUs. The seventh has
+15 s epochs and one count format an axis: short fixed decimals such as
+``12.500``, as device exports write them; 17-digit reprs, one in 50 of
+them below 1e-4 and so in exponent form, which float() alone reads; and
+plain digits. Each tree then runs
 ``run`` on that cohort. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, and the exit status is then 1.
@@ -39,11 +43,16 @@ RUNS = [(seed, transform) for seed in (1, 2) for transform in ("log1p", "raw")]
 COMPARES = {"compare-exact": ["--exact"], "compare-dunn": ["--posthoc", "dunn"]}
 GROUPS = ("control_icu", "cci", "rr", "control_healthy")
 WHOLE_DAYS = 6
-# each subject's first stamp, epoch in seconds and count format: plain
-# digits, "%d.0" or the repr of the count divided by 3
-WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15, "%d"), (datetime(2016, 5, 1), 15, "%d.0"),
-                (datetime(2016, 5, 1), 15, "%d"), (datetime(2016, 12, 28), 15, "%d.0"),
-                (datetime(2016, 5, 1, 23, 59, 45), 5, "%d"), (datetime(2016, 5, 1), 5, "%r")])
+# each subject's first stamp, epoch in seconds and count format by axis:
+# plain digits, "%d.0", "%.3f" of the count divided by 8, or the repr of
+# the count divided by 3 (and by 1e6 more in every 50th row of a subject
+# whose axes differ in format)
+WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15, ("%d",) * 3), (datetime(2016, 5, 1), 15, ("%d.0",) * 3),
+                (datetime(2016, 5, 1), 15, ("%d",) * 3), (datetime(2016, 12, 28), 15, ("%d.0",) * 3),
+                (datetime(2016, 5, 1, 23, 59, 45), 5, ("%d",) * 3),
+                (datetime(2016, 5, 1), 5, ("%r",) * 3),
+                (datetime(2016, 5, 1), 15, ("%.3f", "%r", "%d"))])
+DIVISORS = {"%.3f": 8, "%r": 3}
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
@@ -79,19 +88,22 @@ def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
 def write_whole_cohort(root: Path) -> Path:
     """Write the whole-count cohort under root and return its manifest's
     path. Each subject's three axes are Poisson counts around a daily
-    cosine, on its grid of WHOLE_GRIDS and in its format there."""
+    cosine, on its grid of WHOLE_GRIDS and in its formats there."""
     root.mkdir()
     rng = np.random.default_rng(17)
     manifest = ["subject_id,group,path"]
-    for i, (start, epoch, count) in enumerate(WHOLE_GRIDS):
+    for i, (start, epoch, formats) in enumerate(WHOLE_GRIDS):
         group = GROUPS[i % len(GROUPS)]
         n = WHOLE_DAYS * 86400 // epoch
         hours = np.arange(n) * epoch / 3600
         stamps = [(start + timedelta(seconds=k * epoch)).isoformat() for k in range(n)]
         rate = 5 + 10 * i + (30 + 20 * i) * (1 + np.cos((hours - 14 - i) * np.pi / 12))
-        counts = rng.poisson(np.outer(rate, (0.8, 0.48, 0.36)))
-        counts = (counts / 3 if count == "%r" else counts).tolist()
-        row = f"%s,{count},{count},{count}\n"
+        counts = rng.poisson(np.outer(rate, (0.8, 0.48, 0.36))) / [
+            DIVISORS.get(f, 1) for f in formats]
+        if len(set(formats)) > 1:
+            counts[::50, [f == "%r" for f in formats]] /= 1e6
+        counts = counts.tolist()
+        row = "%s," + ",".join(formats) + "\n"
         text = "timestamp,axis1,axis2,axis3\n" + "".join(
             row % (stamp, *c) for stamp, c in zip(stamps, counts))
         (root / f"w{i}.csv").write_text(text, encoding="ascii", newline="\n")

@@ -13,14 +13,13 @@ rows at a time. A canonical file of more than one block is split at row
 boundaries into as many parts as the process has CPUs, and the parts are
 read in threads, so that such a parse holds the file's bytes, the parsed
 samples and one block per part. Each block's stamps come from
-_stamp_blocks, the one generator of canonical stamps. A canonical block
-of whole counts, as device exports and the writer's ``%d.0`` rule give,
-is read straight from the bytes with numpy, its stamps compared as 8-byte
-words of those stamps and every other byte checked as it is read. Any
-other canonical block is read by ``np.loadtxt``, after one pass over the
-rest of its part for bytes and blank lines that loadtxt reads otherwise
-than the row loop. Any other epoch file is parsed row by row from its
-decoded text.
+_stamp_blocks, the one generator of canonical stamps. One byte reader
+reads every canonical block with numpy, its stamps compared as 8-byte
+words of those stamps and every other byte checked as it is read: whole
+counts, as device exports and the writer's ``%d.0`` rule give, in one
+pass of their digits, decimals as the correctly rounded quotient of their
+digits by a power of ten, and by float() only the fields that it cannot
+decide. Any other epoch file is parsed row by row from its decoded text.
 """
 
 from __future__ import annotations
@@ -82,11 +81,6 @@ GROUP_ORDER = (
 _EPOCH_HEADER = ("timestamp", "axis1", "axis2", "axis3")
 _EPOCH_HEADER_VM = ("timestamp", "vm")
 _MANIFEST_HEADER = ("subject_id", "group", "path")
-# The bytes of a canonical epoch CSV: printable ASCII but the quote, and LF.
-# Quotes and CR mean other things to the csv module than to loadtxt, a NUL
-# after a stamp vanishes in a numpy bytes field, and loadtxt strips
-# 0x1c-0x1f around a number where float() rejects them.
-_CANONICAL_BYTES = bytes(c for c in range(0x20, 0x7f) if c != ord('"')) + b"\n"
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d")
 
 
@@ -108,14 +102,13 @@ _SECOND_WORDS = _word_table([b":%02d" % s for s in range(60)], 0)
 # Rows made, or read by the columnar parse, at a time, with their stamps;
 # bounds the working memory of the writer and of that parse.
 _STAMP_BLOCK = 65536
-# A row of whole counts, by header width: a stamp's 19 bytes, then each
-# count as 1-18 digits, perhaps followed by ".0", and LF. Below 1e18 an
-# int64 holds such a count exactly, and its cast to float64 rounds as
-# float() does.
-_WHOLE_ROW = {width: re.compile(rb".{19}(?:,\d{1,18}(?:\.0)?){%d}\n" % width)
-              for width in (1, 3)}
-# Bytes of a whole-count block read at a time; bounds that read's
-# temporaries.
+# Whole counts joined by commas: each 1-18 digits, perhaps followed by ".0",
+# which an int64 holds exactly and whose cast to float64 rounds as float().
+_WHOLE = re.compile(rb"\d{1,18}(?:\.0)?(?:,\d{1,18}(?:\.0)?)*")
+# 10**k for k <= 22, exact as a double and as a long double of 64 bits.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_LONG = np.cumprod(np.r_[1, [10] * 22].astype(np.longdouble))
+# Bytes of rows read at a time (at least a row); bounds that read's temporaries.
 _SCAN = 1 << 18
 # The most parts, each read in a thread of its own, that the columnar parse
 # splits a file into: the CPUs in this process's affinity mask, which a
@@ -316,122 +309,142 @@ def _read_stamp(line: bytes) -> datetime | None:
         return None
 
 
-def _load_block(lines: io.BytesIO, stamps: np.ndarray, out: np.ndarray) -> bool:
-    """Fill ``out``, an (m, width) view of the samples, with the counts of
-    the next m rows of ``lines`` if those rows are the given stamps byte for
-    byte with finite, non-negative counts; False if they are not. A
-    function of its own so that the block's table is freed before the next
-    one is made."""
-    try:
-        # S20 holds one byte more than a canonical stamp, so a longer field
-        # differs from the grid instead of being cut to match it
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                           max_rows=stamps.size,
-                           dtype=[("t", "S20"), ("c", "f8", (out.shape[1],))])
-    except ValueError:
-        return False
-    counts = table["c"]
-    if (not np.array_equal(table["t"], stamps)
-            or not np.all(np.isfinite(counts)) or counts.min() < 0):
-        return False
-    out[:] = counts
-    return True
+def _digits(window: np.ndarray, last: np.ndarray, digits: np.ndarray,
+            past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, other)``: the int64 m of each field's ``digits`` digits, read
+    leftwards from ``last`` past the byte after the ``past``-th, and True in
+    ``other`` where a field has none, a byte that is not one, or a nonzero
+    one past the 18th (so m < 1e18). One pass a digit, up to 40."""
+    near, far = (past.min(), past.max()) if past is not None else (math.inf, math.inf)
+    shortest, m = digits.min(), np.zeros(last.shape, np.int64)
+    other = digits < 1 if shortest < 1 else np.zeros(last.shape, bool)
+    for j in range(min(digits.max(), 40)):
+        if j < near or j >= far:
+            digit = window.take(last - (j + (j >= far)))
+        else:
+            digit = window.take(last - j - (past <= j))
+        digit -= ord("0")   # wraps any other byte past 9
+        if j >= shortest:
+            digit *= digits > j
+        if j >= 18:
+            other |= digit != 0
+            continue
+        if digit.max() > 9:
+            other |= digit > 9
+        m += digit * np.int64(10 ** j)
+    return m, other
 
 
 def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the fields ``window[begin:end]`` if each is 1-18
-    digits, perhaps followed by ".0"; None otherwise. Built digit by digit
-    from the last, one pass for each digit of the longest field."""
-    end = end - 2 * ((window[end - 2] == ord(".")) & (window[end - 1] == ord("0")))
-    digits = end - begin
-    # a read whose fields were all empty would check no byte below
-    if digits.min() < 1 or digits.max() > 18:
-        return None
-    values = np.zeros(end.shape, np.int64)
-    for place in range(digits.max()):
-        digit = window[end - 1 - place]
-        digit -= ord("0")   # wraps any other byte past 9
-        if place:
-            digit *= digits > place
-        if digit.max() > 9:
+    """The int64 values of the fields ``window[begin:end]`` if each is
+    digits, perhaps followed by ".0", below 1e18; None otherwise."""
+    end = end - 2 * ((window.take(end - 2) == ord(".")) & (window.take(end - 1) == ord("0")))
+    m, other = _digits(window, end - 1, end - begin)
+    return None if other.any() else m
+
+
+def _quotients(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m / 10**k`` rounded to the nearest double, for int64 m and k in
+    0-22, and True where it was not decided. In a long double of 64 bits or
+    more (x86-64 and aarch64 Linux) m and 10**k are exact and their
+    quotient q correctly rounded, so q has the quotient's nearest double
+    unless it is halfway between two, or the long double is shorter."""
+    if np.finfo(np.longdouble).nmant < 63:
+        return m / _POW10[k], np.ones(m.shape, bool)
+    q = m.astype(np.longdouble) / _POW10_LONG[k]
+    value = q.astype(float)
+    near = [np.nextafter(value, side).astype(np.longdouble) + value for side in (0.0, np.inf)]
+    return value, (2 * q == near[0]) | (2 * q == near[1])
+
+
+def _read_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The float() of each field ``window[begin:end]`` (index arrays of one
+    shape) if it is finite and non-negative for all; None otherwise. A
+    field's digits but its first "." are m, k of them after it: m / 10**k
+    is correctly rounded where m <= 2**53 (Clinger), and by _quotients
+    where larger. float() alone reads any other field, such as one in
+    exponent form, and each quotient left undecided."""
+    length = end - begin
+    # searched from the first byte, as counts have few digits before it
+    dot, searching = end.copy(), length > 0
+    for at in range(min(length.max(), 40)):
+        byte = begin + at
+        found = searching & (window.take(byte, mode="clip") == ord("."))
+        np.copyto(dot, byte, where=found)
+        searching = (searching ^ found) & (length > at + 1)
+        if not searching.any():
+            break
+    point = dot < end
+    k = np.maximum(end - 1 - dot, 0)
+    # a field without a point never reaches its past
+    m, other = _digits(window, end - 1, length - point, np.where(point, k, length))
+    other |= (k > 22) | (length > 40)
+    values = m / _POW10[np.minimum(k, 22)]
+    big = np.flatnonzero((m > 2 ** 53) & (k > 0) & ~other)
+    if big.size:
+        values.flat[big], undecided = _quotients(m.flat[big], k.flat[big])
+        other.flat[big[undecided]] = True
+    for i in np.flatnonzero(other).tolist():
+        try:
+            value = float(window[begin.flat[i]:end.flat[i]].tobytes())
+        except ValueError:
             return None
-        values += digit * np.int64(10 ** place)
+        if not 0 <= value < math.inf:
+            return None
+        values.flat[i] = value
     return values
 
 
-def _read_whole_rows(window: np.ndarray, stamps: np.ndarray,
-                     out: np.ndarray) -> tuple[int, int] | None:
+def _read_rows(window: np.ndarray, stamps: np.ndarray,
+               out: np.ndarray) -> tuple[int, int] | None:
     """Fill the first k rows of ``out``, an (m, width) view of the samples,
     with the counts of the k complete rows that ``window`` starts with,
     k <= m, if those rows are the first k of ``stamps``, m stamps from
-    _stamp_blocks, byte for byte with whole counts (see _WHOLE_ROW), and
-    return k and the rows' length in bytes; None if any row breaks that
-    form or the window holds no complete row. Every byte of the k rows is
-    checked: the stamp's as the three words of _stamp_blocks, and each
-    other one as a comma, LF, digit or the ".0" of a count."""
+    _stamp_blocks, byte for byte, and return k and the rows' length in
+    bytes; None if any row breaks that form or the window holds no
+    complete row. Every byte is checked: the stamps' as words, each comma
+    and LF by its place, and the counts' as they are read. The columns
+    whose first count is whole, as device exports write them, are read by
+    _whole_counts, and the others, or all if that fails, by _read_counts."""
     m, width = out.shape
-    # a whole-count row's only bytes at or below the comma: the comma after
-    # the stamp and before each other count, and LF
+    # a row's only bytes at or below the comma: the comma after the stamp
+    # and before each other count, LF, and the "+" of an exponent
     sep = np.flatnonzero(window <= ord(","))
+    low = window.take(sep)
+    plus = low == ord("+")
+    if plus.any():
+        sep, low = sep[~plus], low[~plus]
     k = min(sep.size // (width + 1), m)
     if not k:
         return None
     sep = sep[:k * (width + 1)].reshape(k, width + 1)
-    if (sep[0, 0] != 19 or not np.array_equal(sep[1:, 0], sep[:-1, -1] + 20)
-            or np.any(window[sep] != np.frombuffer(b"," * width + b"\n", np.uint8))):
+    if (sep[0, 0] != 19 or not (sep[1:, 0] == sep[:-1, -1] + 20).all()
+            or np.any(low[:sep.size].reshape(k, width + 1)
+                      != np.frombuffer(b"," * width + b"\n", np.uint8))):
         return None
     # the window's 8-byte words at every offset
     window_words = np.ndarray((window.size - 7,), "<u8", window, strides=(1,))
     start = sep[:, 0] - 19
     words = stamps[:k].view("<u8").reshape(k, 3)
     # stamp bytes 16-18 are the word at byte 11 with bytes 11-15 shifted out
-    if not (np.array_equal(window_words[start], words[:, 0])
-            and np.array_equal(window_words[start + 8], words[:, 1])
-            and np.array_equal(window_words[start + 11] >> 40, words[:, 2])):
+    if not ((window_words[start] == words[:, 0]).all()
+            and (window_words[start + 8] == words[:, 1]).all()
+            and (window_words[start + 11] >> 40 == words[:, 2]).all()):
         return None
-    values = _whole_counts(window, sep[:, :-1] + 1, sep[:, 1:])
-    if values is None:
-        return None
-    out[:k] = values
+    begin, end = sep[:, :-1] + 1, sep[:, 1:]
+    first = window[begin[0, 0]:end[0, -1]].tobytes().split(b",")
+    whole = [c for c, field in enumerate(first) if _WHOLE.fullmatch(field)]
+    columns = slice(None) if len(whole) == width else whole
+    values = _whole_counts(window, begin[:, columns], end[:, columns]) if whole else None
+    if values is not None:
+        out[:k, columns] = values
+    rest = [c for c in range(width) if values is None or c not in whole]
+    if rest:
+        values = _read_counts(window, begin[:, rest], end[:, rest])
+        if values is None:
+            return None
+        out[:k, rest] = values
     return k, int(sep[-1, -1]) + 1
-
-
-def _read_whole_block(content: bytes, pos: int, stamps: np.ndarray,
-                      out: np.ndarray) -> int | None:
-    """Fill ``out``, an (m, width) view of the samples, with the counts of
-    the m rows of ``content`` from byte ``pos`` if those rows are the m
-    ``stamps`` of a block of _stamp_blocks, byte for byte with whole
-    counts, and return the offset after them; None if any row breaks that
-    form. Reads the rows straight from the bytes, _SCAN bytes at a time, so
-    that its temporaries stay below a loadtxt block's."""
-    m, width = out.shape
-    row = 0
-    while row < m:
-        # at most _SCAN bytes, and no more than the rows left can fill: a
-        # stamp, a comma and up to 20 bytes for each count, and LF
-        size = min(_SCAN, (m - row) * (20 + 21 * width), len(content) - pos)
-        window = np.frombuffer(content, np.uint8, size, pos)
-        read = _read_whole_rows(window, stamps[row:], out[row:])
-        if read is None:
-            return None
-        row += read[0]
-        pos += read[1]
-    return pos
-
-
-def _line_feeds(content: bytes, pos: int, end: int) -> int | None:
-    """The number of LFs in ``content[pos:end]`` if every byte there is one
-    of _CANONICAL_BYTES; None otherwise. Reads at most _SCAN bytes at a
-    time, and no more than a block's rows hold at the least, so that its
-    temporaries stay below a loadtxt block's."""
-    step = min(_SCAN, 22 * _STAMP_BLOCK)
-    count = 0
-    for at in range(pos, end, step):
-        chunk = content[at:min(at + step, end)]
-        if chunk.translate(None, _CANONICAL_BYTES):
-            return None
-        count += chunk.count(b"\n")
-    return count
 
 
 def _split(content: bytes, pos: int, start: datetime, epoch: int,
@@ -465,29 +478,25 @@ def _read_part(content: bytes, pos: int, end: int, start: datetime, epoch: int,
                out: np.ndarray) -> bool:
     """Fill ``out``, an (m, width) view of the samples, with the counts of
     ``content[pos:end]`` if those bytes are m rows with the stamps of the
-    grid of ``start`` and ``epoch``, read block by block as _parse_columnar
-    describes; False if they are not. ``end`` is the next part's first row,
-    or the end of the file, whose last row alone may lack an LF."""
-    m, width = out.shape
-    lines = io.BytesIO(content)
-    checked = False
-    for i, stamps in _stamp_blocks(start, epoch, m):
-        block = out[i:i + stamps.size]
-        read = None
-        if _WHOLE_ROW[width].match(content, pos):
-            read = _read_whole_block(content, pos, stamps, block)
-        if read is None:
-            # one LF for each row left, but for a last row without one
-            if not checked and _line_feeds(content, pos, end) != (
-                    m - i - (end == len(content) and not content.endswith(b"\n"))):
+    grid of ``start`` and ``epoch``; False if they are not. ``end`` is the
+    next part's first row, or the end of the file, whose last row alone may
+    lack an LF (one is added). _read_rows reads each block of _stamp_blocks
+    _SCAN bytes at a time, but at least a row and at most 30 bytes a count."""
+    width = out.shape[1]
+    for i, stamps in _stamp_blocks(start, epoch, out.shape[0]):
+        row = 0
+        while row < stamps.size:
+            line = content.find(b"\n", pos) + 1 or len(content)
+            size = min(max(min(_SCAN, (stamps.size - row) * (20 + 30 * width)), line - pos),
+                       len(content) - pos)
+            window = (np.frombuffer(content, np.uint8, size, pos)
+                      if pos + size < len(content) or content.endswith(b"\n")
+                      else np.frombuffer(content[pos:] + b"\n", np.uint8))
+            read = _read_rows(window, stamps[row:], out[i + row:i + stamps.size])
+            if read is None:
                 return False
-            checked = True
-            lines.seek(pos)
-            if not _load_block(lines, stamps, block):
-                return False
-            read = lines.tell()
-        pos = read
-    return pos == end
+            row, pos = row + read[0], pos + read[1]
+    return min(pos, len(content)) == end
 
 
 def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
@@ -496,12 +505,11 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
 
     Canonical form is an exact lower-case header, no blank lines, the
     stamps _stamp_blocks makes for the grid of the first stamp and a
-    positive epoch, byte for byte, and at least two rows of finite,
-    non-negative counts. It holds only _CANONICAL_BYTES, so loadtxt's
-    float syntax there is a subset of float()'s with bit-identical values,
-    and the file parses to the same series in the row loop. A file whose
-    epoch does not align with minutes goes to the row loop, after which
-    TriaxialSeries reports it.
+    positive epoch, byte for byte, and at least two rows of counts that
+    float() reads as finite and non-negative, with no byte at or below the
+    comma but the "+" of an exponent. Such a file parses to the same series
+    in the row loop. A file whose epoch does not align with minutes goes to
+    the row loop, after which TriaxialSeries reports it.
 
     The header and the first two stamps are checked before any pass over
     the whole file, so most other files cost only those few bytes. The row
@@ -510,27 +518,18 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     at row boundaries into parts (see _split), each part's first stamp
     giving its rows of the samples. The first part is read in the calling
     thread and each other one in a thread of its own, and no thread
-    outlives the parse. Each part is read by _read_part a block of
-    _stamp_blocks at a time, so the parse holds the file's bytes, the
-    samples and one block per part. The block's first row picks its
-    reader. When its counts are whole (see _WHOLE_ROW), _read_whole_block
-    reads the block from the bytes against the block's stamps as words,
-    and checks each byte it reads. When they are not, or a later row
-    breaks that form, one loadtxt call reads the block again from the same
-    offset against the same stamps. Before a part's first such call, the
-    rest of the part is checked once for bytes outside _CANONICAL_BYTES
-    and for an LF in excess of its rows (a blank line), which loadtxt would
-    read otherwise than the row loop. Either reader gives the float() of
-    each count, so the samples do not depend on which one ran. The series
-    is returned only if every part read exactly its bytes.
+    outlives the parse. _read_part reads each part a block of _stamp_blocks
+    at a time, straight from the bytes and checking each byte (see
+    _read_rows), so the parse holds the file's bytes, the samples and one
+    block per part. The series is returned only if every part read exactly
+    its bytes.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
     if not content.startswith(header):
         return None
-    lines = io.BytesIO(content)
-    lines.seek(len(header))
-    start, second = (_read_stamp(lines.readline()) for _ in range(2))
+    row = content.find(b"\n", len(header)) + 1
+    start, second = _read_stamp(content[len(header):row]), _read_stamp(content[row:row + 20])
     if start is None or second is None:
         return None
     epoch = int((second - start).total_seconds())
@@ -568,15 +567,15 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     stored as (vm, 0, 0).
 
     A file in the canonical form that serialize_triaxial_csv writes is
-    parsed block by block with numpy: a block of whole counts (1-18
-    digits, perhaps followed by ".0") straight from the bytes, any other
-    block by loadtxt. A file of more than one block is split into parts
-    read in threads, one per CPU, and the parse holds the bytes, the
-    samples and one block per part. Every other file goes through the
-    row loop, which is the only code that reports errors in the file's
-    text, so each error's class, message and line number do not depend on
-    which path ran. (An epoch that does not align with minutes is raised by
-    TriaxialSeries after either path.)
+    parsed block by block straight from its bytes with numpy: each count
+    from its digits, correctly rounded, and by float() only where that
+    cannot decide, as in exponent form. A file of more than one block is
+    split into parts read in threads, one per CPU, and the parse holds the
+    bytes, the samples and one block per part. Every other file goes
+    through the row loop, which is the only code that reports errors in the
+    file's text, so each error's class, message and line number do not
+    depend on which path ran. (An epoch that does not align with minutes is
+    raised by TriaxialSeries after either path.)
     """
     raw = content.encode() if isinstance(content, str) and content.isascii() else content
     if isinstance(raw, bytes):

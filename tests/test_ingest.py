@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from datetime import date, datetime, timedelta
+from decimal import ROUND_DOWN, Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -247,6 +248,17 @@ def epoch_files(draw):
     return text, canonical
 
 
+@pytest.fixture(scope="class")
+def no_loadtxt():
+    """np.loadtxt raises if anything calls it: the columnar parse reads
+    every canonical block from the bytes. Class-scoped, so hypothesis
+    tests can use it."""
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+    with mock.patch.object(np, "loadtxt", loadtxt):
+        yield
+
+
 def parse_outcome(parse, content):
     try:
         series = parse(content, "s1")
@@ -279,6 +291,7 @@ WHOLE_FILES = [
 ]
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestColumnarMatchesRowLoop:
     @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
@@ -330,11 +343,7 @@ class TestColumnarMatchesRowLoop:
         ("08:31:00", "08:31:00.000000"), ("08:31:00", "08:31:00Z"), ("08:31", "08:30"),
         ("\n2016-05-01T08:31:00,4,5,6\n2016-05-01T08:32:00,7,8,9", ""),
     ])
-    def test_other_stamp_forms_are_turned_away_before_loadtxt(self, monkeypatch,
-                                                               old, new):
-        def loadtxt(*args, **kwargs):
-            raise AssertionError("loadtxt ran")
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+    def test_other_stamp_forms_are_turned_away(self, old, new):
         text = CANONICAL.replace(old, new)
         assert _parse_columnar(text.encode(), "s1") is None
         assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
@@ -446,6 +455,12 @@ def second_counts(n):
     return np.random.default_rng(n).poisson(3.0, (n, 3)).astype(float)
 
 
+def repr_counts(n):
+    """``n`` rows of 17-digit reprs such as 24.708885911143664, the counts
+    ``synth`` writes."""
+    return np.random.default_rng(n).uniform(10, 100, (n, 3))
+
+
 class TestMemoryBounds:
     """Peak memory of the canonical parse and of the writer, by tracemalloc,
     with blocks of BLOCK rows so that a small file has many blocks.
@@ -472,9 +487,11 @@ class TestMemoryBounds:
         assert series is not None and len(series) == self.ROWS
         return block_peak, peak, series
 
-    # whole counts go to _read_whole_block, halves to loadtxt
+    # whole counts are read in one pass of _whole_counts; halves and reprs
+    # by _read_counts, the reprs mostly past 2**53 and so by _quotients
     COUNTS = pytest.mark.parametrize(
-        "counts", [second_counts, lambda n: second_counts(n) + 0.5], ids=["whole", "halves"])
+        "counts", [second_counts, lambda n: second_counts(n) + 0.5, repr_counts],
+        ids=["whole", "halves", "reprs"])
 
     @COUNTS
     def test_canonical_parse_holds_samples_and_one_block(self, counts):
@@ -560,9 +577,11 @@ def whole_count_files(draw):
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n", kind
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestWholeCountReader:
     """Canonical blocks whose counts are all whole are read from the bytes
-    by _read_whole_block, and other blocks by loadtxt, to the same series."""
+    by _whole_counts, and other blocks by _read_counts, to the same
+    series."""
 
     @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
@@ -587,13 +606,10 @@ class TestWholeCountReader:
         text, kind = case
         expected = parse_outcome(row_loop_parse_triaxial_csv, text)
         with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
-              mock.patch.object(ingest, "_SCAN", scan),
-              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+              mock.patch.object(ingest, "_SCAN", scan)):
             assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
             if kind != "other":
                 assert _parse_columnar(text.encode(), "s1") is not None
-        if kind == "whole" and scan == ingest._SCAN:
-            assert not loadtxt.called
 
     @pytest.mark.parametrize("header", ["timestamp,axis1,axis2,axis3", "timestamp,vm"])
     def test_whole_count_files_never_call_loadtxt(self, header):
@@ -610,25 +626,127 @@ class TestWholeCountReader:
             text = text.replace(",0.0,0.0\n", "\n")
         for block in (7, _STAMP_BLOCK):
             with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
-                  mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+                  mock.patch.object(ingest, "_read_counts") as read_counts):
                 assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
-            assert not loadtxt.called
+            assert not read_counts.called
 
-    def test_other_blocks_go_to_loadtxt_from_their_first_row(self):
+    def test_other_blocks_are_read_by_read_counts(self):
         """A first block of repr floats, then a whole block with one other
-        count in a later row: loadtxt reads those two blocks, and
-        _read_whole_block the other two."""
+        count in a later row: _read_counts reads those two blocks, and
+        _whole_counts the other two. One part, so that the blocks are read
+        in order."""
         samples = second_counts(28)
         samples[:7] = np.random.default_rng(1).uniform(0, 100, (7, 3))
         samples[12, 2] = 1e-3
         series = TriaxialSeries("s1", STARTS[0], 60, samples)
         with (mock.patch.object(ingest, "_STAMP_BLOCK", 7),
-              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+              mock.patch.object(ingest, "_PARTS", 1),
+              mock.patch.object(ingest, "_read_counts", wraps=ingest._read_counts) as read_counts):
             text = serialize_triaxial_csv(series)
             assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
-        assert [call.kwargs["max_rows"] for call in loadtxt.call_args_list] == [7, 7]
-        assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
-            row_loop_parse_triaxial_csv, text)
+        # each call's first row of counts, and its fields' shape
+        calls = [(window[begin[0, 0]:end[0, -1]].tobytes(), begin.shape)
+                 for window, begin, end in (call.args for call in read_counts.call_args_list)]
+        lines = text.encode().split(b"\n")
+        assert calls == [(lines[1][20:], (7, 3)), (lines[8][20:], (7, 3))]
+
+
+@st.composite
+def halfway_fields(draw):
+    """A decimal at or next to the midpoint of a double and the next one
+    up: that midpoint, whose decimal expansion is exact, cut to 17-19
+    significant digits and perhaps one unit in the last place above."""
+    x = draw(st.floats(1e-4, 1e16))
+    digits = draw(st.integers(17, 19))
+    with localcontext(prec=1000):
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        unit = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+        cut = mid.quantize(unit, rounding=ROUND_DOWN) + draw(st.sampled_from([0, unit]))
+    return format(cut, "f")
+
+
+def point_field(zeros, mantissa, k):
+    """``mantissa`` after ``zeros`` leading zeros, with a "." before its
+    last ``k`` digits."""
+    text = "0" * zeros + str(mantissa)
+    text = text.rjust(k + 1, "0")
+    return text[:len(text) - k] + "." + text[len(text) - k:] if k else text
+
+
+# count fields that float() reads as finite and non-negative
+COUNT_FIELDS = st.one_of(
+    st.floats(0, 1e16, exclude_max=True).map(repr),
+    st.builds("%.*f".__mod__, st.tuples(st.integers(1, 6), st.floats(0, 1e6))),
+    st.builds(point_field, st.integers(0, 25), st.integers(0, 10 ** 20), st.integers(0, 22)),
+    st.floats(0, 1e-4).map(repr),
+    st.builds("%.*e".__mod__, st.tuples(st.integers(0, 17), st.floats(0, 1e300))),
+    halfway_fields())
+
+
+def vm_file(fields):
+    """A canonical ``timestamp,vm`` file of one row per field, a minute
+    apart."""
+    return ("timestamp,vm\n" + "".join(
+        f"{(STARTS[0] + timedelta(minutes=i)).isoformat()},{field}\n"
+        for i, field in enumerate(fields))).encode()
+
+
+@pytest.mark.usefixtures("no_loadtxt")
+class TestDecimalCounts:
+    """Every count of a canonical file is read bit for bit as float() reads
+    it: from its mantissa m and its digits after the point k, as m / 10**k
+    where m <= 2**53, by _quotients past that, and by float() alone where
+    neither decides."""
+
+    @HYPOTHESIS_REPORT
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(st.lists(COUNT_FIELDS, min_size=2, max_size=30), st.sampled_from([1, 3, _STAMP_BLOCK]))
+    @example(["9007199254740993", "90071992547409930.0", "5753173825621752.5"], _STAMP_BLOCK)
+    @example(["0.000000000000000000001", "000000000000000000000000012.5", "1e-05"], 1)
+    def test_counts_are_read_as_float_reads_them(self, fields, block):
+        content = vm_file(fields)
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            series = _parse_columnar(content, "s1")
+        assert series is not None
+        expected = np.array([float(field) for field in fields])
+        assert series.samples[:, 0].tobytes() == expected.tobytes()
+        assert parse_outcome(parse_triaxial_csv, content) == parse_outcome(
+            row_loop_parse_triaxial_csv, content)
+
+    @given(st.integers(2 ** 53 + 1, 10 ** 18 - 1), st.integers(1, 22))
+    @example(2 * 10 ** 17 - 1, 22)
+    def test_quotients_are_correctly_rounded_or_undecided(self, m, k):
+        # Python's int / int is correctly rounded
+        value, undecided = ingest._quotients(np.array([m]), np.array([k]))
+        assert undecided[0] or value[0] == m / 10 ** k
+
+    @pytest.mark.parametrize("m, k", [(90071992547409930, 1), (57531738256217525, 1),
+                                      (900719925474099300, 2)])
+    def test_exact_halfway_quotients_are_undecided(self, m, k):
+        """A quotient halfway between two doubles goes to float(), whose
+        ties go to the even one."""
+        assert ingest._quotients(np.array([m]), np.array([k]))[1][0]
+        field = point_field(0, m, k)
+        series = _parse_columnar(vm_file([field, field]), "s1")
+        assert series.samples[0, 0] == float(field)
+
+    @pytest.mark.parametrize("field", ["1e400", "-1e-05", "nan", "inf", "-3.5", "1e", "1.5.0",
+                                       "0x10", "1.5\u00e9"])
+    def test_counts_float_rejects_go_to_the_row_loop(self, field):
+        content = vm_file(["1.5", field])
+        assert _parse_columnar(content, "s1") is None
+        assert parse_outcome(parse_triaxial_csv, content) == parse_outcome(
+            row_loop_parse_triaxial_csv, content)
+
+    @pytest.mark.parametrize("field", ["-0.0", "-0", "+2.5", "1_0", "1E+2", ".5", "5."])
+    def test_other_forms_float_reads_are_read_by_it(self, field):
+        """Signs, underscores and a point at either end are read by float()
+        alone, -0.0 with its sign, as the row loop reads them."""
+        series = _parse_columnar(vm_file([field, "1"]), "s1")
+        assert series.samples[0, 0].tobytes() == np.float64(float(field)).tobytes()
+        assert parse_outcome(parse_triaxial_csv, vm_file([field, "1"])) == parse_outcome(
+            row_loop_parse_triaxial_csv, vm_file([field, "1"]))
 
 
 # bytes no canonical file holds: numpy and the csv module read each of them
@@ -647,8 +765,9 @@ def row_loop_outcome(content):
 
 
 class TestWholeCountBytes:
-    """A whole-count file is checked byte by byte: by _read_whole_rows in its
-    whole blocks, and by _line_feeds before loadtxt reads any block."""
+    """A canonical file is checked byte by byte by _read_rows: each stamp
+    as words, each comma and LF by its place, and each count's bytes as
+    _read_counts reads them."""
 
     @HYPOTHESIS_REPORT
     @pytest.mark.filterwarnings("error")
@@ -718,9 +837,10 @@ def split_parse(lines, final_lf=True, block=2, parts=2):
 
 
 SPLIT_COUNTS = pytest.mark.parametrize("counts", ["1,2,3", "1.5,2,3"],
-                                       ids=["whole", "loadtxt"])
+                                       ids=["whole", "decimal"])
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestSplitParse:
     """A file of more than one block is split at row boundaries into up to
     _PARTS parts, read in threads, to the series that one part gives."""
