@@ -309,20 +309,21 @@ def _read_stamp(line: bytes) -> datetime | None:
         return None
 
 
-def _digits(window: np.ndarray, last: np.ndarray, digits: np.ndarray,
+def _digits(window: np.ndarray, end: np.ndarray, digits: np.ndarray,
             past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(m, other)``: the int64 m of each field's ``digits`` digits, read
-    leftwards from ``last`` past the byte after the ``past``-th, and True in
-    ``other`` where a field has none, a byte that is not one, or a nonzero
-    one past the 18th (so m < 1e18). One pass a digit, up to 40."""
+    """``(m, other)``: the int64 m whose decimal digits are each field's
+    last ``digits`` digits before ``end``, less the byte (its ".") before
+    its last ``past``, and True in ``other`` where a field has no digit, a
+    byte that is not one, or a nonzero one past the 18th from the last (so
+    m < 1e18). Built digit by digit from the last, up to the 40th."""
     near, far = (past.min(), past.max()) if past is not None else (math.inf, math.inf)
-    shortest, m = digits.min(), np.zeros(last.shape, np.int64)
-    other = digits < 1 if shortest < 1 else np.zeros(last.shape, bool)
+    shortest, m = digits.min(), np.zeros(end.shape, np.int64)
+    other = digits < 1 if shortest < 1 else np.zeros(end.shape, bool)
     for j in range(min(digits.max(), 40)):
         if j < near or j >= far:
-            digit = window.take(last - (j + (j >= far)))
+            digit = window.take(end - (j + 1 + (j >= far)))
         else:
-            digit = window.take(last - j - (past <= j))
+            digit = window.take(end - (j + 1) - (past <= j))
         digit -= ord("0")   # wraps any other byte past 9
         if j >= shortest:
             digit *= digits > j
@@ -339,7 +340,7 @@ def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.
     """The int64 values of the fields ``window[begin:end]`` if each is
     digits, perhaps followed by ".0", below 1e18; None otherwise."""
     end = end - 2 * ((window.take(end - 2) == ord(".")) & (window.take(end - 1) == ord("0")))
-    m, other = _digits(window, end - 1, end - begin)
+    m, other = _digits(window, end, end - begin)
     return None if other.any() else m
 
 
@@ -359,25 +360,25 @@ def _quotients(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The float() of each field ``window[begin:end]`` (index arrays of one
-    shape) if it is finite and non-negative for all; None otherwise. A
-    field's digits but its first "." are m, k of them after it: m / 10**k
-    is correctly rounded where m <= 2**53 (Clinger), and by _quotients
-    where larger. float() alone reads any other field, such as one in
-    exponent form, and each quotient left undecided."""
+    shape) if each is finite and non-negative; None otherwise. A field's
+    digits but its first "." are m, k of them after it: m / 10**k is
+    correctly rounded where m <= 2**53 (Clinger), and by _quotients where
+    larger. float() alone reads any other field, such as one in exponent
+    form, and each quotient left undecided."""
     length = end - begin
-    # searched from the first byte, as counts have few digits before it
-    dot, searching = end.copy(), length > 0
+    # the digits after each field's first ".", or -1: searched from the
+    # first byte, as counts have few digits before it
+    k, searching = np.full(end.shape, -1), length > 0
     for at in range(min(length.max(), 40)):
-        byte = begin + at
-        found = searching & (window.take(byte, mode="clip") == ord("."))
-        np.copyto(dot, byte, where=found)
+        found = searching & (window.take(begin + at, mode="clip") == ord("."))
+        np.copyto(k, length - 1 - at, where=found)
         searching = (searching ^ found) & (length > at + 1)
         if not searching.any():
             break
-    point = dot < end
-    k = np.maximum(end - 1 - dot, 0)
+    point = k >= 0
+    k = np.maximum(k, 0)
     # a field without a point never reaches its past
-    m, other = _digits(window, end - 1, length - point, np.where(point, k, length))
+    m, other = _digits(window, end, length - point, np.where(point, k, length))
     other |= (k > 22) | (length > 40)
     values = m / _POW10[np.minimum(k, 22)]
     big = np.flatnonzero((m > 2 ** 53) & (k > 0) & ~other)
@@ -411,9 +412,9 @@ def _read_rows(window: np.ndarray, stamps: np.ndarray,
     # and before each other count, LF, and the "+" of an exponent
     sep = np.flatnonzero(window <= ord(","))
     low = window.take(sep)
-    plus = low == ord("+")
-    if plus.any():
-        sep, low = sep[~plus], low[~plus]
+    if (low == ord("+")).any():
+        keep = low != ord("+")
+        sep, low = sep[keep], low[keep]
     k = min(sep.size // (width + 1), m)
     if not k:
         return None
