@@ -102,9 +102,9 @@ _SECOND_WORDS = _word_table([b":%02d" % s for s in range(60)], 0)
 # Rows made, or read by the columnar parse, at a time, with their stamps;
 # bounds the working memory of the writer and of that parse.
 _STAMP_BLOCK = 65536
-# Whole counts joined by commas: each 1-18 digits, perhaps followed by ".0",
-# which an int64 holds exactly and whose cast to float64 rounds as float().
-_WHOLE = re.compile(rb"\d{1,18}(?:\.0)?(?:,\d{1,18}(?:\.0)?)*")
+# A whole count: 1-18 digits, perhaps followed by ".0", which an int64 holds
+# exactly and whose cast to float64 rounds as float() does.
+_WHOLE = re.compile(rb"\d{1,18}(?:\.0)?")
 # 10**k for k <= 22, exact as a double and as a long double of 64 bits.
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_LONG = np.cumprod(np.r_[1, [10] * 22].astype(np.longdouble))
@@ -112,8 +112,8 @@ _POW10_LONG = np.cumprod(np.r_[1, [10] * 22].astype(np.longdouble))
 _SCAN = 1 << 18
 # The most parts, each read in a thread of its own, that the columnar parse
 # splits a file into: the CPUs in this process's affinity mask, which a
-# cgroup CPU quota does not shrink. The whole-count reader spends its time
-# in numpy calls that release the GIL.
+# cgroup CPU quota does not shrink. The reader spends most of its time in
+# numpy calls that release the GIL.
 _PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
 

@@ -612,7 +612,7 @@ class TestWholeCountReader:
                 assert _parse_columnar(text.encode(), "s1") is not None
 
     @pytest.mark.parametrize("header", ["timestamp,axis1,axis2,axis3", "timestamp,vm"])
-    def test_whole_count_files_never_call_loadtxt(self, header):
+    def test_whole_count_files_are_read_by_whole_counts(self, header):
         width = header.count(",")
         # whole counts of 1 to 16 digits, so that fields of one block differ
         # in length
@@ -741,17 +741,18 @@ class TestDecimalCounts:
 
     @pytest.mark.parametrize("field", ["-0.0", "-0", "+2.5", "1_0", "1E+2", ".5", "5."])
     def test_other_forms_float_reads_are_read_by_it(self, field):
-        """Signs, underscores and a point at either end are read by float()
-        alone, -0.0 with its sign, as the row loop reads them."""
+        """Signs and underscores are read by float() alone, -0.0 with its
+        sign, and a point at either end from the digits, as the row loop
+        reads them."""
         series = _parse_columnar(vm_file([field, "1"]), "s1")
         assert series.samples[0, 0].tobytes() == np.float64(float(field)).tobytes()
         assert parse_outcome(parse_triaxial_csv, vm_file([field, "1"])) == parse_outcome(
             row_loop_parse_triaxial_csv, vm_file([field, "1"]))
 
 
-# bytes no canonical file holds: numpy and the csv module read each of them
-# otherwise than the row loop, or it is not UTF-8, or a byte-order mark
-# past the start of the file
+# bytes no canonical file holds: the csv module or float() reads each of
+# them otherwise than a digit, comma or LF, or it is not UTF-8, or a
+# byte-order mark past the start of the file
 NOT_CANONICAL = [b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\t",
                  b"\x7f", b"\xff", b"\xc3", codecs.BOM_UTF8]
 WHOLE_TEXT = serialize_triaxial_csv(TriaxialSeries("s1", STARTS[1], 15, second_counts(8)))
