@@ -105,9 +105,9 @@ _STAMP_BLOCK = 65536
 # A whole count: 1-18 digits, perhaps followed by ".0", which an int64 holds
 # exactly and whose cast to float64 rounds as float() does.
 _WHOLE = re.compile(rb"\d{1,18}(?:\.0)?")
-# 10**k for k <= 22, exact as a double and as a long double of 64 bits.
+# 10**k for k <= 22, exact as a double and so as a long double.
 _POW10 = np.array([float(10 ** k) for k in range(23)])
-_POW10_LONG = np.cumprod(np.r_[1, [10] * 22].astype(np.longdouble))
+_POW10_LONG = _POW10.astype(np.longdouble)
 # Bytes of rows read at a time (at least a row); bounds that read's temporaries.
 _SCAN = 1 << 18
 # The most parts, each read in a thread of its own, that the columnar parse
@@ -346,11 +346,11 @@ def _whole_counts(window: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.
 
 def _quotients(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``m / 10**k`` rounded to the nearest double, for int64 m and k in
-    0-22, and True where it was not decided. In a long double of 64 bits or
-    more (x86-64 and aarch64 Linux) m and 10**k are exact and their
-    quotient q correctly rounded, so q has the quotient's nearest double
-    unless it is halfway between two, or the long double is shorter."""
-    if np.finfo(np.longdouble).nmant < 63:
+    0-22, and True where undecided. In an IEEE long double of 64 or 113
+    bits (x86-64, aarch64 Linux) m and 10**k are exact and their quotient q
+    correctly rounded, so q has the nearest double unless halfway between
+    two. Others (a double, IBM double-double) decide no quotient."""
+    if np.finfo(np.longdouble).nmant not in (63, 112):
         return m / _POW10[k], np.ones(m.shape, bool)
     q = m.astype(np.longdouble) / _POW10_LONG[k]
     value = q.astype(float)

@@ -606,10 +606,13 @@ class TestWholeCountReader:
         text, kind = case
         expected = parse_outcome(row_loop_parse_triaxial_csv, text)
         with (mock.patch.object(ingest, "_STAMP_BLOCK", block),
-              mock.patch.object(ingest, "_SCAN", scan)):
+              mock.patch.object(ingest, "_SCAN", scan),
+              mock.patch.object(ingest, "_read_counts", wraps=ingest._read_counts) as read_counts):
             assert parse_outcome(parse_triaxial_csv, text.encode()) == expected
             if kind != "other":
                 assert _parse_columnar(text.encode(), "s1") is not None
+        if kind == "whole" and scan == ingest._SCAN:
+            assert not read_counts.called
 
     @pytest.mark.parametrize("header", ["timestamp,axis1,axis2,axis3", "timestamp,vm"])
     def test_whole_count_files_are_read_by_whole_counts(self, header):
@@ -649,6 +652,8 @@ class TestWholeCountReader:
                  for window, begin, end in (call.args for call in read_counts.call_args_list)]
         lines = text.encode().split(b"\n")
         assert calls == [(lines[1][20:], (7, 3)), (lines[8][20:], (7, 3))]
+        assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
+            row_loop_parse_triaxial_csv, text)
 
 
 @st.composite
@@ -730,6 +735,18 @@ class TestDecimalCounts:
         field = point_field(0, m, k)
         series = _parse_columnar(vm_file([field, field]), "s1")
         assert series.samples[0, 0] == float(field)
+
+    @pytest.mark.parametrize("nmant", [52, 105])
+    def test_other_long_doubles_decide_no_quotient(self, nmant):
+        """Where the long double is a double (52) or IBM double-double
+        (105), every quotient past 2**53 goes to float()."""
+        fields = [repr(x) for x in np.random.default_rng(3).uniform(10, 100, 20).tolist()]
+        m = np.array([int(field.replace(".", "")) for field in fields])
+        k = np.array([len(field) - 1 - field.index(".") for field in fields])
+        with mock.patch.object(np, "finfo", return_value=mock.Mock(nmant=nmant)):
+            assert ingest._quotients(m, k)[1].all()
+            series = _parse_columnar(vm_file(fields), "s1")
+        assert series.samples[:, 0].tobytes() == np.array(list(map(float, fields))).tobytes()
 
     @pytest.mark.parametrize("field", ["1e400", "-1e-05", "nan", "inf", "-3.5", "1e", "1.5.0",
                                        "0x10", "1.5\u00e9"])
