@@ -119,28 +119,41 @@ def initial_sigmoidal_params(linear: LinearCosinorFit,
 
 def _profile_problem(profile: DayProfile) -> ResidualProblem:
     """Residual sqrt(n_m) * (ybar_m - f(t_m)) over (min, w, phase, u, v),
-    with its closed-form Jacobian."""
+    with its closed-form Jacobian.
+
+    The residual keeps its terms (amplitude, beta, alpha, angle, cos and
+    the sigmoid s) at the last point it was given, and the Jacobian at a
+    point of the same bits reuses them: LM asks for J only at a point
+    whose residual it has just evaluated. At any other point the Jacobian
+    evaluates them first."""
     t = profile.t
     weight = np.sqrt(profile.counts)
     weighted_means = weight * profile.means
+    # the bits of the last point given to the residual, and its terms
+    last = [b"", ()]
 
     # a trial step may overflow exp(w) or exp(v); LM rejects the non-finite
     # result, so the overflow is expected and not reported
-    def residual(p: np.ndarray) -> np.ndarray:
+    def terms(p: np.ndarray) -> tuple:
+        """(min, amplitude, beta, alpha, angle, cos, s) at p, the steps of
+        curve.evaluate, kept as the last point's terms."""
         min_, w, phase, u, v = p
-        with np.errstate(over="ignore"):
-            amplitude, beta = np.exp(w), np.exp(v)
-        return weighted_means - weight * curve.evaluate(
-            t, min_, amplitude, np.tanh(u), beta, phase)
-
-    def jac(p: np.ndarray) -> np.ndarray:
-        _, w, phase, u, v = p
         with np.errstate(over="ignore"):
             amplitude, beta = np.exp(w), np.exp(v)
         alpha = np.tanh(u)
         angle = (t - phase) * _OMEGA
         cos = np.cos(angle)
-        s = antilogistic(cos, alpha, beta)
+        last[:] = [np.asarray(p, dtype=float).tobytes(),
+                   (min_, amplitude, beta, alpha, angle, cos, antilogistic(cos, alpha, beta))]
+        return last[1]
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        min_, amplitude, _, _, _, _, s = terms(p)
+        return weighted_means - weight * (min_ + amplitude * s)
+
+    def jac(p: np.ndarray) -> np.ndarray:
+        same = last[0] == np.asarray(p, dtype=float).tobytes()
+        _, amplitude, beta, alpha, angle, cos, s = last[1] if same else terms(p)
         # s(1 - s) * beta tends to 0 where s saturates; at beta = inf the
         # product there is 0 * inf = nan, so take the limit instead
         with np.errstate(invalid="ignore"):

@@ -482,14 +482,17 @@ def _read_part(content: bytes, pos: int, end: int, start: datetime, epoch: int,
     grid of ``start`` and ``epoch``; False if they are not. ``end`` is the
     next part's first row, or the end of the file, whose last row alone may
     lack an LF (one is added). _read_rows reads each block of _stamp_blocks
-    _SCAN bytes at a time, but at least a row and at most 30 bytes a count."""
-    width = out.shape[1]
+    _SCAN bytes at a time, but at least a row and at most a sixteenth more
+    than the block's rows left would take at the length of the first of
+    them or at the mean length of the part's rows left, whichever is more:
+    a read of more rows than its block has left would hold more temporaries
+    than the parse of a file of that one block."""
     for i, stamps in _stamp_blocks(start, epoch, out.shape[0]):
         row = 0
         while row < stamps.size:
             line = content.find(b"\n", pos) + 1 or len(content)
-            size = min(max(min(_SCAN, (stamps.size - row) * (20 + 30 * width)), line - pos),
-                       len(content) - pos)
+            left = (stamps.size - row) * max(line - pos, (end - pos) // (out.shape[0] - i - row))
+            size = min(max(min(_SCAN, left + left // 16), line - pos), len(content) - pos)
             window = (np.frombuffer(content, np.uint8, size, pos)
                       if pos + size < len(content) or content.endswith(b"\n")
                       else np.frombuffer(content[pos:] + b"\n", np.uint8))

@@ -81,8 +81,10 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     """Minimize ||r(p)||^2 from x0.
 
     Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration, with J
-    from ``problem.jac``; a non-finite J raises NonFiniteResidual. A trial
-    point with non-finite residuals is treated as a rejected step. If no
+    from ``problem.jac`` at the current point, whose residual was the last
+    one evaluated; a non-finite J raises NonFiniteResidual. A trial point
+    with non-finite residuals has a non-finite sum of squares, which is not
+    below the current one, so its step is rejected. If no
     acceptable step exists even at maximum damping the solve stops at the
     current (best) point with a STEP_SMALL termination.
     """
@@ -90,7 +92,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     if x.shape != (problem.n_params,):
         raise ValueError(f"x0 must have length {problem.n_params}")
     r = np.asarray(problem.fun(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NonFiniteResidual("residuals non-finite at the starting point")
     rss = float(r @ r)
     history = [rss]
@@ -101,7 +103,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     for it in range(1, _MAX_ITERATIONS + 1):
         iterations = it
         J = np.asarray(problem.jac(x), dtype=float)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise NonFiniteResidual("non-finite analytic Jacobian")
         g = J.T @ r
         if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
@@ -117,15 +119,14 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
                 delta = np.linalg.solve(A + lam * np.diag(d), -g)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
+            if delta is not None and np.isfinite(delta).all():
                 x_try = x + delta
                 r_try = np.asarray(problem.fun(x_try), dtype=float)
-                if np.all(np.isfinite(r_try)):
-                    rss_try = float(r_try @ r_try)
-                    if rss_try < rss:
-                        accepted = True
-                        x_new, r_new, rss_new = x_try, r_try, rss_try
-                        break
+                rss_try = float(r_try @ r_try)
+                if rss_try < rss:
+                    accepted = True
+                    x_new, r_new, rss_new = x_try, r_try, rss_try
+                    break
             if delta is not None and _step_small(delta, x):
                 break
             if lam >= _DAMP_MAX:

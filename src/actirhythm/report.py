@@ -1,8 +1,10 @@
 """Cohort orchestration and figure data: group average curves with normal
 95% confidence bands, per-subject observed/fitted overlays, and the
 CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
-document frame, one axis pair and one point writer; the per-minute CSV
-and SVG writers format each block of numbers in one %-format call.
+document frame, one axis pair and one point writer. The per-minute CSV
+writers format each block of numbers in one %-format call; the point
+writer formats coordinates in [0, 10000) with numpy table lookups, and
+any others in one %-format call.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -55,6 +57,22 @@ def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     """One ``row`` %-format per row of the stacked columns, in one call."""
     block = np.column_stack(columns)
     return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
+    """Each value's last ``places`` decimal digits as ASCII bytes, one row
+    a value, most significant first."""
+    powers = 10 ** np.arange(places - 1, -1, -1)
+    return (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+
+
+# "%4d" of 0-9999 with NUL for each leading blank, and ".%02d" of 0-99: a
+# "%.2f" field of a value below 10000 is one entry of each
+_WHOLES = _digit_table(np.arange(10000), 4)
+_WHOLES[:, :3][np.arange(10000)[:, None] < [1000, 100, 10]] = 0
+_WHOLES = _WHOLES.view("S4").ravel()
+_CENTS = np.column_stack([np.full(100, ord("."), np.uint8),
+                          _digit_table(np.arange(100), 2)]).view("S3").ravel()
 
 
 def _row_prefix(fields: Sequence[str]) -> str:
@@ -187,8 +205,33 @@ def _scale(v: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
 
 
 def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> str:
-    """Each (x, y) pair as "x<sep>y" with two decimals, the pairs joined by join."""
-    return _format_rows(f"%.2f{sep}%.2f{join}", (x, y))[:-len(join)]
+    """Each (x, y) pair as "x<sep>y" with two decimals ("%.2f"), the pairs
+    joined by join.
+
+    Every coordinate the renderers make from finite data lies in
+    [0, 10000). There ``n = rint(100 v)`` is the rounded value: 100 v is
+    within half an ulp of the exact product, so n is that product rounded
+    unless 100 v is within 1e-6 of a half, and there '%.2f' % v gives it.
+    Each field is then an entry of _WHOLES and one of _CENTS. If any value
+    is outside that range (not finite, sign bit set, or 9999.995 and up),
+    the call takes _format_rows instead.
+    """
+    v = np.column_stack((x, y))
+    if not (np.isfinite(v).all() and not np.signbit(v).any() and (v < 9999.995).all()):
+        return _format_rows(f"%.2f{sep}%.2f{join}", (x, y))[:-len(join)]
+    scaled = v * 100.0
+    n = np.rint(scaled)
+    ties = np.flatnonzero(np.abs(scaled - n) > 0.5 - 1e-6)
+    n = n.astype(np.intp)
+    for i in ties.tolist():
+        n.flat[i] = int(("%.2f" % v.flat[i]).replace(".", ""))
+    whole, cents = np.divmod(n, 100)
+    pairs = np.empty(len(v), [("x", "S4"), ("x_cents", "S3"), ("sep", f"S{len(sep)}"),
+                              ("y", "S4"), ("y_cents", "S3"), ("join", f"S{len(join)}")])
+    pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], _CENTS[cents[:, 0]]
+    pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], _CENTS[cents[:, 1]]
+    pairs["sep"], pairs["join"] = sep.encode(), join.encode()
+    return pairs.tobytes().replace(b"\0", b"").decode()[:-len(join)]
 
 
 def _axes(x0, y0, x1, y1) -> list[str]:

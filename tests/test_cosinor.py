@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actirhythm import cosinor, errors
+from actirhythm import cosinor, curve, errors
 from actirhythm.cosinor import (
     FitConfig,
     LinearCosinorFit,
@@ -18,6 +18,7 @@ from actirhythm.cosinor import (
     initial_sigmoidal_params,
     model_value,
 )
+from actirhythm.preprocess import day_profile
 from conftest import make_series, make_window
 from reference_impls import (
     LoopSeries,
@@ -327,6 +328,35 @@ class TestProfileReduction:
         with np.errstate(over="ignore"):
             jac = problem.jac(np.array([0.5, 1.2, 13.3, 0.4, 800.0]))
         assert np.all(np.isfinite(jac))
+
+    def test_residual_is_the_weighted_curve_bit_for_bit(self, rng):
+        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
+        weight = np.sqrt(profile.counts)
+        expected = weight * profile.means - weight * curve.evaluate(
+            profile.t, p[0], np.exp(p[1]), np.tanh(p[3]), np.exp(p[4]), p[2])
+        assert cosinor._profile_problem(profile).fun(p).tobytes() == expected.tobytes()
+
+    def test_jacobian_reuses_the_residual_terms_bit_for_bit(self, rng):
+        """jac(p) reads the terms the residual kept when p has the bits of
+        the residual's last point, and evaluates them otherwise; either way
+        it is a fresh problem's jac(p), bit for bit."""
+        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
+        q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
+        expected = cosinor._profile_problem(profile).jac(p)
+        assert expected.shape == (profile.t.size, 5) and expected.flags.c_contiguous
+
+        def jac_after(*points, at=p):
+            problem = cosinor._profile_problem(profile)
+            for point in points:
+                problem.fun(point)
+            return problem.jac(at)
+
+        for jac in (jac_after(p), jac_after(q), jac_after(p, at=p.copy()), jac_after(),
+                    jac_after(p, q), jac_after(q, p)):
+            assert jac.tobytes() == expected.tobytes()
+            assert jac.flags.c_contiguous
 
     def test_matches_full_data_fit(self, rng):
         series = partial_series_with_invalid_day(rng)

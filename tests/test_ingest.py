@@ -504,6 +504,26 @@ class TestMemoryBounds:
         block_peak, peak, series = self.parse_peaks(counts, parts)
         assert peak <= series.samples.nbytes + (parts + 1) * block_peak
 
+    @COUNTS
+    def test_each_part_alone_holds_at_most_one_block(self, counts):
+        """Each of 8 parts of two blocks, read alone, peaks no higher than a
+        file of one block: parts read at once then hold at most the bound
+        above. A read window past its block's rows broke this."""
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK),
+              mock.patch.object(ingest, "_PARTS", 8)):
+            content = self.file(counts, self.ROWS)
+            block_peak, _ = traced_peak(_parse_columnar, self.file(counts, self.BLOCK), "s1")
+            start = datetime(2016, 5, 1)
+            parts = _split(content, content.index(b"\n") + 1, start, 1, self.ROWS)
+            assert len(parts) == 8
+            samples = np.zeros((self.ROWS, 3))
+            bounds = [*parts, (len(content), self.ROWS)]
+            for (pos, k), (end, k_end) in zip(bounds, bounds[1:]):
+                peak, read = traced_peak(ingest._read_part, content, pos, end,
+                                         start + timedelta(seconds=k), 1, samples[k:k_end])
+                assert read and peak <= block_peak
+        assert np.array_equal(samples, counts(self.ROWS))
+
     def test_writer_holds_twice_its_text_and_one_block(self):
         series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, second_counts(self.ROWS))
         one_block = TriaxialSeries("s1", datetime(2016, 5, 1), 1,

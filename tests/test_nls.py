@@ -156,6 +156,19 @@ class TestLevenbergMarquardt:
         assert analytic.rss == pytest.approx(numeric.rss, rel=1e-10)
         assert np.allclose(analytic.params, numeric.params, rtol=1e-6)
 
+    def test_nan_trial_point_is_rejected(self):
+        """r(p) = p - 3 is NaN past p = 2, so the first full step, to 3, is
+        rejected; damped steps short of 2 are taken instead."""
+        def residual(p):
+            return np.where(p > 2.0, np.nan, p - 3.0)
+
+        problem = ResidualProblem(residual, 1, 1, lambda p: np.ones((1, 1)))
+        result = levenberg_marquardt(problem, np.array([0.0]))
+        history = np.array(result.rss_history)
+        assert len(history) > 2 and np.all(np.diff(history) < 0)
+        assert np.isfinite(result.rss)
+        assert 1.9 < result.params[0] <= 2.0
+
     def test_non_finite_analytic_jacobian(self):
         problem = ResidualProblem(lambda p: p - 1.0, 1, 1,
                                   lambda p: np.array([[np.nan]]))

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +184,27 @@ SUBJECT_IDS = st.one_of(st.sampled_from(['a,%d "x"', "b%s", "%", "%%", '"', " le
 GROUPS = st.sampled_from(list(GroupLabel))
 
 
+def _cut(k, j):
+    """k / 200 written to 17 significant digits, moved j in the last one."""
+    digits, exponent = f"{k / 200:.16e}".split("e")
+    return abs(float(f"{int(digits.replace('.', '')) + j}e{int(exponent) - 16}"))
+
+
+# 9999.995 and the doubles either side of it, 2**-39 apart
+TOP = st.integers(-1000, 1000).map(lambda j: 9999.995 + j * 2.0 ** -39)
+# coordinates the point writer formats in numpy, [0, 10000) below 9999.995:
+# exact ties at two decimals, 17-digit cuts near half a cent, the doubles
+# just below 9999.995, next to any float in the range
+IN_RANGE = st.one_of(st.integers(0, 79999).map(lambda k: k / 8),
+                     st.integers(0, 9999).map(lambda k: k + 0.125),
+                     st.builds(_cut, st.integers(0, 1999998), st.integers(-9, 9)),
+                     TOP, st.floats(0.0, 9999.995)).filter(lambda v: v < 9999.995)
+# values that send a call to _format_rows
+OUT_OF_RANGE = st.one_of(st.sampled_from([-0.0, -5e-324, -1e-9, math.nan, math.inf,
+                                          -math.inf, 1e4]),
+                         TOP.filter(lambda v: v >= 9999.995))
+
+
 def _column(n):
     return st.lists(VALUES, min_size=n, max_size=n).map(np.array)
 
@@ -233,6 +255,24 @@ class TestPerMinuteWriters:
     def test_points(self, pairs, sep_join):
         x, y = np.array(pairs).T
         assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+
+    @given(st.lists(st.tuples(IN_RANGE, IN_RANGE), max_size=40),
+           st.sampled_from([(",", " "), (" ", " L ")]))
+    def test_points_in_range_are_formatted_in_numpy(self, pairs, sep_join):
+        x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
+        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+            assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+        assert not spy.called
+
+    @given(st.lists(st.tuples(IN_RANGE, IN_RANGE), min_size=1, max_size=20),
+           OUT_OF_RANGE, st.integers(0, 39), st.sampled_from([(",", " "), (" ", " L ")]))
+    def test_points_out_of_range_take_format_rows(self, pairs, bad, at, sep_join):
+        v = np.array(pairs, dtype=float).ravel()
+        v[at % v.size] = bad
+        x, y = v.reshape(-1, 2).T
+        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+            assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+        assert spy.call_count == 1
 
     def test_quoted_prefix_with_format_directives(self):
         ov = CurveOverlay('a,%d "x"', CCI, np.array([0.125, -0.0]),
