@@ -59,20 +59,20 @@ def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
     return (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def _digit_table(values: np.ndarray, places: int) -> np.ndarray:
-    """Each value's last ``places`` decimal digits as ASCII bytes, one row
-    a value, most significant first."""
-    powers = 10 ** np.arange(places - 1, -1, -1)
-    return (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+def _digit_table(places: int) -> np.ndarray:
+    """Every string of ``places`` decimal digits, in numeric order, as a
+    (10**places, places) array of ASCII bytes."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    return np.stack(np.meshgrid(*[digits] * places, indexing="ij"), axis=-1).reshape(-1, places)
 
 
-# "%4d" of 0-9999 with NUL for each leading blank, and ".%02d" of 0-99: a
-# "%.2f" field of a value below 10000 is one entry of each
-_WHOLES = _digit_table(np.arange(10000), 4)
-_WHOLES[:, :3][np.arange(10000)[:, None] < [1000, 100, 10]] = 0
+# "%4d" of 0-9999 with NUL for each leading blank (a leading zero but the
+# last digit), and ".%02d" of 0-99: a "%.2f" field of a value below 10000
+# is one entry of each
+_WHOLES = _digit_table(4)
+_WHOLES[:, :3][np.logical_and.accumulate(_WHOLES[:, :3] == ord("0"), axis=1)] = 0
 _WHOLES = _WHOLES.view("S4").ravel()
-_CENTS = np.column_stack([np.full(100, ord("."), np.uint8),
-                          _digit_table(np.arange(100), 2)]).view("S3").ravel()
+_CENTS = np.column_stack([np.full(100, ord("."), np.uint8), _digit_table(2)]).view("S3").ravel()
 
 
 def _row_prefix(fields: Sequence[str]) -> str:
