@@ -20,7 +20,9 @@ as decimals, in two parts where the host has two CPUs. The seventh has
 ``12.500``, as device exports write them; 17-digit reprs, one in 50 of
 them below 1e-4 and so in exponent form, which float() alone reads; and
 plain digits. Each tree then runs
-``run`` on that cohort. Both trees write to the same
+``run`` on that cohort twice: with the default flags, and with
+``--transform raw --smooth 15``, so that raw-scale overlays and smoothed
+curves reach the CSV and SVG writers. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, and the exit status is then 1.
 
@@ -53,6 +55,9 @@ WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15, ("%d",) * 3), (datetime(2016, 5, 1), 
                 (datetime(2016, 5, 1), 5, ("%r",) * 3),
                 (datetime(2016, 5, 1), 15, ("%.3f", "%r", "%d"))])
 DIVISORS = {"%.3f": 8, "%r": 3}
+# the runs on the whole-count cohort, by label
+WHOLE_RUNS = {"whole counts": [],
+              "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"]}
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
@@ -113,12 +118,13 @@ def write_whole_cohort(root: Path) -> Path:
     return path
 
 
-def whole_run(tree: Path, manifest: Path, out: Path) -> dict[str, bytes]:
-    """Every file that tree's ``run`` writes under out from the whole-count
-    cohort by relative path, and its stdout under the key "stdout"."""
+def whole_run(tree: Path, manifest: Path, out: Path, flags: list[str]) -> dict[str, bytes]:
+    """Every file that tree's ``run`` with flags writes under out from the
+    whole-count cohort by relative path, and its stdout under the key
+    "stdout"."""
     shutil.rmtree(out, ignore_errors=True)
     stdout = _run(tree, ["-m", "actirhythm.cli", "run", "--manifest", str(manifest),
-                         "--out", str(out)], out.parent)
+                         "--out", str(out), *flags], out.parent)
     return {**_files(out), "stdout": stdout}
 
 
@@ -142,10 +148,11 @@ def main(argv=None) -> int:
                        if theirs.get(name) != ours.get(name)]
             print(f"seed {seed} {transform}: {len(ours)} outputs compared", file=sys.stderr)
         manifest = write_whole_cohort(Path(tmp) / "whole")
-        theirs, ours = (whole_run(tree, manifest, out) for tree in (base, ROOT))
-        differ += [f"whole counts: {name}" for name in sorted(theirs.keys() | ours.keys())
-                   if theirs.get(name) != ours.get(name)]
-        print(f"whole counts: {len(ours)} outputs compared", file=sys.stderr)
+        for label, flags in WHOLE_RUNS.items():
+            theirs, ours = (whole_run(tree, manifest, out, flags) for tree in (base, ROOT))
+            differ += [f"{label}: {name}" for name in sorted(theirs.keys() | ours.keys())
+                       if theirs.get(name) != ours.get(name)]
+            print(f"{label}: {len(ours)} outputs compared", file=sys.stderr)
     for line in differ:
         print(f"differs: {line}")
     return 1 if differ else 0

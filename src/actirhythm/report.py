@@ -2,9 +2,10 @@
 95% confidence bands, per-subject observed/fitted overlays, and the
 CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
 document frame, one axis pair and one point writer. The per-minute CSV
-writers format each block of numbers in one %-format call; the point
-writer formats coordinates in [0, 10000) with numpy table lookups, and
-any others in one %-format call.
+writers and the point writer build their numbers from digit tables in
+numpy, byte-identical to "%.6g" and "%.2f": exact integer rounding
+(_rounded) gives each value's significant digits, and a value outside
+the tables' range is written by the %-operator.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -74,10 +75,138 @@ _WHOLES[:, :3][np.logical_and.accumulate(_WHOLES[:, :3] == ord("0"), axis=1)] = 
 _WHOLES = _WHOLES.view("S4").ravel()
 _CENTS = np.column_stack([np.full(100, ord("."), np.uint8), _digit_table(2)]).view("S3").ravel()
 
+# 10**k for k in -4..9, each the double nearest it
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 10)])
 
-def _row_prefix(fields: Sequence[str]) -> str:
-    """The text fields as csv_text quotes them, as a literal %-format prefix."""
-    return csv_text(fields, ())[:-1].replace("%", "%%")
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into a high and a low part of 26 bits each."""
+    c = a * 134217729.0   # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _rounded(v: np.ndarray, scale) -> np.ndarray:
+    """rint(v * scale) for v >= 0 and v * scale below 2**52, rounded as the
+    %-operator rounds: to nearest, ties to even, on the exact product.
+
+    The rounded product s can fall on the other side of a half from the
+    exact product only when s is that half, which is a double. There
+    Dekker's TwoProduct gives the product's rounding error err exactly
+    (no fused multiply-add), and err picks the side; where err is 0 the
+    tie is true and rint has already rounded it to even."""
+    s = v * scale
+    n = np.rint(s)
+    d = s - n
+    half = np.abs(d) == 0.5
+    if half.any():
+        a_hi, a_lo = _split(v[half])
+        b_hi, b_lo = _split(np.broadcast_to(scale, v.shape)[half])
+        err = ((a_hi * b_hi - s[half]) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        d = d[half]
+        n[half] += np.where(d * err > 0, 2 * d, 0.0)
+    return n
+
+
+def _strip(table: np.ndarray, first: int) -> np.ndarray:
+    """table with the trailing NULs, "0"s and "." of each row, from column
+    first on, set to NUL: %g drops trailing zeros and a bare point."""
+    tail = table[:, first:][:, ::-1]
+    drop = (tail == 0) | (tail == ord("0")) | (tail == ord("."))
+    tail[np.logical_and.accumulate(drop, axis=1)] = 0
+    return table
+
+
+def _sig6_group(e: int, first: int, last: bool) -> np.ndarray:
+    """The 1000 ways to write significant digits first to first + 2 of a
+    "%.6g" value of decimal exponent e in [-4, 5] as four bytes: the
+    three digits and the point where it falls among or after them (else
+    a NUL), with trailing zeros stripped if no later digit is nonzero."""
+    digits = _digit_table(3)
+    point = e + 1 - first
+    if 1 <= point <= 3 and e < 5:
+        table = np.insert(digits, point, ord("."), axis=1)
+    else:
+        table = np.insert(digits, 3, 0, axis=1)
+        point = 0 if point <= 0 else 4   # fraction digits only, or whole ones only
+    return _strip(table, point) if last else table
+
+
+# "%.6g" of a value v with 1e-4 <= |v| < 999999.5, or of zero, in fixed
+# notation and after a comma: v = n * 10**(e - 5) with n the six
+# significant digits (n = 0 for zero, with e = 0), and the field is
+# _LEADS[2 * (e + 4) + sign] (the comma, "-" and "0." with the zeros after
+# the point for e < 0), then _HEADS[(2 * (e + 4) + (n % 1000 == 0)) * 1000
+# + n // 1000] and _TAILS[(e + 4) * 1000 + n % 1000]
+_LEADS = np.array([b"," + b"-" * sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+                   for e in range(-4, 6) for sign in (0, 1)], "S8")
+_HEADS = np.concatenate([_sig6_group(e, 0, last) for e in range(-4, 6)
+                         for last in (False, True)]).view("S4").ravel()
+_TAILS = np.concatenate([_sig6_group(e, 3, True) for e in range(-4, 6)]).view("S4").ravel()
+_SIG6 = np.dtype([("lead", "S8"), ("head", "S4"), ("tail", "S4")])
+
+
+def _sig6(v: np.ndarray, out: np.ndarray):
+    """Write "," and "%.6g" % x for each x of v into the _SIG6 fields out
+    of v's shape, with NUL padding. Values outside the tables' range
+    (nonzero below 1e-4, 999999.5 and up, and not finite) are written by
+    _fmt, one at a time."""
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 999999.5)
+    x = np.where(fixed, a, 1.0)
+    e = np.searchsorted(_POW10, x, side="right") - 5   # 10**e <= x < 10**(e + 1)
+    n = _rounded(x, _POW10[9 - e])
+    carry = n == 1e6
+    n[carry] = 1e5
+    e += carry
+    zero = a == 0
+    n[zero] = 0
+    high, low = np.divmod(n.astype(np.intp), 1000)
+    e += 4
+    out["lead"] = _LEADS[2 * e + np.signbit(v)]
+    out["head"] = _HEADS[(2 * e + (low == 0)) * 1000 + high]
+    out["tail"] = _TAILS[e * 1000 + low]
+    other = ~(fixed | zero)
+    if other.any():
+        out.view("S16")[other] = [("," + _fmt(x)).encode() for x in v[other].tolist()]
+
+
+# rows a _sig6 call writes at most: its arrays take about 100 bytes a
+# value, so a long block does not raise the run's peak memory
+_CHUNK_ROWS = 4096
+
+
+def _csv_table(header: Sequence[str], prefixes: Sequence[Sequence[str]],
+               blocks: Sequence[Sequence[np.ndarray]]) -> str:
+    """The header, then each block's rows: its prefix's text fields as
+    csv_text quotes them, then its columns, the minutes as "%d" and the
+    others as "%.6g".
+
+    The rows are laid out at a fixed width with NUL padding (_sig6 for the
+    numbers), which bytes.translate drops, _CHUNK_ROWS at a time. A block
+    whose prefix holds a NUL, or with a minute that is not a whole number
+    below 10**6 in magnitude (where "%d" and "%.6g" differ), takes
+    _format_rows."""
+    parts = [csv_text(header, ())]
+    for fields, (minutes, *columns) in zip(prefixes, blocks):
+        prefix = csv_text(fields, ())[:-1]
+        if "\0" in prefix or not ((np.abs(minutes) < 1e6) & (minutes == np.trunc(minutes))).all():
+            parts.append(_format_rows(prefix.replace("%", "%%") + ",%d"
+                                      + ",%.6g" * len(columns) + "\n", (minutes, *columns)))
+            continue
+        prefix = prefix.encode()
+        row = np.dtype([("prefix", f"S{len(prefix)}"), ("values", _SIG6, len(columns) + 1),
+                        ("end", "S1")])
+        for start in range(0, len(minutes), _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            values = np.column_stack([minutes[part] + 0.0]   # "%d" of -0.0 is "0"
+                                     + [c[part] for c in columns])
+            buf = bytearray(len(values) * row.itemsize)
+            rows = np.frombuffer(buf, row)
+            rows["prefix"], rows["end"] = prefix, b"\n"
+            _sig6(values, rows["values"])
+            parts.append(buf.translate(None, b"\0").decode())
+    return "".join(parts)
 
 
 def csv_text(header: Sequence[str], rows) -> str:
@@ -209,29 +338,22 @@ def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> st
     joined by join.
 
     Every coordinate the renderers make from finite data lies in
-    [0, 10000). There ``n = rint(100 v)`` is the rounded value: 100 v is
-    within half an ulp of the exact product, so n is that product rounded
-    unless 100 v is within 1e-6 of a half, and there '%.2f' % v gives it.
-    Each field is then an entry of _WHOLES and one of _CENTS. If any value
+    [0, 10000). There ``n = _rounded(v, 100)`` is the value in cents as
+    "%.2f" rounds it, and each field is an entry of _WHOLES and one of
+    _CENTS, with NUL padding that one bytes.translate drops. If any value
     is outside that range (not finite, sign bit set, or 9999.995 and up),
     the call takes _format_rows instead.
     """
     v = np.column_stack((x, y))
     if not (np.isfinite(v).all() and not np.signbit(v).any() and (v < 9999.995).all()):
         return _format_rows(f"%.2f{sep}%.2f{join}", (x, y))[:-len(join)]
-    scaled = v * 100.0
-    n = np.rint(scaled)
-    ties = np.flatnonzero(np.abs(scaled - n) > 0.5 - 1e-6)
-    n = n.astype(np.intp)
-    for i in ties.tolist():
-        n.flat[i] = int(("%.2f" % v.flat[i]).replace(".", ""))
-    whole, cents = np.divmod(n, 100)
+    whole, cents = np.divmod(_rounded(v, 100.0).astype(np.intp), 100)
     pairs = np.empty(len(v), [("x", "S4"), ("x_cents", "S3"), ("sep", f"S{len(sep)}"),
                               ("y", "S4"), ("y_cents", "S3"), ("join", f"S{len(join)}")])
     pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], _CENTS[cents[:, 0]]
     pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], _CENTS[cents[:, 1]]
     pairs["sep"], pairs["join"] = sep.encode(), join.encode()
-    return pairs.tobytes().replace(b"\0", b"").decode()[:-len(join)]
+    return pairs.tobytes().translate(None, b"\0").decode()[:-len(join)]
 
 
 def _axes(x0, y0, x1, y1) -> list[str]:
@@ -403,19 +525,16 @@ def comparison_text(rows: Sequence[stats.GroupComparisonRow]) -> str:
 
 
 def curves_csv(curves: Sequence[GroupCurve]) -> str:
-    header = csv_text(("group", "minute", "mean", "ci_low", "ci_high"), ())
-    return header + "".join(
-        _format_rows(_row_prefix((c.group.value,)) + ",%d,%.6g,%.6g,%.6g\n",
-                     (c.times, c.mean, c.ci_low, c.ci_high))
-        for c in curves)
+    return _csv_table(("group", "minute", "mean", "ci_low", "ci_high"),
+                      [(c.group.value,) for c in curves],
+                      [(c.times, c.mean, c.ci_low, c.ci_high) for c in curves])
 
 
 def overlays_csv(overlays: Sequence[CurveOverlay]) -> str:
-    header = csv_text(("subject_id", "group", "minute", "observed", "fitted"), ())
-    return header + "".join(
-        _format_rows(_row_prefix((ov.subject_id, ov.group.value)) + ",%d,%.6g,%.6g\n",
-                     (np.arange(ov.observed.size), ov.observed, ov.fitted))
-        for ov in overlays)
+    return _csv_table(("subject_id", "group", "minute", "observed", "fitted"),
+                      [(ov.subject_id, ov.group.value) for ov in overlays],
+                      [(np.arange(ov.observed.size), ov.observed, ov.fitted)
+                       for ov in overlays])
 
 
 def skips_csv(skipped: Sequence[tuple[str, str, str]]) -> str:

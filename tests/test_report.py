@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -205,25 +207,63 @@ OUT_OF_RANGE = st.one_of(st.sampled_from([-0.0, -5e-324, -1e-9, math.nan, math.i
                          TOP.filter(lambda v: v >= 9999.995))
 
 
-def _column(n):
-    return st.lists(VALUES, min_size=n, max_size=n).map(np.array)
+@st.composite
+def sixth_digit_ties(draw):
+    """(v, j): v = (k + 0.5) / 10**j with six digits in k, exact as a
+    double (2k + 1 = 5**j * t for an odd t), or a double next to one."""
+    j = draw(st.integers(0, 9))
+    low, high = -(-200001 // 5**j), 1999999 // 5**j   # 10**5 <= k < 10**6
+    t = 2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1
+    v = ((5**j * t - 1) // 2 + 0.5) / 10**j
+    return float(np.nextafter(v, draw(st.sampled_from([0.0, v, math.inf])))), j
+
+
+# the doubles either side of 10**e for e in -4..5
+DECADES = st.builds(lambda e, side: float(np.nextafter(10.0 ** e, side)),
+                    st.integers(-4, 5), st.sampled_from([0.0, math.inf]))
+# magnitudes "%.6g" writes in fixed notation: sixth-digit ties, dyadic
+# k / 2**m (ties at the sixth digit among them), each power of ten and
+# its neighbours, the largest doubles below 999999.5, 9.999995 (which
+# rounds up to 10), zero, and any float in range
+SIG6_MAGNITUDES = st.one_of(
+    sixth_digit_ties().map(lambda vj: vj[0]),
+    st.builds(lambda k, m: k / 2**m, st.integers(1, 2**24), st.integers(0, 30)),
+    st.integers(-4, 5).map(lambda e: 10.0 ** e), DECADES,
+    st.integers(1, 1000).map(lambda i: 999999.5 - i * 2.0 ** -33),
+    st.sampled_from([9.999995, 0.0]), st.floats(1e-4, 999999.5, exclude_max=True),
+).filter(lambda v: v == 0 or 1e-4 <= v < 999999.5)
+SIG6 = st.builds(lambda v, negative: -v if negative else v, SIG6_MAGNITUDES, st.booleans())
+# values "%.6g" writes otherwise, which _sig6 sends to _fmt
+NOT_SIG6 = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1e-5, -1e-5, 1e6,
+                            999999.5, -999999.5, float(np.nextafter(1e-4, 0)), 5e-324,
+                            1e300])
+
+
+def _column(n, values=VALUES):
+    return st.lists(values, min_size=n, max_size=n).map(np.array)
 
 
 @st.composite
-def curve_sets(draw):
+def curve_sets(draw, values=VALUES):
     n = draw(st.integers(1, 6))
     times = np.arange(n, dtype=float)
-    return [GroupCurve(g, times, draw(_column(n)), draw(_column(n)), draw(_column(n)),
-                       draw(st.integers(1, 30)))
+    return [GroupCurve(g, times, draw(_column(n, values)), draw(_column(n, values)),
+                       draw(_column(n, values)), draw(st.integers(1, 30)))
             for g in draw(st.lists(GROUPS, min_size=1, max_size=4, unique=True))]
 
 
 @st.composite
-def overlay_sets(draw):
+def overlay_sets(draw, values=VALUES):
     n = draw(st.integers(1, 6))
-    return [CurveOverlay(draw(SUBJECT_IDS), draw(GROUPS), draw(_column(n)),
-                         draw(_column(n)))
+    return [CurveOverlay(draw(SUBJECT_IDS), draw(GROUPS), draw(_column(n, values)),
+                         draw(_column(n, values)))
             for _ in range(draw(st.integers(1, 4)))]
+
+
+def _spies():
+    """wraps spies on report._format_rows and report._fmt."""
+    return (mock.patch.object(report, "_format_rows", wraps=report._format_rows),
+            mock.patch.object(report, "_fmt", wraps=report._fmt))
 
 
 def _with_loop_points(render, items):
@@ -273,6 +313,79 @@ class TestPerMinuteWriters:
         with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
             assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
         assert spy.call_count == 1
+
+    @given(curve_sets(SIG6), overlay_sets(SIG6))
+    def test_sig6_columns_are_formatted_in_numpy(self, curves, overlays):
+        overlays = [dataclasses.replace(ov, subject_id=ov.subject_id.replace("\0", ""))
+                    for ov in overlays]
+        rows, fmt = _spies()
+        with rows as rows, fmt as fmt:
+            assert curves_csv(curves) == loop_curves_csv(curves)
+            assert overlays_csv(overlays) == loop_overlays_csv(overlays)
+        assert not rows.called and not fmt.called
+
+    @given(st.lists(SIG6, min_size=1, max_size=12), NOT_SIG6, st.integers(0, 99))
+    def test_other_values_take_fmt_one_at_a_time(self, values, other, at):
+        v = np.array(values)
+        v[at % v.size] = other
+        curve = GroupCurve(ICU, np.arange(v.size, dtype=float), v, v[::-1].copy(), v, 2)
+        overlay = CurveOverlay("s1", CCI, v, v[::-1].copy())
+        rows, fmt = _spies()
+        with rows as rows, fmt as fmt:
+            assert curves_csv([curve]) == loop_curves_csv([curve])
+            assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
+        assert not rows.called
+        assert fmt.call_count == 5
+
+    def test_a_week_of_minutes(self, rng):
+        values = rng.gamma(0.5, 200.0, (3, 10080))
+        values[:, :600] = 0.0   # a night of zero minutes
+        curve = GroupCurve(ICU, np.arange(10080.0), *values, 4)
+        overlay = CurveOverlay("s1", CCI, values[0], values[1])
+        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+            assert curves_csv([curve]) == loop_curves_csv([curve])
+            assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
+        assert not spy.called
+        assert curves_csv([curve]).splitlines()[-1].startswith("control_icu,10079,")
+
+    @pytest.mark.parametrize("times, subject_id", [
+        (np.array([0.0, 0.5, 2.0]), "s1"),
+        (np.array([0.0, 1.0, 1e6]), "s1"),
+        (np.arange(3.0), "a\0b"),
+    ])
+    def test_other_minutes_and_nul_ids_take_format_rows(self, times, subject_id):
+        """Minutes that are not whole or reach 10**6 send the curve to
+        _format_rows, and a NUL in the id sends the overlay there."""
+        v = np.array([0.125, 1e-5, 3.5])
+        curve = GroupCurve(ICU, times, v, v, v, 1)
+        overlay = CurveOverlay(subject_id, CCI, v, v)
+        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+            assert curves_csv([curve]) == loop_curves_csv([curve])
+            assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
+        assert spy.call_count == 1
+
+    @given(sixth_digit_ties())
+    def test_rounded_sixth_digit_is_the_percent_rounding(self, tie):
+        v, j = tie
+        assert report._rounded(np.array([v]), 10.0 ** j)[0] == Decimal("%.6g" % v).scaleb(j)
+
+    @given(st.one_of(st.integers(0, 79999).map(lambda k: k / 8),
+                     st.builds(_cut, st.integers(0, 1999998), st.integers(-9, 9))))
+    def test_rounded_cents_are_the_percent_rounding(self, v):
+        v = np.array([v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)])
+        assert report._rounded(v, 100.0).tolist() == [
+            float(Decimal("%.2f" % x).scaleb(2)) for x in v.tolist()]
+
+    def test_points_on_the_five_day_grid(self):
+        """x = 64 + t * 121 / 12 lies within 1e-6 of a half cent at every
+        12th minute; those pairs are formatted in numpy too."""
+        x = report._scale(np.arange(7200.0), 0, 7200, 64, 790)
+        assert np.count_nonzero(np.abs(x * 100 - np.rint(x * 100)) > 0.5 - 1e-6) == 600
+        y = x[::-1] / 2
+        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+            assert report._points(x, y) == loop_points(x, y)
+            assert report._points(x, y, " ", " L ") == loop_points(x, y, " ", " L ")
+        assert not spy.called
 
     def test_quoted_prefix_with_format_directives(self):
         ov = CurveOverlay('a,%d "x"', CCI, np.array([0.125, -0.0]),
