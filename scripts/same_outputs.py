@@ -20,9 +20,11 @@ as decimals, in two parts where the host has two CPUs. The seventh has
 ``12.500``, as device exports write them; 17-digit reprs, one in 50 of
 them below 1e-4 and so in exponent form, which float() alone reads; and
 plain digits. Each tree then runs
-``run`` on that cohort twice: with the default flags, and with
+``run`` on that cohort three times: with the default flags; with
 ``--transform raw --smooth 15``, so that raw-scale overlays and smoothed
-curves reach the CSV and SVG writers. Both trees write to the same
+curves reach the CSV and SVG writers; and with ``--per-day --ra-raw-sums
+--multistart 3``, so that M10/L5 are taken on each day's row and each fit
+reuses one residual problem across its starts. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, and the exit status is then 1.
 
@@ -55,9 +57,12 @@ WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15, ("%d",) * 3), (datetime(2016, 5, 1), 
                 (datetime(2016, 5, 1), 5, ("%r",) * 3),
                 (datetime(2016, 5, 1), 15, ("%.3f", "%r", "%d"))])
 DIVISORS = {"%.3f": 8, "%r": 3}
-# the runs on the whole-count cohort, by label
+# the runs on the whole-count cohort, by label; the third takes M10/L5 per
+# day and fits each subject from three starts on one residual problem
 WHOLE_RUNS = {"whole counts": [],
-              "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"]}
+              "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"],
+              "whole counts per day multistart 3": ["--per-day", "--ra-raw-sums",
+                                                    "--multistart", "3"]}
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:

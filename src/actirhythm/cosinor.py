@@ -26,7 +26,8 @@ from . import curve
 from .curve import antilogistic  # re-exported; stable sigmoid
 from .errors import InsufficientSpan
 from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
-from .preprocess import MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile
+from .preprocess import (MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile,
+                         rows_profile)
 
 _OMEGA = 2.0 * np.pi / 24.0
 # |u| or |v| beyond this means tanh/exp is pinned at its numerical limit
@@ -81,16 +82,18 @@ def _span_hours(cells: np.ndarray) -> float:
     return float(last - first)
 
 
-def fit_linear_cosinor(series: ActivitySeries,
-                       config: FitConfig = FitConfig()) -> LinearCosinorFit:
+def fit_linear_cosinor(series: ActivitySeries, config: FitConfig = FitConfig(),
+                       profile: DayProfile | None = None) -> LinearCosinorFit:
     """Least-squares projection onto [1, cos, sin] of 24 h period; fewer
     than 3 recorded minutes on the valid days, or 12 h or less from the
-    first to the last of them, raise InsufficientSpan."""
+    first to the last of them, raise InsufficientSpan. ``profile``, when
+    given, is day_profile(series, config.transform), made by the caller."""
     cells = np.flatnonzero(~np.isnan(series.grid) & series.day_valid[:, None])
     if cells.size < 3 or _span_hours(cells) <= 12.0:
         raise InsufficientSpan(
             "need at least 3 valid minutes spanning more than 12 hours")
-    profile = day_profile(series, config.transform)
+    if profile is None:
+        profile = day_profile(series, config.transform)
     weight = np.sqrt(profile.counts)
     angle = _OMEGA * profile.t
     design = weight[:, None] * np.column_stack(
@@ -121,52 +124,79 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
     """Residual sqrt(n_m) * (ybar_m - f(t_m)) over (min, w, phase, u, v),
     with its closed-form Jacobian.
 
-    The residual keeps its terms (amplitude, beta, alpha, angle, cos and
-    the sigmoid s) at the last point it was given, and the Jacobian at a
-    point of the same bits reuses them: LM asks for J only at a point
-    whose residual it has just evaluated. At any other point the Jacobian
-    evaluates them first."""
+    Both write their elementwise steps into arrays made once per problem,
+    in the operations and order of curve.evaluate and of the Jacobian's
+    columns, so every bit is theirs; only np.where's selections are new
+    arrays, as a masked write costs more. The residual returns a fresh
+    array on every call, since LM holds the current and the trial residual
+    at once. The Jacobian returns one (n, 5) array, which its callers only
+    read and its next call overwrites.
+
+    The residual keeps its terms (amplitude, beta, alpha, the sigmoid s,
+    and the arrays angle, cos - alpha and amplitude * s) at the last point
+    it was given, and the Jacobian at a point of the same bits reuses them:
+    LM asks for J only at a point whose residual it has just evaluated. At
+    any other point the Jacobian evaluates them first."""
     t = profile.t
     weight = np.sqrt(profile.counts)
     weighted_means = weight * profile.means
-    # the bits of the last point given to the residual, and its terms
+    negative_weight = -weight
+    angle, shifted, z, e, one_plus_e, upper, lower, amplitude_s, sine, work = np.empty(
+        (10, t.size))
+    jacobian = np.empty((t.size, 5))
+    jacobian[:, 0] = negative_weight                  # -sqrt(n_m) * d/d min
+    # the bits of the last point given to the residual, and its scalar terms
     last = [b"", ()]
 
     # a trial step may overflow exp(w) or exp(v); LM rejects the non-finite
     # result, so the overflow is expected and not reported
     def terms(p: np.ndarray) -> tuple:
-        """(min, amplitude, beta, alpha, angle, cos, s) at p, the steps of
-        curve.evaluate, kept as the last point's terms."""
+        """(min, amplitude, beta, alpha, s) at p, by the steps of
+        curve.evaluate, which also fill the arrays."""
         min_, w, phase, u, v = p
         with np.errstate(over="ignore"):
             amplitude, beta = np.exp(w), np.exp(v)
         alpha = np.tanh(u)
-        angle = (t - phase) * _OMEGA
-        cos = np.cos(angle)
-        last[:] = [np.asarray(p, dtype=float).tobytes(),
-                   (min_, amplitude, beta, alpha, angle, cos, antilogistic(cos, alpha, beta))]
+        np.subtract(t, phase, out=angle)
+        np.multiply(angle, _OMEGA, out=angle)
+        # antilogistic(cos(angle), alpha, beta), with 1 + e formed once
+        np.subtract(np.cos(angle, out=shifted), alpha, out=shifted)
+        np.multiply(beta, shifted, out=z)
+        np.exp(np.copysign(z, -1.0, out=e), out=e)          # exp(-|z|)
+        np.add(1.0, e, out=one_plus_e)
+        s = np.where(z >= 0.0, np.divide(1.0, one_plus_e, out=upper),
+                     np.divide(e, one_plus_e, out=lower))
+        np.multiply(amplitude, s, out=amplitude_s)
+        last[:] = [np.asarray(p, dtype=float).tobytes(), (min_, amplitude, beta, alpha, s)]
         return last[1]
 
     def residual(p: np.ndarray) -> np.ndarray:
-        min_, amplitude, _, _, _, _, s = terms(p)
-        return weighted_means - weight * (min_ + amplitude * s)
+        min_ = terms(p)[0]
+        np.add(min_, amplitude_s, out=work)
+        np.multiply(weight, work, out=work)
+        return weighted_means - work
 
     def jac(p: np.ndarray) -> np.ndarray:
         same = last[0] == np.asarray(p, dtype=float).tobytes()
-        _, amplitude, beta, alpha, angle, cos, s = last[1] if same else terms(p)
+        _, amplitude, beta, alpha, s = last[1] if same else terms(p)
         # s(1 - s) * beta tends to 0 where s saturates; at beta = inf the
         # product there is 0 * inf = nan, so take the limit instead
         with np.errstate(invalid="ignore"):
-            slope = np.where((s > 0.0) & (s < 1.0),
-                             amplitude * s * (1.0 - s) * beta, 0.0)
-        df = np.column_stack([
-            np.ones(t.size),                          # d/d min
-            amplitude * s,                            # d/dw
-            slope * _OMEGA * np.sin(angle),           # d/d phase
-            -slope * (1.0 - alpha * alpha),           # d/du
-            slope * (cos - alpha),                    # d/dv
-        ])
-        return -weight[:, None] * df
+            np.subtract(1.0, s, out=work)
+            np.multiply(amplitude_s, work, out=work)
+            slope = np.where((s > 0.0) & (s < 1.0), np.multiply(work, beta, out=work), 0.0)
+        # column j is -sqrt(n_m) times d/d(w, phase, u, v)
+        columns = jacobian.T
+        np.multiply(negative_weight, amplitude_s, out=columns[1])
+        np.multiply(slope, _OMEGA, out=work)
+        np.multiply(work, np.sin(angle, out=sine), out=work)
+        np.multiply(negative_weight, work, out=columns[2])
+        np.negative(slope, out=work)
+        np.multiply(work, 1.0 - alpha * alpha, out=work)
+        np.multiply(negative_weight, work, out=columns[3])
+        np.multiply(slope, shifted, out=work)
+        np.multiply(negative_weight, work, out=columns[4])
+        return jacobian
 
     return ResidualProblem(residual, 5, t.size, jac)
 
@@ -192,8 +222,8 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
             mesor=float(low), rss=0.0, converged=False, n_points=n_points,
             degenerate=True, transform=config.transform)
 
-    linear = fit_linear_cosinor(series, config)
-    profile = day_profile(series, config.transform)
+    profile = rows_profile(scaled)
+    linear = fit_linear_cosinor(series, config, profile)
     if profile.t.size < 5:
         raise InsufficientSpan("need at least 5 distinct valid minutes of day")
     seed = initial_sigmoidal_params(linear, config.transform)

@@ -62,17 +62,65 @@ def minute_profile(series: ActivitySeries) -> MinuteProfile:
     return MinuteProfile(day_profile(series).means)
 
 
+def _candidates(wrapped: np.ndarray, width: int, mode: str):
+    """The starts of one wrapped row that the running-sum screen of
+    _window_extreme keeps, in start order, or None when every window is to
+    be summed."""
+    with np.errstate(over="ignore"):
+        total = float(np.abs(wrapped).sum())
+    if not math.isfinite(4.0 * total):
+        return None
+    running = np.empty(wrapped.size + 1)
+    running[0] = 0.0
+    np.cumsum(wrapped, out=running[1:])
+    approx = running[width:] - running[:-width]
+    tau = 2.0 * (2 * wrapped.size + width + 4) * 2.0 ** -53 * total
+    if mode == "max":
+        starts = np.flatnonzero(approx >= approx.max() - 2.0 * tau)
+    else:
+        starts = np.flatnonzero(approx <= approx.min() + 2.0 * tau)
+    return starts if 8 * starts.size <= approx.size else None
+
+
 def _window_extreme(values: np.ndarray, width: int, mode: str):
-    """Extreme circular window sum and its start along the last axis."""
+    """Extreme circular window sum and its start along the last axis.
+
+    Each window's sum is numpy's pairwise sum of its values, as
+    ``sliding_window_view(...).sum(-1)`` gives it, and ties break to the
+    smallest start. Only the candidates of a screen are summed that way:
+    one cumulative sum of the wrapped row gives every window an
+    approximate sum, a difference of two running sums. With u = 2^-53,
+    N the wrapped row's length, S = sum |wrapped| and g_k = k*u/(1 - k*u),
+    each running sum is within g_N * S of its exact value and a window's
+    pairwise sum within g_width * S, so an approximation is within
+    (2*g_N + g_width + 2*u) * S of the sum numpy reports. tau is twice
+    that bound, which also covers the rounding of S, of tau and of the
+    threshold; every start whose sum is the extreme then has an
+    approximation within 2*tau of the extreme approximation, and the
+    candidates are those starts. A row whose 4 * S is not finite (so a
+    difference could overflow, or the row holds a NaN or an infinity) sums
+    every window, as does a row with more than an eighth of its starts
+    candidates, such as a flat one, where that costs no more.
+    """
     n = values.shape[-1]
     if not 1 <= width <= n:
         raise ValueError(f"width must be in [1, {n}], got {width}")
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     wrapped = np.concatenate([values, values[..., : width - 1]], axis=-1)
-    sums = sliding_window_view(wrapped, width, axis=-1).sum(axis=-1)
-    idx = np.argmax(sums, axis=-1) if mode == "max" else np.argmin(sums, axis=-1)
-    return np.take_along_axis(sums, idx[..., None], axis=-1)[..., 0], idx
+    pick = np.argmax if mode == "max" else np.argmin
+    extremes = np.empty(values.shape[:-1])
+    starts = np.empty(values.shape[:-1], dtype=np.intp)
+    for row in np.ndindex(extremes.shape):
+        candidates = _candidates(wrapped[row], width, mode)
+        if candidates is None:
+            sums = sliding_window_view(wrapped[row], width).sum(axis=-1)
+        else:
+            sums = wrapped[row][candidates[:, None] + np.arange(width)].sum(axis=-1)
+        best = pick(sums)
+        extremes[row] = sums[best]
+        starts[row] = best if candidates is None else candidates[best]
+    return extremes, starts
 
 
 def window_extreme(profile: MinuteProfile, width: int, mode: str) -> tuple[float, int]:

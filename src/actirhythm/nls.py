@@ -73,8 +73,11 @@ def linear_least_squares(design: np.ndarray, observations: np.ndarray) -> np.nda
 
 
 def _step_small(delta: np.ndarray, x: np.ndarray) -> bool:
+    """|delta_i| <= tol * (|x_i| + tol) for every i, on Python floats: the
+    same IEEE operations as on the arrays, without their per-call cost."""
     tol = _STEP_TOLERANCE
-    return bool(np.all(np.abs(delta) <= tol * (np.abs(x) + tol)))
+    return all(abs(di) <= tol * (abs(xi) + tol)
+               for di, xi in zip(delta.tolist(), x.tolist()))
 
 
 def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
@@ -82,11 +85,16 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
 
     Solves (J^T J + lam*diag(J^T J)) delta = -J^T r each iteration, with J
     from ``problem.jac`` at the current point, whose residual was the last
-    one evaluated; a non-finite J raises NonFiniteResidual. A trial point
-    with non-finite residuals has a non-finite sum of squares, which is not
-    below the current one, so its step is rejected. If no
-    acceptable step exists even at maximum damping the solve stops at the
-    current (best) point with a STEP_SMALL termination.
+    one evaluated; a non-finite J raises NonFiniteResidual. J is only read,
+    and not after the next call to ``problem.jac``, so a problem may return
+    one array that it overwrites; each ``problem.fun`` result must be its
+    own array, as the current and the trial residual are held at once.
+    diag(J^T J) and -J^T r are formed once an iteration, whatever the
+    number of damping steps. A trial point with non-finite residuals has a
+    non-finite sum of squares, which is not below the current one, so its
+    step is rejected. If no acceptable step exists even at maximum damping
+    the solve stops at the current (best) point with a STEP_SMALL
+    termination.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n_params,):
@@ -112,11 +120,12 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
         A = J.T @ J
         d = np.diag(A).copy()
         d[d <= 0] = 1.0
+        scaling, descent = np.diag(d), -g
 
         accepted = False
         while True:
             try:
-                delta = np.linalg.solve(A + lam * np.diag(d), -g)
+                delta = np.linalg.solve(A + lam * scaling, descent)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.isfinite(delta).all():

@@ -114,7 +114,11 @@ def day_profile(series: ActivitySeries, transform: str = "raw") -> DayProfile:
     A bin sums its days in time order and C its minutes in time order, as
     a running sum over the minutes would.
     """
-    rows = TRANSFORMS[transform](series.grid[series.day_valid])
+    return rows_profile(TRANSFORMS[transform](series.grid[series.day_valid]))
+
+
+def rows_profile(rows: np.ndarray) -> DayProfile:
+    """day_profile of the valid rows of a grid, already on their scale."""
     recorded = ~np.isnan(rows)
     counts = recorded.sum(axis=0)
     bins = np.flatnonzero(counts)

@@ -190,6 +190,33 @@ def model_partials(t, min_, amplitude, alpha, beta, phase):
     return np.column_stack([d_min, d_amp, d_alpha, d_beta, d_phase])
 
 
+def stacked_profile_jacobian(t, counts, params):
+    """Jacobian of the profile residual sqrt(n_m) * (ybar_m - f(t_m)) over
+    (min, w, phase, u, v), each column a fresh expression joined by
+    np.column_stack: the form whose bits the fit's buffered Jacobian
+    keeps. A saturated sigmoid (s of 0 or 1) has zero slope."""
+    min_, w, phase, u, v = params
+    with np.errstate(over="ignore"):
+        amplitude, beta = np.exp(w), np.exp(v)
+    alpha = np.tanh(u)
+    omega = 2.0 * np.pi / 24.0
+    angle = (t - phase) * omega
+    cos = np.cos(angle)
+    z = beta * (cos - alpha)
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    with np.errstate(invalid="ignore"):
+        slope = np.where((s > 0.0) & (s < 1.0), amplitude * s * (1.0 - s) * beta, 0.0)
+    df = np.column_stack([
+        np.ones(t.size),
+        amplitude * s,
+        slope * omega * np.sin(angle),
+        -slope * (1.0 - alpha * alpha),
+        slope * (cos - alpha),
+    ])
+    return -np.sqrt(counts)[:, None] * df
+
+
 def numeric_jacobian(fun, params, rel_step=1e-6):
     """Central differences of the residual map ``fun`` at ``params``, one
     column per parameter, with step rel_step*max(|p_i|, 1); the oracle for

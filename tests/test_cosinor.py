@@ -27,6 +27,7 @@ from reference_impls import (
     loop_fit_data,
     numeric_jacobian,
     sigmoid_curve,
+    stacked_profile_jacobian,
 )
 
 RAW = FitConfig(transform="raw")
@@ -337,26 +338,58 @@ class TestProfileReduction:
             profile.t, p[0], np.exp(p[1]), np.tanh(p[3]), np.exp(p[4]), p[2])
         assert cosinor._profile_problem(profile).fun(p).tobytes() == expected.tobytes()
 
+    def test_residual_returns_a_fresh_array_each_call(self, rng):
+        """LM holds the current and the trial residual at once, so a later
+        call must leave an earlier result as it was."""
+        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        problem = cosinor._profile_problem(profile)
+        p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
+        q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
+        first = problem.fun(p)
+        kept = first.copy()
+        second = problem.fun(q)
+        problem.jac(q)
+        again = problem.fun(p)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, again)
+        assert first.tobytes() == kept.tobytes() == again.tobytes()
+        assert second.tobytes() != kept.tobytes()
+
     def test_jacobian_reuses_the_residual_terms_bit_for_bit(self, rng):
         """jac(p) reads the terms the residual kept when p has the bits of
         the residual's last point, and evaluates them otherwise; either way
-        it is a fresh problem's jac(p), bit for bit."""
+        it is the column_stack form of the oracle, bit for bit."""
         profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
-        p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
-        q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
-        expected = cosinor._profile_problem(profile).jac(p)
-        assert expected.shape == (profile.t.size, 5) and expected.flags.c_contiguous
 
-        def jac_after(*points, at=p):
+        def jac_after(*points, at):
             problem = cosinor._profile_problem(profile)
-            for point in points:
-                problem.fun(point)
-            return problem.jac(at)
+            with np.errstate(over="ignore"):
+                for point in points:
+                    problem.fun(point)
+                return problem.jac(at)
 
-        for jac in (jac_after(p), jac_after(q), jac_after(p, at=p.copy()), jac_after(),
-                    jac_after(p, q), jac_after(q, p)):
-            assert jac.tobytes() == expected.tobytes()
-            assert jac.flags.c_contiguous
+        for p in ([0.5, 1.2, 13.3, 0.4, 1.8], [-0.3, 0.2, 2.5, -1.7, 0.1],
+                  [0.5, 1.2, 13.3, 0.4, 800.0],    # beta = exp(v) is inf, s is 0 or 1
+                  [0.5, 1.2, 13.3, 19.5, 3.0]):    # alpha = tanh(u) rounds to 1
+            p = np.array(p)
+            q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
+            with np.errstate(over="ignore"):
+                expected = stacked_profile_jacobian(profile.t, profile.counts, p)
+            assert np.isfinite(expected).all()
+            for jac in (jac_after(p, at=p), jac_after(q, at=p), jac_after(p, at=p.copy()),
+                        jac_after(at=p), jac_after(p, q, at=p), jac_after(q, p, at=p)):
+                assert jac.shape == (profile.t.size, 5) and jac.flags.c_contiguous
+                assert jac.tobytes() == expected.tobytes(), p
+
+    def test_jacobian_at_the_same_point_twice_is_unchanged(self, rng):
+        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        problem = cosinor._profile_problem(profile)
+        p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
+        problem.fun(p)
+        first = problem.jac(p).copy()
+        assert problem.jac(p).tobytes() == first.tobytes()
+        assert first.tobytes() == stacked_profile_jacobian(
+            profile.t, profile.counts, p).tobytes()
 
     def test_matches_full_data_fit(self, rng):
         series = partial_series_with_invalid_day(rng)

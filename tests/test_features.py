@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actirhythm import errors
+from actirhythm import errors, features
 from actirhythm.features import (
     FeatureConfig,
     MinuteProfile,
@@ -99,6 +99,68 @@ class TestWindowExtreme:
         rotated_starts = {(s + shift) % 1440
                           for s in _tied_starts(values, width, base_sum)}
         assert rot_start in rotated_starts
+
+
+@st.composite
+def real_profiles(draw):
+    """(values, kind): a 1440-minute profile, or a (days, 1440) grid, of
+    non-integer counts, where the order of a window's adds shows in its
+    last bits."""
+    kind = draw(st.sampled_from(["gamma", "zero night", "flat", "fifths", "per day",
+                                 "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "flat":
+        return np.full(1440, rng.uniform(0.0, 500.0)), kind
+    if kind == "fifths":
+        return rng.integers(0, 5, 1440) / 5.0, kind
+    if kind == "huge":
+        # the row's absolute total overflows by a factor of 4 or more while
+        # no window's own sum does
+        return rng.uniform(5e304, 1e305, 1440), kind
+    days = int(rng.integers(2, 6)) if kind == "per day" else 1
+    values = rng.gamma(0.5, 300.0, (days, 1440))
+    if kind != "gamma":
+        for row in values:
+            night = (int(rng.integers(0, 1440)) + np.arange(rng.integers(0, 900))) % 1440
+            row[night] = 0.0
+    if kind == "per day":
+        # a flat day sums every window while the others are screened
+        values[rng.integers(0, days)] = rng.uniform(0.0, 500.0)
+    return (values[0] if kind == "gamma" else values), kind
+
+
+class TestWindowExtremeBits:
+    @given(real_profiles(), st.sampled_from([1, 7, 300, 600, 1439, 1440]),
+           st.sampled_from(["max", "min"]))
+    def test_matches_brute_force_bit_for_bit(self, profile, width, mode):
+        """Every window sum is numpy's pairwise sum of that window, so the
+        extreme and its start are the brute-force scan's, bit for bit."""
+        values, kind = profile
+        totals, starts = features._window_extreme(values, width, mode)
+        for row, total, start in zip(np.atleast_2d(values), np.atleast_1d(totals),
+                                     np.atleast_1d(starts)):
+            assert (float(total), int(start)) == brute_window_extreme(row, width, mode)
+        if kind == "huge":
+            wrapped = np.concatenate([values, values[:width - 1]])
+            assert features._candidates(wrapped, width, mode) is None
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_screen_keeps_few_candidates_on_a_smooth_profile(self, rng, mode):
+        minutes = np.arange(1440)
+        values = 100.0 + 80.0 * np.cos(2 * np.pi * (minutes - 800) / 1440)
+        values += rng.gamma(2.0, 3.0, 1440)
+        for width in (300, 600):
+            wrapped = np.concatenate([values, values[:width - 1]])
+            candidates = features._candidates(wrapped, width, mode)
+            assert candidates is not None and 1 <= candidates.size <= 5
+            assert window_extreme(MinuteProfile(values), width, mode) == \
+                brute_window_extreme(values, width, mode)
+
+    def test_flat_profile_sums_every_window(self):
+        wrapped = np.full(1440 + 599, 0.1)
+        assert features._candidates(wrapped, 600, "max") is None
+        assert window_extreme(MinuteProfile(np.full(1440, 0.1)), 600, "max") == \
+            brute_window_extreme(np.full(1440, 0.1), 600, "max")
 
 
 def _tied_starts(values, width, target):
