@@ -80,6 +80,12 @@ def _step_small(delta: np.ndarray, x: np.ndarray) -> bool:
                for di, xi in zip(delta.tolist(), x.tolist()))
 
 
+@np.errstate(over="ignore")
+def _trial_rss(r: np.ndarray) -> float:
+    """r @ r, and inf with no warning where finite residuals overflow it."""
+    return float(r @ r)
+
+
 def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     """Minimize ||r(p)||^2 from x0.
 
@@ -92,7 +98,8 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
     diag(J^T J) and -J^T r are formed once an iteration, whatever the
     number of damping steps. A trial point with non-finite residuals has a
     non-finite sum of squares, which is not below the current one, so its
-    step is rejected. If no acceptable step exists even at maximum damping
+    step is rejected; so is one whose finite residuals' sum of squares
+    overflows to inf. If no acceptable step exists even at maximum damping
     the solve stops at the current (best) point with a STEP_SMALL
     termination.
     """
@@ -131,7 +138,7 @@ def levenberg_marquardt(problem: ResidualProblem, x0: np.ndarray) -> NlsResult:
             if delta is not None and np.isfinite(delta).all():
                 x_try = x + delta
                 r_try = np.asarray(problem.fun(x_try), dtype=float)
-                rss_try = float(r_try @ r_try)
+                rss_try = _trial_rss(r_try)
                 if rss_try < rss:
                     accepted = True
                     x_new, r_new, rss_new = x_try, r_try, rss_try

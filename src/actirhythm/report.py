@@ -3,9 +3,9 @@
 CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
 document frame, one axis pair and one point writer. The per-minute CSV
 writers and the point writer build their numbers from digit tables in
-numpy, byte-identical to "%.6g" and "%.2f": exact integer rounding
-(_rounded) gives each value's significant digits, and a value outside
-the tables' range is written by the %-operator.
+numpy, byte-identical to "%.6g", "%d" and "%.2f": exact integer rounding
+(_rounded) gives each value's significant digits, and a value outside the
+tables' range gets its %-directive in its slot, which _fill formats.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -14,6 +14,7 @@ for identical inputs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -50,14 +51,11 @@ SVG_WIDTH = 960
 SVG_HEIGHT = 420
 
 
-def _fmt(x: float) -> str:
-    return "%.6g" % x
-
-
-def _format_rows(row: str, columns: Sequence[np.ndarray]) -> str:
-    """One ``row`` %-format per row of the stacked columns, in one call."""
-    block = np.column_stack(columns)
-    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+def _fill(text: bytes, values: np.ndarray, marked: np.ndarray) -> bytes:
+    """text without its NUL padding, and with the %-directives that the
+    table writers put in the slots of values[marked] filled in order."""
+    text = text.translate(None, b"\0")
+    return text % tuple(values[marked].tolist()) if marked.any() else text
 
 
 def _digit_table(places: int) -> np.ndarray:
@@ -68,15 +66,15 @@ def _digit_table(places: int) -> np.ndarray:
 
 
 # "%4d" of 0-9999 with NUL for each leading blank (a leading zero but the
-# last digit), and ".%02d" of 0-99: a "%.2f" field of a value below 10000
-# is one entry of each
+# last digit), then "%.2f" for _fill
 _WHOLES = _digit_table(4)
 _WHOLES[:, :3][np.logical_and.accumulate(_WHOLES[:, :3] == ord("0"), axis=1)] = 0
-_WHOLES = _WHOLES.view("S4").ravel()
-_CENTS = np.column_stack([np.full(100, ord("."), np.uint8), _digit_table(2)]).view("S3").ravel()
+_WHOLES = np.append(_WHOLES.view("S4").ravel(), b"%.2f")
 
-# 10**k for k in -4..9, each the double nearest it
+# 10**k for k in -4..9, each the double nearest it, and _EXP10[k + 13] = e with
+# 10**e <= 2**(k - 1) < 10**(e + 1) for k = frexp(x)[1] of an x in [1e-4, 1e6)
 _POW10 = np.array([float(f"1e{k}") for k in range(-4, 10)])
+_EXP10 = np.array([math.floor((k - 1) * math.log10(2)) for k in range(-13, 21)])
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +144,16 @@ _TAILS = np.concatenate([_sig6_group(e, 3, True) for e in range(-4, 6)]).view("S
 _SIG6 = np.dtype([("lead", "S8"), ("head", "S4"), ("tail", "S4")])
 
 
-def _sig6(v: np.ndarray, out: np.ndarray):
+def _sig6(v: np.ndarray, out: np.ndarray, formats: np.ndarray) -> np.ndarray:
     """Write "," and "%.6g" % x for each x of v into the _SIG6 fields out
-    of v's shape, with NUL padding. Values outside the tables' range
-    (nonzero below 1e-4, 999999.5 and up, and not finite) are written by
-    _fmt, one at a time."""
+    of v's shape, with NUL padding, and return where v is outside the
+    tables' range (nonzero below 1e-4, 999999.5 and up, and not finite):
+    those slots hold their column's entry of formats for _fill."""
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 999999.5)
     x = np.where(fixed, a, 1.0)
-    e = np.searchsorted(_POW10, x, side="right") - 5   # 10**e <= x < 10**(e + 1)
+    e = _EXP10[np.frexp(x)[1] + 13]
+    e += x >= _POW10[e + 5]   # 10**e <= x < 10**(e + 1)
     n = _rounded(x, _POW10[9 - e])
     carry = n == 1e6
     n[carry] = 1e5
@@ -168,7 +167,8 @@ def _sig6(v: np.ndarray, out: np.ndarray):
     out["tail"] = _TAILS[e * 1000 + low]
     other = ~(fixed | zero)
     if other.any():
-        out.view("S16")[other] = [("," + _fmt(x)).encode() for x in v[other].tolist()]
+        out.view("S16")[other] = np.broadcast_to(formats, v.shape)[other]
+    return other
 
 
 # rows a _sig6 call writes at most: its arrays take about 100 bytes a
@@ -182,31 +182,24 @@ def _csv_table(header: Sequence[str], prefixes: Sequence[Sequence[str]],
     csv_text quotes them, then its columns, the minutes as "%d" and the
     others as "%.6g".
 
-    The rows are laid out at a fixed width with NUL padding (_sig6 for the
-    numbers), which bytes.translate drops, _CHUNK_ROWS at a time. A block
-    whose prefix holds a NUL, or with a minute that is not a whole number
-    below 10**6 in magnitude (where "%d" and "%.6g" differ), takes
-    _format_rows."""
-    parts = [csv_text(header, ())]
+    _CHUNK_ROWS at a time, each row is a "\n" and its numbers' _sig6
+    fields, and one replace puts the prefix after each "\n". The minutes
+    go in truncated, -0.0 as 0.0, where "%.6g" writes them as "%d" does."""
+    parts = [csv_text(header, ())[:-1]]
     for fields, (minutes, *columns) in zip(prefixes, blocks):
-        prefix = csv_text(fields, ())[:-1]
-        if "\0" in prefix or not ((np.abs(minutes) < 1e6) & (minutes == np.trunc(minutes))).all():
-            parts.append(_format_rows(prefix.replace("%", "%%") + ",%d"
-                                      + ",%.6g" * len(columns) + "\n", (minutes, *columns)))
-            continue
-        prefix = prefix.encode()
-        row = np.dtype([("prefix", f"S{len(prefix)}"), ("values", _SIG6, len(columns) + 1),
-                        ("end", "S1")])
+        prefix = ("\n" + csv_text(fields, ())[:-1]).encode()
+        formats = np.array([b",%d"] + [b",%.6g"] * len(columns))
+        row = np.dtype([("start", "S1"), ("values", _SIG6, len(columns) + 1)])
         for start in range(0, len(minutes), _CHUNK_ROWS):
             part = slice(start, start + _CHUNK_ROWS)
-            values = np.column_stack([minutes[part] + 0.0]   # "%d" of -0.0 is "0"
+            values = np.column_stack([np.trunc(minutes[part]) + 0.0]
                                      + [c[part] for c in columns])
             buf = bytearray(len(values) * row.itemsize)
             rows = np.frombuffer(buf, row)
-            rows["prefix"], rows["end"] = prefix, b"\n"
-            _sig6(values, rows["values"])
-            parts.append(buf.translate(None, b"\0").decode())
-    return "".join(parts)
+            rows["start"] = b"\n"
+            marked = _sig6(values, rows["values"], formats)
+            parts.append(_fill(buf, values, marked).replace(b"\n", prefix).decode())
+    return "".join(parts + ["\n"])
 
 
 def csv_text(header: Sequence[str], rows) -> str:
@@ -333,6 +326,14 @@ def _scale(v: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
+@functools.cache
+def _cents(sep: str) -> np.ndarray:
+    """".%02d" % c + sep for c in 0-99, and sep alone at 100 (after the
+    "%.2f" of _WHOLES), NUL-padded to a multiple of four bytes."""
+    table = [(".%02d" % c + sep).encode() for c in range(100)] + [sep.encode()]
+    return np.array(table, f"S{-(-len(table[0]) // 4) * 4}")
+
+
 def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> str:
     """Each (x, y) pair as "x<sep>y" with two decimals ("%.2f"), the pairs
     joined by join.
@@ -340,20 +341,19 @@ def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> st
     Every coordinate the renderers make from finite data lies in
     [0, 10000). There ``n = _rounded(v, 100)`` is the value in cents as
     "%.2f" rounds it, and each field is an entry of _WHOLES and one of
-    _CENTS, with NUL padding that one bytes.translate drops. If any value
-    is outside that range (not finite, sign bit set, or 9999.995 and up),
-    the call takes _format_rows instead.
-    """
+    _cents(sep) or _cents(join). Any other value (not finite, sign bit
+    set, or 9999.995 and up) takes their "%.2f" and sep for _fill."""
     v = np.column_stack((x, y))
-    if not (np.isfinite(v).all() and not np.signbit(v).any() and (v < 9999.995).all()):
-        return _format_rows(f"%.2f{sep}%.2f{join}", (x, y))[:-len(join)]
-    whole, cents = np.divmod(_rounded(v, 100.0).astype(np.intp), 100)
-    pairs = np.empty(len(v), [("x", "S4"), ("x_cents", "S3"), ("sep", f"S{len(sep)}"),
-                              ("y", "S4"), ("y_cents", "S3"), ("join", f"S{len(join)}")])
-    pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], _CENTS[cents[:, 0]]
-    pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], _CENTS[cents[:, 1]]
-    pairs["sep"], pairs["join"] = sep.encode(), join.encode()
-    return pairs.tobytes().translate(None, b"\0").decode()[:-len(join)]
+    table = ~np.signbit(v) & (v < 9999.995)
+    whole, cents = np.divmod(_rounded(np.where(table, v, 0.0), 100.0).astype(np.intp), 100)
+    if not table.all():
+        whole[~table], cents[~table] = len(_WHOLES) - 1, 100
+    x_cents, y_cents = _cents(sep), _cents(join)
+    pairs = np.empty(len(v), [("x", "S4"), ("x_cents", x_cents.dtype),
+                              ("y", "S4"), ("y_cents", y_cents.dtype)])
+    pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], x_cents[cents[:, 0]]
+    pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], y_cents[cents[:, 1]]
+    return _fill(pairs.tobytes(), v, ~table).decode()[:-len(join)]
 
 
 def _axes(x0, y0, x1, y1) -> list[str]:
@@ -474,7 +474,7 @@ def features_csv(records: Sequence[SubjectRecord]) -> str:
     return csv_text(
         ("subject_id", "group") + ActivityFeatures.FIELDS,
         ([rec.subject_id, rec.group.value]
-         + [_fmt(getattr(rec.features, name)) for name in ActivityFeatures.FIELDS]
+         + ["%.6g" % getattr(rec.features, name) for name in ActivityFeatures.FIELDS]
          for rec in records))
 
 
@@ -483,7 +483,7 @@ def cosinor_csv(records: Sequence[SubjectRecord]) -> str:
     return csv_text(
         ("subject_id", "group") + names + ("converged", "transform"),
         ([rec.subject_id, rec.group.value]
-         + [_fmt(getattr(rec.fit, name)) for name in names]
+         + ["%.6g" % getattr(rec.fit, name) for name in names]
          + ["true" if rec.fit.converged else "false", rec.fit.transform]
          for rec in records))
 
@@ -491,8 +491,8 @@ def cosinor_csv(records: Sequence[SubjectRecord]) -> str:
 def comparison_csv(rows: Sequence[stats.GroupComparisonRow]) -> str:
     return csv_text(
         ("feature", "group", "median", "q25", "q75", "kw_h", "kw_p", "markers"),
-        ((row.feature, cell.label.value, _fmt(cell.median), _fmt(cell.q25),
-          _fmt(cell.q75), _fmt(row.kw.h), _fmt(row.kw.p), cell.markers)
+        ((row.feature, cell.label.value, "%.6g" % cell.median, "%.6g" % cell.q25,
+          "%.6g" % cell.q75, "%.6g" % row.kw.h, "%.6g" % row.kw.p, cell.markers)
          for row in rows for cell in row.cells))
 
 
@@ -511,11 +511,11 @@ def comparison_text(rows: Sequence[stats.GroupComparisonRow]) -> str:
             if cell.n == 0:
                 cells.append("-")
             else:
-                text = f"{_fmt(cell.median)} ({_fmt(cell.q25)}, {_fmt(cell.q75)})"
+                text = "%.6g (%.6g, %.6g)" % (cell.median, cell.q25, cell.q75)
                 if cell.markers:
                     text += f" {cell.markers}"
                 cells.append(text)
-        cells.append("<0.001" if row.kw.p < 0.001 else _fmt(row.kw.p))
+        cells.append("<0.001" if row.kw.p < 0.001 else "%.6g" % row.kw.p)
         table.append(cells)
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()

@@ -130,58 +130,21 @@ def _normal_sf(z: float) -> float:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail chi-square probability, Q(df/2, x/2)."""
+    """Upper-tail chi-square probability Q(df/2, x/2), in closed form for
+    integer df: with h = x/2, Q(1/2, h) = erfc(sqrt(h)), Q(1, h) = exp(-h)
+    and Q(a + 1, h) = Q(a, h) + h**a * exp(-h) / Gamma(a + 1)."""
     if x < 0:
         raise ValueError("x must be >= 0")
     if df < 1:
         raise ValueError("df must be >= 1")
-    return _regularized_gamma_q(df / 2.0, x / 2.0)
-
-
-def _regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by series / continued
-    fraction (switching at x = a + 1)."""
     if x == 0.0:
         return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(500):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    h = x / 2.0
+    q, a = (math.erfc(math.sqrt(h)), 0.5) if df % 2 else (math.exp(-h), 1.0)
+    while a < df / 2:
+        q += math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 def kruskal_wallis(samples: GroupSamples) -> KwResult:

@@ -557,7 +557,7 @@ def _loop_fmt_column(values):
 def loop_curves_csv(curves):
     rows = []
     for c in curves:
-        rows += zip(itertools.repeat(c.group.value), c.times.astype(int).tolist(),
+        rows += zip(itertools.repeat(c.group.value), ["%d" % t for t in c.times.tolist()],
                     _loop_fmt_column(c.mean), _loop_fmt_column(c.ci_low),
                     _loop_fmt_column(c.ci_high))
     return _loop_csv_text(("group", "minute", "mean", "ci_low", "ci_high"), rows)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,21 @@ class TestLevenbergMarquardt:
         history = np.array(result.rss_history)
         assert len(history) > 2 and np.all(np.diff(history) < 0)
         assert np.isfinite(result.rss)
+        assert 1.9 < result.params[0] <= 2.0
+
+    def test_trial_sum_of_squares_overflow_is_rejected_quietly(self):
+        """r(p) = p - 3 is 1e200 past p = 2: finite, but its square
+        overflows. The first full step, to 3, is rejected with no
+        RuntimeWarning, and damped steps short of 2 are taken instead."""
+        def residual(p):
+            return np.where(p > 2.0, 1e200, p - 3.0)
+
+        problem = ResidualProblem(residual, 1, 1, lambda p: np.ones((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = levenberg_marquardt(problem, np.array([0.0]))
+        history = np.array(result.rss_history)
+        assert len(history) > 2 and np.all(np.diff(history) < 0)
         assert 1.9 < result.params[0] <= 2.0
 
     def test_non_finite_analytic_jacobian(self):

@@ -4,6 +4,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -182,7 +183,14 @@ VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
 # ids that csv quotes, that carry %-format directives, a leading space,
 # non-ASCII text, or nothing
 SUBJECT_IDS = st.one_of(st.sampled_from(['a,%d "x"', "b%s", "%", "%%", '"', " lead",
-                                         "né 中%", ""]), st.text(max_size=8))
+                                         "né 中%", "", "a\0b", "\0", "\x01", "%\x01\0"]),
+                        st.text(max_size=8))
+# minutes: whole ones, and those where "%d" truncates, drops the sign of a
+# negative zero, or writes digits "%.6g" does not (10**6 and up)
+MINUTES = st.one_of(st.integers(-10**6, 10**6).map(float),
+                    st.sampled_from([-0.0, -0.5, 0.5, 999999.9, -999999.9, 1e6, -1e6,
+                                     1e20, -1e20, 1e300, 2.0**63]),
+                    st.floats(-1e22, 1e22))
 GROUPS = st.sampled_from(list(GroupLabel))
 
 
@@ -201,7 +209,7 @@ IN_RANGE = st.one_of(st.integers(0, 79999).map(lambda k: k / 8),
                      st.integers(0, 9999).map(lambda k: k + 0.125),
                      st.builds(_cut, st.integers(0, 1999998), st.integers(-9, 9)),
                      TOP, st.floats(0.0, 9999.995)).filter(lambda v: v < 9999.995)
-# values that send a call to _format_rows
+# values that _points leaves to _fill
 OUT_OF_RANGE = st.one_of(st.sampled_from([-0.0, -5e-324, -1e-9, math.nan, math.inf,
                                           -math.inf, 1e4]),
                          TOP.filter(lambda v: v >= 9999.995))
@@ -233,7 +241,7 @@ SIG6_MAGNITUDES = st.one_of(
     st.sampled_from([9.999995, 0.0]), st.floats(1e-4, 999999.5, exclude_max=True),
 ).filter(lambda v: v == 0 or 1e-4 <= v < 999999.5)
 SIG6 = st.builds(lambda v, negative: -v if negative else v, SIG6_MAGNITUDES, st.booleans())
-# values "%.6g" writes otherwise, which _sig6 sends to _fmt
+# values "%.6g" writes otherwise, which _sig6 leaves to _fill
 NOT_SIG6 = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1e-5, -1e-5, 1e6,
                             999999.5, -999999.5, float(np.nextafter(1e-4, 0)), 5e-324,
                             1e300])
@@ -246,7 +254,7 @@ def _column(n, values=VALUES):
 @st.composite
 def curve_sets(draw, values=VALUES):
     n = draw(st.integers(1, 6))
-    times = np.arange(n, dtype=float)
+    times = draw(_column(n, MINUTES))
     return [GroupCurve(g, times, draw(_column(n, values)), draw(_column(n, values)),
                        draw(_column(n, values)), draw(st.integers(1, 30)))
             for g in draw(st.lists(GROUPS, min_size=1, max_size=4, unique=True))]
@@ -260,10 +268,15 @@ def overlay_sets(draw, values=VALUES):
             for _ in range(draw(st.integers(1, 4)))]
 
 
-def _spies():
-    """wraps spies on report._format_rows and report._fmt."""
-    return (mock.patch.object(report, "_format_rows", wraps=report._format_rows),
-            mock.patch.object(report, "_fmt", wraps=report._fmt))
+def _fill_spy():
+    """A wraps spy on report._fill."""
+    return mock.patch.object(report, "_fill", wraps=report._fill)
+
+
+def _filled(spy) -> int:
+    """How many values the spied _fill calls wrote by the %-operator."""
+    assert spy.called
+    return sum(int(call.args[2].sum()) for call in spy.call_args_list)
 
 
 def _with_loop_points(render, items):
@@ -280,6 +293,9 @@ class TestPerMinuteWriters:
     @given(curve_sets())
     def test_curves(self, curves):
         assert curves_csv(curves) == loop_curves_csv(curves)
+        # the figure's day ticks span the minutes, so it gets whole ones
+        curves = [dataclasses.replace(c, times=np.arange(c.times.size, dtype=float))
+                  for c in curves]
         with np.errstate(all="ignore"):
             assert render_curves_svg(curves) == _with_loop_points(render_curves_svg, curves)
 
@@ -300,69 +316,86 @@ class TestPerMinuteWriters:
            st.sampled_from([(",", " "), (" ", " L ")]))
     def test_points_in_range_are_formatted_in_numpy(self, pairs, sep_join):
         x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
-        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+        with _fill_spy() as spy:
             assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
-        assert not spy.called
+        assert _filled(spy) == 0
 
     @given(st.lists(st.tuples(IN_RANGE, IN_RANGE), min_size=1, max_size=20),
            OUT_OF_RANGE, st.integers(0, 39), st.sampled_from([(",", " "), (" ", " L ")]))
-    def test_points_out_of_range_take_format_rows(self, pairs, bad, at, sep_join):
+    def test_points_out_of_range_are_filled_one_at_a_time(self, pairs, bad, at, sep_join):
         v = np.array(pairs, dtype=float).ravel()
         v[at % v.size] = bad
         x, y = v.reshape(-1, 2).T
-        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+        with _fill_spy() as spy:
             assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
-        assert spy.call_count == 1
+        assert _filled(spy) == 1
 
     @given(curve_sets(SIG6), overlay_sets(SIG6))
     def test_sig6_columns_are_formatted_in_numpy(self, curves, overlays):
-        overlays = [dataclasses.replace(ov, subject_id=ov.subject_id.replace("\0", ""))
-                    for ov in overlays]
-        rows, fmt = _spies()
-        with rows as rows, fmt as fmt:
+        """Minutes below 10**6 in magnitude and "%.6g" values in the
+        tables' range take no %-operator, whatever the subject ID holds."""
+        curves = [dataclasses.replace(c, times=np.fmod(c.times, 1e6)) for c in curves]
+        with _fill_spy() as spy:
             assert curves_csv(curves) == loop_curves_csv(curves)
             assert overlays_csv(overlays) == loop_overlays_csv(overlays)
-        assert not rows.called and not fmt.called
+        assert _filled(spy) == 0
 
     @given(st.lists(SIG6, min_size=1, max_size=12), NOT_SIG6, st.integers(0, 99))
-    def test_other_values_take_fmt_one_at_a_time(self, values, other, at):
+    def test_other_values_are_filled_one_at_a_time(self, values, other, at):
         v = np.array(values)
         v[at % v.size] = other
         curve = GroupCurve(ICU, np.arange(v.size, dtype=float), v, v[::-1].copy(), v, 2)
         overlay = CurveOverlay("s1", CCI, v, v[::-1].copy())
-        rows, fmt = _spies()
-        with rows as rows, fmt as fmt:
+        with _fill_spy() as spy:
             assert curves_csv([curve]) == loop_curves_csv([curve])
             assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
-        assert not rows.called
-        assert fmt.call_count == 5
+        assert _filled(spy) == 5
 
     def test_a_week_of_minutes(self, rng):
         values = rng.gamma(0.5, 200.0, (3, 10080))
         values[:, :600] = 0.0   # a night of zero minutes
         curve = GroupCurve(ICU, np.arange(10080.0), *values, 4)
         overlay = CurveOverlay("s1", CCI, values[0], values[1])
-        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+        with _fill_spy() as spy:
             assert curves_csv([curve]) == loop_curves_csv([curve])
             assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
-        assert not spy.called
+        small = (values > 0) & (values < 1e-4)   # "%.6g" writes these as 1e-05 and so on
+        assert _filled(spy) == small.sum() + small[:2].sum()
         assert curves_csv([curve]).splitlines()[-1].startswith("control_icu,10079,")
 
-    @pytest.mark.parametrize("times, subject_id", [
-        (np.array([0.0, 0.5, 2.0]), "s1"),
-        (np.array([0.0, 1.0, 1e6]), "s1"),
-        (np.arange(3.0), "a\0b"),
+    @pytest.mark.parametrize("times, subject_id, filled", [
+        (np.array([0.0, 0.5, -2.5]), "s1", 5),
+        (np.array([0.0, 1.0, 1e6]), "s1", 6),
+        (np.array([-1e20, -0.0, 999999.9]), "s1", 6),
+        (np.arange(3.0), "a\0b\x01%d", 5),
     ])
-    def test_other_minutes_and_nul_ids_take_format_rows(self, times, subject_id):
-        """Minutes that are not whole or reach 10**6 send the curve to
-        _format_rows, and a NUL in the id sends the overlay there."""
+    def test_other_minutes_and_ids_fill_only_their_values(self, times, subject_id, filled):
+        """A minute that is not whole takes no %-operator, one of 10**6 or
+        more in magnitude takes it for itself alone, and the subject ID
+        takes none; the 1e-5 column values take it, one each."""
         v = np.array([0.125, 1e-5, 3.5])
         curve = GroupCurve(ICU, times, v, v, v, 1)
         overlay = CurveOverlay(subject_id, CCI, v, v)
-        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+        with _fill_spy() as spy:
             assert curves_csv([curve]) == loop_curves_csv([curve])
             assert overlays_csv([overlay]) == loop_overlays_csv([overlay])
-        assert spy.call_count == 1
+        assert _filled(spy) == filled
+
+    @pytest.mark.parametrize("minute, error", [(math.nan, ValueError),
+                                               (math.inf, OverflowError),
+                                               (-math.inf, OverflowError)])
+    def test_minutes_that_are_not_finite_raise_as_percent_d(self, minute, error):
+        curve = GroupCurve(ICU, np.array([0.0, minute]), *np.ones((3, 2)), 1)
+        with pytest.raises(error):
+            "%d" % minute
+        with pytest.raises(error):
+            curves_csv([curve])
+
+    def test_decimal_exponent_table(self):
+        """Each binary exponent's least power of two has the _EXP10 entry
+        as its decimal exponent, exactly."""
+        for k, e in zip(range(-13, 21), report._EXP10.tolist()):
+            assert Fraction(10) ** e <= Fraction(2) ** (k - 1) < Fraction(10) ** (e + 1)
 
     @given(sixth_digit_ties())
     def test_rounded_sixth_digit_is_the_percent_rounding(self, tie):
@@ -382,10 +415,10 @@ class TestPerMinuteWriters:
         x = report._scale(np.arange(7200.0), 0, 7200, 64, 790)
         assert np.count_nonzero(np.abs(x * 100 - np.rint(x * 100)) > 0.5 - 1e-6) == 600
         y = x[::-1] / 2
-        with mock.patch.object(report, "_format_rows", wraps=report._format_rows) as spy:
+        with _fill_spy() as spy:
             assert report._points(x, y) == loop_points(x, y)
             assert report._points(x, y, " ", " L ") == loop_points(x, y, " ", " L ")
-        assert not spy.called
+        assert _filled(spy) == 0
 
     def test_quoted_prefix_with_format_directives(self):
         ov = CurveOverlay('a,%d "x"', CCI, np.array([0.125, -0.0]),
