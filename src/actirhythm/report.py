@@ -342,18 +342,18 @@ def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> st
     [0, 10000). There ``n = _rounded(v, 100)`` is the value in cents as
     "%.2f" rounds it, and each field is an entry of _WHOLES and one of
     _cents(sep) or _cents(join). Any other value (not finite, sign bit
-    set, or 9999.995 and up) takes their "%.2f" and sep for _fill."""
+    set, or 9999.995 and up) gets the "%.2f" of _WHOLES for _fill."""
     v = np.column_stack((x, y))
-    table = ~np.signbit(v) & (v < 9999.995)
-    whole, cents = np.divmod(_rounded(np.where(table, v, 0.0), 100.0).astype(np.intp), 100)
-    if not table.all():
-        whole[~table], cents[~table] = len(_WHOLES) - 1, 100
+    covered = ~np.signbit(v) & (v < 9999.995)
+    whole, cents = np.divmod(_rounded(np.where(covered, v, 0.0), 100.0).astype(np.intp), 100)
+    if not covered.all():
+        whole[~covered], cents[~covered] = len(_WHOLES) - 1, 100
     x_cents, y_cents = _cents(sep), _cents(join)
     pairs = np.empty(len(v), [("x", "S4"), ("x_cents", x_cents.dtype),
                               ("y", "S4"), ("y_cents", y_cents.dtype)])
     pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], x_cents[cents[:, 0]]
     pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], y_cents[cents[:, 1]]
-    return _fill(pairs.tobytes(), v, ~table).decode()[:-len(join)]
+    return _fill(pairs.tobytes(), v, ~covered).decode()[:-len(join)]
 
 
 def _axes(x0, y0, x1, y1) -> list[str]:
