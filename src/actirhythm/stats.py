@@ -137,9 +137,9 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ValueError("x must be >= 0")
     if df < 1:
         raise ValueError("df must be >= 1")
-    if x == 0.0:
-        return 1.0
     h = x / 2.0
+    if h == 0.0:   # x = 0, or the least subnormal, which halves to 0
+        return 1.0
     q, a = (math.erfc(math.sqrt(h)), 0.5) if df % 2 else (math.exp(-h), 1.0)
     while a < df / 2:
         q += math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
