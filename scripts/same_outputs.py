@@ -26,7 +26,8 @@ curves reach the CSV and SVG writers; and with ``--per-day --ra-raw-sums
 --multistart 3``, so that M10/L5 are taken on each day's row and each fit
 reuses one residual problem across its starts. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
-Each one that differs is named, and the exit status is then 1.
+Each one that differs is named, as is each run of this checkout whose
+stderr holds a warning, and the exit status is then 1.
 
     python3 scripts/same_outputs.py HEAD~
 """
@@ -63,14 +64,20 @@ WHOLE_RUNS = {"whole counts": [],
               "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"],
               "whole counts per day multistart 3": ["--per-day", "--ra-raw-sums",
                                                     "--multistart", "3"]}
+# the runs of this checkout whose stderr holds a warning, with that stderr
+WARNED: list[str] = []
 
 
 def _run(tree: Path, argv: list[str], cwd: Path) -> bytes:
     """The stdout of python ``argv`` with that tree's src/ as the only
-    PYTHONPATH; a failure raises."""
+    PYTHONPATH; a failure raises. A run of this checkout whose stderr
+    holds "Warning" is added to WARNED."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, check=True).stdout
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, check=True)
+    if tree == ROOT and b"Warning" in done.stderr:
+        WARNED.append(f"{' '.join(argv)}\n{done.stderr.decode(errors='replace')}")
+    return done.stdout
 
 
 def _files(out: Path) -> dict[str, bytes]:
@@ -160,7 +167,9 @@ def main(argv=None) -> int:
             print(f"{label}: {len(ours)} outputs compared", file=sys.stderr)
     for line in differ:
         print(f"differs: {line}")
-    return 1 if differ else 0
+    for run in WARNED:
+        print(f"warns: {run}")
+    return 1 if differ or WARNED else 0
 
 
 if __name__ == "__main__":

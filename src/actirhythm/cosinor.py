@@ -6,13 +6,13 @@ cosine by Levenberg-Marquardt with its closed-form Jacobian, over an
 unconstrained reparameterization: amplitude = exp(w), alpha = tanh(u),
 beta = exp(v); min and phase are free and phase is reported mod 24.
 
-Both stages fit the minute-of-day mean profile on the fitting scale
-(preprocess.day_profile) weighted by day count rather than every valid
-minute. The model is 24 h-periodic and every sample sits
-at a minute midpoint t = 24d + (m + 1/2)/60, so for any mask
+Both stages read an analysis window (preprocess.require_complete) and fit
+its minute-of-day mean profile on the fitting scale (preprocess.day_profile)
+weighted by day count rather than every minute. The model is 24 h-periodic
+and every sample sits at a minute midpoint t = 24d + (m + 1/2)/60, so
 sum (y - f)^2 = sum_m n_m (ybar_m - f(t_m))^2 + C, where C is the
 within-minute sum of squares: the fits are those of the full data, and the
-reported rss adds C back. The guards read the valid rows of the grid.
+reported rss adds C back.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import antilogistic  # re-exported; stable sigmoid
-from .errors import InsufficientSpan
+from .curve import antilogistic, fold  # antilogistic re-exported; stable sigmoid
 from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
-from .preprocess import (MINUTES_PER_DAY, TRANSFORMS, ActivitySeries, DayProfile, day_profile,
+from .preprocess import (TRANSFORMS, ActivitySeries, DayProfile, day_profile, require_complete,
                          rows_profile)
 
 _OMEGA = 2.0 * np.pi / 24.0
@@ -74,24 +73,12 @@ def model_value(t, fit: SigmoidalCosinorFit):
     return curve.evaluate(t, fit.min, fit.amplitude, fit.alpha, fit.beta, fit.phase)
 
 
-def _span_hours(cells: np.ndarray) -> float:
-    """Hours from the first to the last minute midpoint of the flat grid
-    indices, at 24 h per grid row."""
-    rows, minutes = np.divmod(cells[[0, -1]], MINUTES_PER_DAY)
-    first, last = rows * 24.0 + (minutes + 0.5) / 60.0
-    return float(last - first)
-
-
 def fit_linear_cosinor(series: ActivitySeries, config: FitConfig = FitConfig(),
                        profile: DayProfile | None = None) -> LinearCosinorFit:
-    """Least-squares projection onto [1, cos, sin] of 24 h period; fewer
-    than 3 recorded minutes on the valid days, or 12 h or less from the
-    first to the last of them, raise InsufficientSpan. ``profile``, when
-    given, is day_profile(series, config.transform), made by the caller."""
-    cells = np.flatnonzero(~np.isnan(series.grid) & series.day_valid[:, None])
-    if cells.size < 3 or _span_hours(cells) <= 12.0:
-        raise InsufficientSpan(
-            "need at least 3 valid minutes spanning more than 12 hours")
+    """Least-squares projection of an analysis window onto [1, cos, sin] of
+    24 h period. ``profile``, when given, is day_profile(series,
+    config.transform), made by the caller."""
+    require_complete(series)
     if profile is None:
         profile = day_profile(series, config.transform)
     weight = np.sqrt(profile.counts)
@@ -103,7 +90,7 @@ def fit_linear_cosinor(series: ActivitySeries, config: FitConfig = FitConfig(),
     if amplitude <= 1e-12 * max(1.0, abs(b0)):
         acrophase = 0.0
     else:
-        acrophase = (math.atan2(bs, bc) / _OMEGA) % 24.0
+        acrophase = fold(math.atan2(bs, bc) / _OMEGA, 24.0)
     return LinearCosinorFit(mesor=float(b0), amplitude=float(amplitude),
                             acrophase=float(acrophase))
 
@@ -148,25 +135,26 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
     # the bits of the last point given to the residual, and its scalar terms
     last = [b"", ()]
 
-    # a trial step may overflow exp(w) or exp(v); LM rejects the non-finite
-    # result, so the overflow is expected and not reported
+    # a trial step may overflow exp(w) or exp(v) to inf, and inf times a
+    # zero sigmoid or cosine term is NaN; LM rejects the non-finite result,
+    # so neither is reported
     def terms(p: np.ndarray) -> tuple:
         """(min, amplitude, beta, alpha, s) at p, by the steps of
         curve.evaluate, which also fill the arrays."""
         min_, w, phase, u, v = p
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             amplitude, beta = np.exp(w), np.exp(v)
-        alpha = np.tanh(u)
-        np.subtract(t, phase, out=angle)
-        np.multiply(angle, _OMEGA, out=angle)
-        # antilogistic(cos(angle), alpha, beta), with 1 + e formed once
-        np.subtract(np.cos(angle, out=shifted), alpha, out=shifted)
-        np.multiply(beta, shifted, out=z)
-        np.exp(np.copysign(z, -1.0, out=e), out=e)          # exp(-|z|)
-        np.add(1.0, e, out=one_plus_e)
-        s = np.where(z >= 0.0, np.divide(1.0, one_plus_e, out=upper),
-                     np.divide(e, one_plus_e, out=lower))
-        np.multiply(amplitude, s, out=amplitude_s)
+            alpha = np.tanh(u)
+            np.subtract(t, phase, out=angle)
+            np.multiply(angle, _OMEGA, out=angle)
+            # antilogistic(cos(angle), alpha, beta), with 1 + e formed once
+            np.subtract(np.cos(angle, out=shifted), alpha, out=shifted)
+            np.multiply(beta, shifted, out=z)
+            np.exp(np.copysign(z, -1.0, out=e), out=e)          # exp(-|z|)
+            np.add(1.0, e, out=one_plus_e)
+            s = np.where(z >= 0.0, np.divide(1.0, one_plus_e, out=upper),
+                         np.divide(e, one_plus_e, out=lower))
+            np.multiply(amplitude, s, out=amplitude_s)
         last[:] = [np.asarray(p, dtype=float).tobytes(), (min_, amplitude, beta, alpha, s)]
         return last[1]
 
@@ -203,29 +191,26 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
 
 def fit_sigmoidal_cosinor(series: ActivitySeries,
                           config: FitConfig = FitConfig()) -> SigmoidalCosinorFit:
-    """Two-stage fit of the sigmoidally transformed cosine.
+    """Two-stage fit of the sigmoidally transformed cosine to an analysis window.
 
     Stage 2 runs Levenberg-Marquardt (nls, with its fixed stop rules) from
     config.multistart phase-rotated starts and keeps the lowest rss. A
     series constant on the fitting scale, or a fit whose amplitude collapses
     below 1e-9 of that scale's range, is returned with degenerate=True and
-    converged=False rather than raised. fit_linear_cosinor's span guard and
-    fewer than 5 populated minutes of day raise InsufficientSpan.
+    converged=False rather than raised.
     """
-    scaled = TRANSFORMS[config.transform](series.grid[series.day_valid])
-    n_points = int(np.count_nonzero(~np.isnan(scaled)))
-    low, high = (np.nanmin(scaled), np.nanmax(scaled)) if n_points else (0.0, 0.0)
-    data_range = float(high - low)
-    if n_points and data_range == 0.0:
+    require_complete(series)
+    scaled = TRANSFORMS[config.transform](series.grid)
+    low = scaled.min()
+    data_range = float(scaled.max() - low)
+    if data_range == 0.0:
         return SigmoidalCosinorFit(
             min=float(low), amplitude=0.0, alpha=0.0, beta=2.0, phase=0.0,
-            mesor=float(low), rss=0.0, converged=False, n_points=n_points,
+            mesor=float(low), rss=0.0, converged=False, n_points=scaled.size,
             degenerate=True, transform=config.transform)
 
     profile = rows_profile(scaled)
     linear = fit_linear_cosinor(series, config, profile)
-    if profile.t.size < 5:
-        raise InsufficientSpan("need at least 5 distinct valid minutes of day")
     seed = initial_sigmoidal_params(linear, config.transform)
     amp0 = max(seed[1], 1e-3 * data_range)  # log reparameterization needs > 0
 
@@ -243,15 +228,14 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     amplitude = float(np.exp(w))
     alpha = float(np.clip(np.tanh(u), -(1.0 - 1e-12), 1.0 - 1e-12))
     beta = float(np.exp(v))
-    phase = float(phase % 24.0)
     degenerate = amplitude < 1e-9 * data_range
     at_bound = abs(u) > _BOUND_LIMIT or abs(v) > _BOUND_LIMIT
     return SigmoidalCosinorFit(
         min=float(min_), amplitude=amplitude, alpha=alpha, beta=beta,
-        phase=phase, mesor=float(min_) + amplitude / 2.0,
-        rss=float(best.rss) + profile.within_ss,
+        phase=fold(phase, 24.0), mesor=float(min_) + amplitude / 2.0,
+        rss=float(best.rss) + float(np.sum((scaled - profile.means) ** 2)),
         converged=bool(best.converged and not degenerate),
-        n_points=n_points, degenerate=degenerate, at_bound=at_bound,
+        n_points=scaled.size, degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)
 
 

@@ -13,6 +13,12 @@ import numpy as np
 _OMEGA = 2.0 * np.pi / 24.0
 
 
+def fold(x: float, period: float) -> float:
+    """x % period in [0, period): a tiny negative x, which % rounds to period, gives 0."""
+    folded = float(x % period)
+    return 0.0 if folded == period else folded
+
+
 def antilogistic(c, alpha: float, beta: float):
     """Logistic sigmoid of beta*(c - alpha), stable for large |beta*(c-alpha)|.
 

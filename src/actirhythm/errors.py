@@ -68,16 +68,12 @@ class CountOverflow(DataError):
     pass
 
 
-# features
 class IncompleteDays(DataError):
     pass
 
 
+# features
 class BothZero(DataError):
-    pass
-
-
-class TooShort(DataError):
     pass
 
 
@@ -95,11 +91,6 @@ class NonFiniteResidual(NumericFailure):
 
 
 class SingularNormalMatrix(NumericFailure):
-    pass
-
-
-# cosinor
-class InsufficientSpan(DataError):
     pass
 
 

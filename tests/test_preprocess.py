@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actirhythm import errors
-from actirhythm.features import rmssd
+from actirhythm.cosinor import fit_linear_cosinor, fit_sigmoidal_cosinor
+from actirhythm.features import compute_features, immobile_minutes, minute_profile, rmssd
 from actirhythm.ingest import TriaxialSeries
 from actirhythm.preprocess import (
     ActivitySeries,
@@ -241,6 +242,7 @@ def minute_series(draw):
 EDGE_BOUT = np.r_[np.full(1440 - 61, 3.0), np.zeros(61), np.arange(1.0, 1500.0)]
 GAP_DAY = np.arange(1.0, 5 * 1440.0 + 1)
 GAP_DAY[2 * 1440:2 * 1440 + 100] = 0.0
+INCOMPLETE = "series contains invalid or partial days"
 
 
 def outcome(fn, *args):
@@ -254,9 +256,10 @@ class TestGridMatchesDayLoops:
     """The calendar-day grid against the per-day loops it replaced."""
 
     @given(minute_series(), st.integers(1, 90), st.integers(1, 6))
-    # a bout that ends exactly at midnight; a window with a removed day
+    # a bout that ends exactly at midnight; windows with a removed day
     @example((datetime(2016, 5, 1), EDGE_BOUT), 60, 1)
     @example((datetime(2016, 5, 1, 9, 37), GAP_DAY), 60, 3)
+    @example((datetime(2016, 5, 1), GAP_DAY), 60, 4)
     def test_days_window_rmssd_and_fit_data(self, drawn, min_bout, days):
         start, values = drawn
         series = ActivitySeries.from_minutes("s1", start, values)
@@ -266,14 +269,10 @@ class TestGridMatchesDayLoops:
         loop = loop_filter_invalid_days(loop, bouts)
         assert series.day_dates == loop.day_dates
         assert series.day_valid.tolist() == loop.day_valid.tolist()
-        assert outcome(rmssd, series) == outcome(loop_rmssd, loop)
-        for transform, scale in (("raw", np.asarray), ("log1p", np.log1p)):
-            expected_t, expected_y = loop_fit_data(loop, scale)
-            if expected_t.size:   # the fit raises InsufficientSpan before binning none
-                profile = day_profile(series, transform)
-                expected = loop_minute_profile(expected_t, expected_y)
-                for got, want in zip(profile, expected):
-                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if all(loop.day_valid[d] and loop.is_complete_day(d) for d in range(loop.n_days)):
+            assert rmssd(series) == loop_rmssd(loop)
+        else:
+            assert outcome(rmssd, series) == (errors.IncompleteDays, INCOMPLETE)
 
         window = outcome(select_analysis_window, series, days)
         expected = outcome(loop_select_analysis_window, loop, days)
@@ -283,4 +282,33 @@ class TestGridMatchesDayLoops:
         assert window.values.tobytes() == expected.values.tobytes()
         assert window.day_dates == expected.day_dates
         assert window.start_time == expected.start_time
-        assert outcome(rmssd, window) == outcome(loop_rmssd, expected)
+        assert rmssd(window) == loop_rmssd(expected)
+        for transform, scale in (("raw", np.asarray), ("log1p", np.log1p)):
+            profile = day_profile(window, transform)
+            for got, want in zip(profile, loop_minute_profile(*loop_fit_data(expected, scale))):
+                assert got.tobytes() == want.tobytes()
+
+
+def _invalid_day():
+    series = make_series(np.arange(2880.0) % 7 + 1)
+    return dataclasses.replace(series, day_valid=np.array([True, False]))
+
+
+class TestWindowRule:
+    """Features and fits read only analysis windows: every row a valid
+    complete day."""
+
+    @pytest.mark.parametrize("entry", [
+        day_profile, minute_profile, compute_features, rmssd, immobile_minutes,
+        fit_linear_cosinor, fit_sigmoidal_cosinor,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("series", [
+        make_series(np.arange(2000.0) % 7 + 1),     # midnight to 09:20 the next day
+        _invalid_day(),
+        make_series(np.arange(2880.0) % 7 + 1, start=datetime(2016, 5, 1, 12)),
+        make_series(np.full(600, 6.0)),             # not a window, so not degenerate
+    ], ids=["partial", "invalid-day", "noon-start", "constant-partial"])
+    def test_entry_points_raise_incomplete_days(self, entry, series):
+        with pytest.raises(errors.IncompleteDays) as exc:
+            entry(series)
+        assert str(exc.value) == INCOMPLETE
