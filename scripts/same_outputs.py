@@ -24,7 +24,11 @@ plain digits. Each tree then runs
 ``--transform raw --smooth 15``, so that raw-scale overlays and smoothed
 curves reach the CSV and SVG writers; and with ``--per-day --ra-raw-sums
 --multistart 3``, so that M10/L5 are taken on each day's row and each fit
-reuses one residual problem across its starts. Both trees write to the same
+reuses one residual problem across its starts. Each tree also parses every
+file of that cohort and writes it again with its epoch writer, which puts
+multi-digit whole counts, rows with both ``%d.0`` and ``%r`` columns, a
+second block that starts mid-minute, and a month and a year end through
+the writer. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, as is each run of this checkout whose
 stderr holds a warning, and the exit status is then 1.
@@ -64,6 +68,18 @@ WHOLE_RUNS = {"whole counts": [],
               "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"],
               "whole counts per day multistart 3": ["--per-day", "--ra-raw-sums",
                                                     "--multistart", "3"]}
+# parses each whole-count epoch file in the directory argv[1] and writes it
+# again, with the epoch writer, under its name in the new directory argv[2]
+RESERIALIZE = """
+import sys
+from pathlib import Path
+from actirhythm.ingest import parse_triaxial_csv, serialize_triaxial_csv
+source, out = map(Path, sys.argv[1:])
+out.mkdir()
+for path in sorted(source.glob("w*.csv")):
+    text = serialize_triaxial_csv(parse_triaxial_csv(path.read_bytes(), path.stem))
+    (out / path.name).write_text(text, encoding="ascii", newline="\\n")
+"""
 # the runs of this checkout whose stderr holds a warning, with that stderr
 WARNED: list[str] = []
 
@@ -140,6 +156,14 @@ def whole_run(tree: Path, manifest: Path, out: Path, flags: list[str]) -> dict[s
     return {**_files(out), "stdout": stdout}
 
 
+def reserialize(tree: Path, cohort: Path, out: Path) -> dict[str, bytes]:
+    """Every epoch file of the whole-count cohort as that tree's writer
+    writes it again after its parse, by file name."""
+    shutil.rmtree(out, ignore_errors=True)
+    _run(tree, ["-c", RESERIALIZE, str(cohort), str(out)], out.parent)
+    return _files(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
@@ -165,6 +189,10 @@ def main(argv=None) -> int:
             differ += [f"{label}: {name}" for name in sorted(theirs.keys() | ours.keys())
                        if theirs.get(name) != ours.get(name)]
             print(f"{label}: {len(ours)} outputs compared", file=sys.stderr)
+        theirs, ours = (reserialize(tree, manifest.parent, out) for tree in (base, ROOT))
+        differ += [f"re-serialized: {name}" for name in sorted(theirs.keys() | ours.keys())
+                   if theirs.get(name) != ours.get(name)]
+        print(f"re-serialized: {len(ours)} epoch files compared", file=sys.stderr)
     for line in differ:
         print(f"differs: {line}")
     for run in WARNED:

@@ -229,7 +229,7 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     alpha = float(np.clip(np.tanh(u), -(1.0 - 1e-12), 1.0 - 1e-12))
     beta = float(np.exp(v))
     degenerate = amplitude < 1e-9 * data_range
-    at_bound = abs(u) > _BOUND_LIMIT or abs(v) > _BOUND_LIMIT
+    at_bound = bool(abs(u) > _BOUND_LIMIT or abs(v) > _BOUND_LIMIT)
     return SigmoidalCosinorFit(
         min=float(min_), amplitude=amplitude, alpha=alpha, beta=beta,
         phase=fold(phase, 24.0), mesor=float(min_) + amplitude / 2.0,

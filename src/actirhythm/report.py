@@ -27,8 +27,8 @@ from . import stats
 from .cosinor import FitConfig, SigmoidalCosinorFit, export_fitted_curve, fit_sigmoidal_cosinor
 from .errors import DataError, InsufficientData, MisalignedSeries, TooFewGroups
 from .features import ActivityFeatures, FeatureConfig, compute_features
-from .ingest import (GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest,
-                     parse_triaxial_csv, read_table)
+from .ingest import (GROUP_ORDER, GroupLabel, _LEADING, _digit_table, aggregate_to_minutes,
+                     load_manifest, parse_triaxial_csv, read_table)
 from .preprocess import (
     ActivitySeries,
     NonwearBout,
@@ -58,18 +58,8 @@ def _fill(text: bytes, values: np.ndarray, marked: np.ndarray) -> bytes:
     return text % tuple(values[marked].tolist()) if marked.any() else text
 
 
-def _digit_table(places: int) -> np.ndarray:
-    """Every string of ``places`` decimal digits, in numeric order, as a
-    (10**places, places) array of ASCII bytes."""
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    return np.stack(np.meshgrid(*[digits] * places, indexing="ij"), axis=-1).reshape(-1, places)
-
-
-# "%4d" of 0-9999 with NUL for each leading blank (a leading zero but the
-# last digit), then "%.2f" for _fill
-_WHOLES = _digit_table(4)
-_WHOLES[:, :3][np.logical_and.accumulate(_WHOLES[:, :3] == ord("0"), axis=1)] = 0
-_WHOLES = np.append(_WHOLES.view("S4").ravel(), b"%.2f")
+# "%4d" of 0-9999 with NUL for each leading blank, then "%.2f" for _fill
+_WHOLES = np.append(_LEADING, b"%.2f")
 
 # 10**k for k in -4..9, each the double nearest it, and _EXP10[k + 13] = e with
 # 10**e <= 2**(k - 1) < 10**(e + 1) for k = frexp(x)[1] of an x in [1e-4, 1e6)

@@ -239,6 +239,19 @@ class TestSigmoidalFit:
             make_window(y), FitConfig(transform="raw", multistart=4))
         assert multi.rss <= single.rss + 1e-9
 
+    @pytest.mark.parametrize("y", [
+        sigmoid_curve(midpoint_hours(), 5.0, 80.0, 0.5, 30.0, 3.0),
+        np.full(1440 * 5, 6.0),
+        # a near-square wave, whose fit takes a beta of about 2e4
+        np.where(np.sin(midpoint_hours() * np.pi / 12) > 0, 100.0, 0.0),
+    ], ids=["sigmoid", "constant", "square"])
+    def test_flags_are_python_bools(self, y):
+        fit = fit_sigmoidal_cosinor(make_window(y), FitConfig("raw", multistart=2))
+        flags = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)
+                 if f.type in (bool, "bool")}
+        assert set(flags) == {"converged", "degenerate", "at_bound"}
+        assert all(type(flag) is bool for flag in flags.values()), flags
+
     def test_log1p_default_transform(self):
         t = midpoint_hours()
         counts = np.expm1(sigmoid_curve(t, 1.0, 4.0, 0.1, 3.0, 13.0))

@@ -533,6 +533,29 @@ class TestMemoryBounds:
             peak, text = traced_peak(serialize_triaxial_csv, series)
         assert peak <= 2 * len(text) + block_peak
 
+    def test_writer_lays_out_every_block_in_one_buffer(self):
+        """The rows are laid out in one buffer made for the series, of a
+        block's rows at the widest row a block can take: a buffer made per
+        block fragments the heap of the writer's caller."""
+        buffers = []
+        format_block = ingest._format_block
+
+        def record(stamps, samples, buffer):
+            buffers.append(buffer)
+            return format_block(stamps, samples, buffer)
+
+        samples = second_counts(self.ROWS)
+        samples[self.BLOCK, 2] = 0.5   # one block with a repr column
+        series = TriaxialSeries("s1", datetime(2016, 5, 1), 1, samples)
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", self.BLOCK),
+              mock.patch.object(ingest, "_format_block", record)):
+            text = serialize_triaxial_csv(series)
+        assert len(buffers) == 16
+        assert all(buffer is buffers[0] for buffer in buffers)
+        # the stamp and ",", then three slots of one group, ".0" and ","
+        assert buffers[0].nbytes == self.BLOCK * (20 + 3 * 7)
+        assert text == one_pass_serialize_triaxial_csv(series)
+
     def test_stamp_blocks_refill_one_buffer(self):
         """Every block's stamps are a view of one buffer made for the grid:
         a buffer made per block fragments the heap of the writer's caller."""
@@ -1013,6 +1036,12 @@ class TestSplitParse:
 # is written as %d.0, anything else as its repr
 EDGE_COUNTS = [0.0, -0.0, 5e-324, 0.5, 2.0 ** 53, 2.0 ** 53 + 2, 1e16 - 2, 1e16, 1e22]
 WHOLE_COUNTS = st.integers(0, 10 ** 16 - 1).map(float)
+# whole counts on each side of the writer's digit groups of four, and
+# subnormal and other small counts
+GROUP_EDGES = [float(10 ** k + d) for k in (4, 8, 12, 15) for d in (-1, 0, 1)]
+SMALL_COUNTS = [1e-310, 2.2250738585072014e-308, 1e-5]
+# any of 0-16 digits, so that every count of digit groups is drawn
+DIGIT_COUNTS = st.integers(0, 16).flatmap(lambda d: st.integers(0, 10 ** d - 1)).map(float)
 
 
 @st.composite
@@ -1037,6 +1066,22 @@ class TestWholeCountWriter:
         """Blocks of ``block`` rows, so that one series has whole blocks and
         blocks with one other count in the same column."""
         series = TriaxialSeries("s1", STARTS[1], 15, np.array(counts))
+        with mock.patch.object(ingest, "_STAMP_BLOCK", block):
+            text = serialize_triaxial_csv(series)
+        assert text == row_loop_serialize_triaxial_csv(series)
+
+    @given(st.lists(st.tuples(*[st.one_of(
+        DIGIT_COUNTS, st.sampled_from(EDGE_COUNTS + GROUP_EDGES + SMALL_COUNTS),
+        st.floats(0, 1e300))] * 3), max_size=12), st.integers(1, 4))
+    @example([], 1)
+    @example([(9999.0, 1e16 - 2, -0.0)], 1)
+    @example([(9999.0, 1e8, 1e15), (10000.0, 1e16 - 2, 1e15 - 1), (1e16, 1e-310, 1e15)], 2)
+    @example([(float(10 ** 12 - 1), 0.0, 5e-324), (float(10 ** 12), 7.0, 0.0)], 1)
+    def test_digit_groups_match_the_row_loop_writer(self, rows, block):
+        """Counts on each side of a digit group's edge, in columns that are
+        whole in one block of ``block`` rows and repr in the next; empty
+        and one-row series too."""
+        series = TriaxialSeries("s1", STARTS[1], 15, np.array(rows).reshape(-1, 3))
         with mock.patch.object(ingest, "_STAMP_BLOCK", block):
             text = serialize_triaxial_csv(series)
         assert text == row_loop_serialize_triaxial_csv(series)
@@ -1136,6 +1181,28 @@ class TestAggregate:
                            np.array([[1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]))
         with pytest.raises(errors.CountOverflow):
             aggregate_to_minutes(s)
+
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30]), st.data())
+    def test_sums_match_the_reshaped_sum(self, epoch, data):
+        """Bit for bit the sum along axis 1 of a (minutes, epochs, 3) view,
+        or CountOverflow where that sum overflows."""
+        per = 60 // epoch
+        counts = data.draw(st.lists(st.lists(st.one_of(
+            st.floats(0, 1e300), st.integers(0, 1000).map(float),
+            st.sampled_from([1.7e308, 1e-5, 5e-324, -0.0])),
+            min_size=3, max_size=3), max_size=4 * per + 3))
+        s = TriaxialSeries("s1", datetime(2016, 5, 1), epoch, np.array(counts).reshape(-1, 3))
+        minutes = len(s) // per
+        with np.errstate(over="ignore"):
+            expected = s.samples[:minutes * per].reshape(minutes, per, 3).sum(axis=1)
+        if not np.isfinite(expected).all():
+            with pytest.raises(errors.CountOverflow):
+                aggregate_to_minutes(s)
+            return
+        out = aggregate_to_minutes(s)
+        assert out.epoch_length == 60 and out.start_time == s.start_time
+        assert out.samples.shape == expected.shape
+        assert out.samples.tobytes() == expected.tobytes()
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=200))
     def test_counts_preserved_up_to_dropped_tail(self, xs):
