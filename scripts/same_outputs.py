@@ -24,11 +24,14 @@ plain digits. Each tree then runs
 ``--transform raw --smooth 15``, so that raw-scale overlays and smoothed
 curves reach the CSV and SVG writers; and with ``--per-day --ra-raw-sums
 --multistart 3``, so that M10/L5 are taken on each day's row and each fit
-reuses one residual problem across its starts. Each tree also parses every
-file of that cohort and writes it again with its epoch writer, which puts
-multi-digit whole counts, rows with both ``%d.0`` and ``%r`` columns, a
-second block that starts mid-minute, and a month and a year end through
-the writer. Both trees write to the same
+reuses one residual problem across its starts. Each tree also runs
+``features``, ``cosinor`` and ``curves`` on it, and ``validate`` and the
+default ``run`` on a second manifest of it whose rows are in reverse ID
+order, so that the commands' subject order comes from the manifest reader.
+Each tree also parses every file of that cohort and writes it again with
+its epoch writer, which puts multi-digit whole counts, rows with both
+``%d.0`` and ``%r`` columns, a second block that starts mid-minute, and a
+month and a year end through the writer. Both trees write to the same
 out-dir paths, so every output file and stdout must be byte-identical.
 Each one that differs is named, as is each run of this checkout whose
 stderr holds a warning, and the exit status is then 1.
@@ -62,12 +65,19 @@ WHOLE_GRIDS = ([(datetime(2016, 5, 1), 15, ("%d",) * 3), (datetime(2016, 5, 1), 
                 (datetime(2016, 5, 1), 5, ("%r",) * 3),
                 (datetime(2016, 5, 1), 15, ("%.3f", "%r", "%d"))])
 DIVISORS = {"%.3f": 8, "%r": 3}
-# the runs on the whole-count cohort, by label; the third takes M10/L5 per
-# day and fits each subject from three starts on one residual problem
-WHOLE_RUNS = {"whole counts": [],
-              "whole counts raw smooth 15": ["--transform", "raw", "--smooth", "15"],
-              "whole counts per day multistart 3": ["--per-day", "--ra-raw-sums",
-                                                    "--multistart", "3"]}
+# the commands on the whole-count cohort, by label; the third run takes
+# M10/L5 per day and fits each subject from three starts on one residual
+# problem
+WHOLE_RUNS = {"whole counts": ["run"],
+              "whole counts raw smooth 15": ["run", "--transform", "raw", "--smooth", "15"],
+              "whole counts per day multistart 3": ["run", "--per-day", "--ra-raw-sums",
+                                                    "--multistart", "3"],
+              "whole counts features": ["features"],
+              "whole counts cosinor": ["cosinor"],
+              "whole counts curves": ["curves"]}
+# the commands on that cohort's manifest with its rows reversed, by label
+REVERSED_RUNS = {"reversed manifest validate": ["validate"],
+                 "reversed manifest": ["run"]}
 # parses each whole-count epoch file in the directory argv[1] and writes it
 # again, with the epoch writer, under its name in the new directory argv[2]
 RESERIALIZE = """
@@ -118,10 +128,11 @@ def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
     return {**_files(out), "stdout": stdout}
 
 
-def write_whole_cohort(root: Path) -> Path:
-    """Write the whole-count cohort under root and return its manifest's
-    path. Each subject's three axes are Poisson counts around a daily
-    cosine, on its grid of WHOLE_GRIDS and in its formats there."""
+def write_whole_cohort(root: Path) -> tuple[Path, Path]:
+    """Write the whole-count cohort under root and return the paths of its
+    manifest and of the same manifest with its rows reversed. Each
+    subject's three axes are Poisson counts around a daily cosine, on its
+    grid of WHOLE_GRIDS and in its formats there."""
     root.mkdir()
     rng = np.random.default_rng(17)
     manifest = ["subject_id,group,path"]
@@ -141,18 +152,22 @@ def write_whole_cohort(root: Path) -> Path:
             row % (stamp, *c) for stamp, c in zip(stamps, counts))
         (root / f"w{i}.csv").write_text(text, encoding="ascii", newline="\n")
         manifest.append(f"w{i},{group},w{i}.csv")
-    path = root / "manifest.csv"
-    path.write_text("\n".join(manifest) + "\n", encoding="ascii", newline="\n")
-    return path
+    paths = root / "manifest.csv", root / "manifest_reversed.csv"
+    for path, rows in zip(paths, (manifest[1:], manifest[:0:-1])):
+        path.write_text("\n".join([manifest[0], *rows]) + "\n", encoding="ascii",
+                        newline="\n")
+    return paths
 
 
-def whole_run(tree: Path, manifest: Path, out: Path, flags: list[str]) -> dict[str, bytes]:
-    """Every file that tree's ``run`` with flags writes under out from the
-    whole-count cohort by relative path, and its stdout under the key
-    "stdout"."""
+def whole_run(tree: Path, manifest: Path, out: Path, argv: list[str]) -> dict[str, bytes]:
+    """Every file that tree's command argv (a command and its flags) writes
+    under out from the manifest by relative path, and its stdout under the
+    key "stdout"; validate writes no file, so it gets no --out."""
     shutil.rmtree(out, ignore_errors=True)
-    stdout = _run(tree, ["-m", "actirhythm.cli", "run", "--manifest", str(manifest),
-                         "--out", str(out), *flags], out.parent)
+    command, *flags = argv
+    where = [] if command == "validate" else ["--out", str(out)]
+    stdout = _run(tree, ["-m", "actirhythm.cli", command, "--manifest", str(manifest),
+                         *where, *flags], out.parent)
     return {**_files(out), "stdout": stdout}
 
 
@@ -183,13 +198,14 @@ def main(argv=None) -> int:
                        for name in sorted(theirs.keys() | ours.keys())
                        if theirs.get(name) != ours.get(name)]
             print(f"seed {seed} {transform}: {len(ours)} outputs compared", file=sys.stderr)
-        manifest = write_whole_cohort(Path(tmp) / "whole")
-        for label, flags in WHOLE_RUNS.items():
-            theirs, ours = (whole_run(tree, manifest, out, flags) for tree in (base, ROOT))
-            differ += [f"{label}: {name}" for name in sorted(theirs.keys() | ours.keys())
-                       if theirs.get(name) != ours.get(name)]
-            print(f"{label}: {len(ours)} outputs compared", file=sys.stderr)
-        theirs, ours = (reserialize(tree, manifest.parent, out) for tree in (base, ROOT))
+        manifests = write_whole_cohort(Path(tmp) / "whole")
+        for manifest, runs in zip(manifests, (WHOLE_RUNS, REVERSED_RUNS)):
+            for label, argv in runs.items():
+                theirs, ours = (whole_run(tree, manifest, out, argv) for tree in (base, ROOT))
+                differ += [f"{label}: {name}" for name in sorted(theirs.keys() | ours.keys())
+                           if theirs.get(name) != ours.get(name)]
+                print(f"{label}: {len(ours)} outputs compared", file=sys.stderr)
+        theirs, ours = (reserialize(tree, manifests[0].parent, out) for tree in (base, ROOT))
         differ += [f"re-serialized: {name}" for name in sorted(theirs.keys() | ours.keys())
                    if theirs.get(name) != ours.get(name)]
         print(f"re-serialized: {len(ours)} epoch files compared", file=sys.stderr)

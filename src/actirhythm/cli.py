@@ -150,10 +150,10 @@ def _config_from(args: argparse.Namespace) -> report.PipelineConfig:
 
 def _cmd_validate(args) -> int:
     config = _config_from(args)
-    manifest = load_manifest(args.manifest.read_bytes())
+    entries = load_manifest(args.manifest.read_bytes())
     print(f"{'subject_id':<16}{'group':<18}{'days':>6}{'bouts':>7}{'valid':>7}  status")
     all_ok = True
-    for entry in sorted(manifest.entries, key=lambda e: e.subject_id):
+    for entry in entries:
         try:
             series, bouts = report.read_subject(entry, args.manifest.parent, config)
         except DataError as exc:

@@ -7,12 +7,12 @@ unconstrained reparameterization: amplitude = exp(w), alpha = tanh(u),
 beta = exp(v); min and phase are free and phase is reported mod 24.
 
 Both stages read an analysis window (preprocess.require_complete) and fit
-its minute-of-day mean profile on the fitting scale (preprocess.day_profile)
-weighted by day count rather than every minute. The model is 24 h-periodic
-and every sample sits at a minute midpoint t = 24d + (m + 1/2)/60, so
-sum (y - f)^2 = sum_m n_m (ybar_m - f(t_m))^2 + C, where C is the
-within-minute sum of squares: the fits are those of the full data, and the
-reported rss adds C back.
+its minute means on the fitting scale (preprocess.day_profile) at the
+minute midpoints t_m (preprocess.MINUTE_MIDPOINTS), weighted by the scalar
+sqrt(n) for n days. The model is 24 h-periodic and each sample sits at
+t = 24d + t_m, so sum (y - f)^2 = n sum_m (ybar_m - f(t_m))^2 + C, where C
+is the within-minute sum of squares: the fits are those of the full data,
+and the reported rss adds C back.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import antilogistic, fold  # antilogistic re-exported; stable sigmoid
+from .curve import _OMEGA, antilogistic, fold  # antilogistic re-exported; stable sigmoid
 from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
-from .preprocess import (TRANSFORMS, ActivitySeries, DayProfile, day_profile, require_complete,
-                         rows_profile)
+from .preprocess import (MINUTE_MIDPOINTS, TRANSFORMS, ActivitySeries, day_profile,
+                         require_complete)
 
-_OMEGA = 2.0 * np.pi / 24.0
 # |u| or |v| beyond this means tanh/exp is pinned at its numerical limit
 _BOUND_LIMIT = 20.0
 
@@ -74,18 +73,17 @@ def model_value(t, fit: SigmoidalCosinorFit):
 
 
 def fit_linear_cosinor(series: ActivitySeries, config: FitConfig = FitConfig(),
-                       profile: DayProfile | None = None) -> LinearCosinorFit:
+                       means: np.ndarray | None = None) -> LinearCosinorFit:
     """Least-squares projection of an analysis window onto [1, cos, sin] of
-    24 h period. ``profile``, when given, is day_profile(series,
+    24 h period. ``means``, when given, is day_profile(series,
     config.transform), made by the caller."""
     require_complete(series)
-    if profile is None:
-        profile = day_profile(series, config.transform)
-    weight = np.sqrt(profile.counts)
-    angle = _OMEGA * profile.t
-    design = weight[:, None] * np.column_stack(
-        [np.ones(angle.size), np.cos(angle), np.sin(angle)])
-    b0, bc, bs = linear_least_squares(design, weight * profile.means)
+    if means is None:
+        means = day_profile(series, config.transform)
+    weight = np.sqrt(series.n_days)
+    angle = _OMEGA * MINUTE_MIDPOINTS
+    design = weight * np.column_stack([np.ones(angle.size), np.cos(angle), np.sin(angle)])
+    b0, bc, bs = linear_least_squares(design, weight * means)
     amplitude = math.hypot(bc, bs)
     if amplitude <= 1e-12 * max(1.0, abs(b0)):
         acrophase = 0.0
@@ -107,9 +105,9 @@ def initial_sigmoidal_params(linear: LinearCosinorFit,
     return np.array([min0, 2.0 * linear.amplitude, linear.acrophase, 0.0, 2.0])
 
 
-def _profile_problem(profile: DayProfile) -> ResidualProblem:
-    """Residual sqrt(n_m) * (ybar_m - f(t_m)) over (min, w, phase, u, v),
-    with its closed-form Jacobian.
+def _profile_problem(means: np.ndarray, n_days: int) -> ResidualProblem:
+    """Residual sqrt(n_days) * (ybar_m - f(t_m)) over (min, w, phase, u, v)
+    at the minute midpoints t_m, with its closed-form Jacobian.
 
     Both write their elementwise steps into arrays made once per problem,
     in the operations and order of curve.evaluate and of the Jacobian's
@@ -124,14 +122,14 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
     it was given, and the Jacobian at a point of the same bits reuses them:
     LM asks for J only at a point whose residual it has just evaluated. At
     any other point the Jacobian evaluates them first."""
-    t = profile.t
-    weight = np.sqrt(profile.counts)
-    weighted_means = weight * profile.means
+    t = MINUTE_MIDPOINTS
+    weight = np.sqrt(n_days)
+    weighted_means = weight * means
     negative_weight = -weight
     angle, shifted, z, e, one_plus_e, upper, lower, amplitude_s, sine, work = np.empty(
         (10, t.size))
     jacobian = np.empty((t.size, 5))
-    jacobian[:, 0] = negative_weight                  # -sqrt(n_m) * d/d min
+    jacobian[:, 0] = negative_weight                  # -sqrt(n_days) * d/d min
     # the bits of the last point given to the residual, and its scalar terms
     last = [b"", ()]
 
@@ -173,7 +171,7 @@ def _profile_problem(profile: DayProfile) -> ResidualProblem:
             np.subtract(1.0, s, out=work)
             np.multiply(amplitude_s, work, out=work)
             slope = np.where((s > 0.0) & (s < 1.0), np.multiply(work, beta, out=work), 0.0)
-        # column j is -sqrt(n_m) times d/d(w, phase, u, v)
+        # column j is -sqrt(n_days) times d/d(w, phase, u, v)
         columns = jacobian.T
         np.multiply(negative_weight, amplitude_s, out=columns[1])
         np.multiply(slope, _OMEGA, out=work)
@@ -209,12 +207,12 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
             mesor=float(low), rss=0.0, converged=False, n_points=scaled.size,
             degenerate=True, transform=config.transform)
 
-    profile = rows_profile(scaled)
-    linear = fit_linear_cosinor(series, config, profile)
+    means = scaled.sum(axis=0) / series.n_days   # day_profile, from the scaled grid
+    linear = fit_linear_cosinor(series, config, means)
     seed = initial_sigmoidal_params(linear, config.transform)
     amp0 = max(seed[1], 1e-3 * data_range)  # log reparameterization needs > 0
 
-    problem = _profile_problem(profile)
+    problem = _profile_problem(means, series.n_days)
     best = None
     for k in range(config.multistart):
         phase0 = seed[2] + 24.0 * k / config.multistart
@@ -233,7 +231,7 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     return SigmoidalCosinorFit(
         min=float(min_), amplitude=amplitude, alpha=alpha, beta=beta,
         phase=fold(phase, 24.0), mesor=float(min_) + amplitude / 2.0,
-        rss=float(best.rss) + float(np.sum((scaled - profile.means) ** 2)),
+        rss=float(best.rss) + float(np.sum((scaled - means) ** 2)),
         converged=bool(best.converged and not degenerate),
         n_points=scaled.size, degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)

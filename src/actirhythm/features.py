@@ -54,7 +54,7 @@ class ActivityFeatures:
 
 def minute_profile(series: ActivitySeries) -> MinuteProfile:
     """Mean count per minute-of-day over an analysis window's days."""
-    return MinuteProfile(day_profile(series).means)
+    return MinuteProfile(day_profile(series))
 
 
 def _candidates(wrapped: np.ndarray, width: int, mode: str):

@@ -167,11 +167,6 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
-class CohortManifest:
-    entries: tuple[ManifestEntry, ...]
-
-
-@dataclass(frozen=True)
 class SynthSpec:
     """Generator parameters for one synthetic subject.
 
@@ -643,6 +638,14 @@ def _digit_table(places: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[digits] * places, indexing="ij"), axis=-1).reshape(-1, places)
 
 
+def _fill(text: bytes, values: np.ndarray, marked: np.ndarray) -> bytes:
+    """text without its NUL padding, and with the %-directives that the
+    writers put in the slots of values[..., marked] filled in row order.
+    marked has values' shape, or that of its last axis to mark columns."""
+    text = text.translate(None, b"\0")
+    return text % tuple(values[..., marked].ravel().tolist()) if marked.any() else text
+
+
 # "%4d" of 0-9999 with NUL for each leading blank (a leading zero but the
 # last digit): the leading group of four digits of a whole count
 _LEADING = _digit_table(4)
@@ -681,8 +684,8 @@ def _format_block(stamps: np.ndarray, samples: np.ndarray, buffer: np.ndarray) -
     Each row is the stamp and ",", then each count's slot and its "," or
     LF. A column of whole counts (see _count_groups) takes as many digit
     groups of _GROUPS as its largest count, and ".0"; any other column
-    takes "%r". The NULs are then dropped, and only if a column took "%r"
-    does one %-format of the block fill in its counts."""
+    takes "%r". _fill then drops the NULs and, only if a column took "%r",
+    fills in its counts by one %-format of the block."""
     groups = [_count_groups(column) for column in samples.T]
     width = 20 + sum(4 * g + 3 if g else 3 for g in groups)
     layout = buffer[:stamps.size * width].reshape(-1, width)
@@ -706,9 +709,7 @@ def _format_block(stamps: np.ndarray, samples: np.ndarray, buffer: np.ndarray) -
         layout[:, at:at + 3].view("S3")[:, 0] = b".0," if g else b"%r,"
         at += 3
     layout[:, -1] = ord("\n")
-    text = layout.tobytes().translate(None, b"\0")
-    other = [c for c, g in enumerate(groups) if not g]
-    return text % tuple(samples[:, other].ravel().tolist()) if other else text
+    return _fill(layout.tobytes(), samples, np.equal(groups, 0))
 
 
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
@@ -769,7 +770,8 @@ def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:
                           epoch_length=60, samples=summed)
 
 
-def load_manifest(content) -> CohortManifest:
+def load_manifest(content) -> tuple[ManifestEntry, ...]:
+    """The entries of a manifest CSV's bytes or text, in subject-ID order."""
     reader = csv.reader(io.StringIO(_decode(content)))
     try:
         rows = list(reader)
@@ -798,19 +800,23 @@ def load_manifest(content) -> CohortManifest:
         if not path:
             raise MalformedRow(line_no, "empty path")
         entries.append(ManifestEntry(subject_id, GroupLabel.parse(row[1], line_no), path))
-    return CohortManifest(entries=tuple(entries))
+    return tuple(sorted(entries, key=lambda e: e.subject_id))
 
 
 def read_table(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
     """The non-empty rows of a CSV table as (line number, dict) pairs; the
-    header must name the ``required`` columns and every row have its width.
-    Decoded as the epoch files are (UTF-8, an optional byte-order mark)."""
+    header must name the ``required`` columns, and no column twice, and every
+    row have its width. Decoded as the epoch files are (UTF-8, an optional
+    byte-order mark)."""
     reader = csv.reader(io.StringIO(_decode(path.read_bytes()), newline=""))
     try:
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise MalformedRow(1, f"{path}: missing columns {missing}")
+        twice = next((c for i, c in enumerate(header) if c in header[:i]), None)
+        if twice is not None:
+            raise MalformedRow(1, f"{path}: column {twice!r} named twice")
         rows = []
         for row in reader:
             if not row:

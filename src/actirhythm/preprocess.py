@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +23,9 @@ from .errors import CountOverflow, IncompleteDays, InsufficientData, NotMinuteEp
 from .ingest import TriaxialSeries
 
 MINUTES_PER_DAY = 1440
+# The midpoint of each minute of day in hours, (m + 1/2) / 60
+MINUTE_MIDPOINTS = (np.arange(MINUTES_PER_DAY) + 0.5) / 60.0
+MINUTE_MIDPOINTS.flags.writeable = False
 
 # The scales a profile or a fit can work on, by FitConfig.transform name.
 TRANSFORMS = {"raw": np.asarray, "log1p": np.log1p}
@@ -105,26 +107,12 @@ def require_complete(series: ActivitySeries) -> None:
         raise IncompleteDays("series contains invalid or partial days")
 
 
-class DayProfile(NamedTuple):
-    """An analysis window's minutes binned by minute of day."""
-
-    t: np.ndarray          # bin midpoint, hours in (0, 24)
-    counts: np.ndarray     # n_m, samples in the bin: the window's day count
-    means: np.ndarray      # ybar_m
-
-
-def day_profile(series: ActivitySeries, transform: str = "raw") -> DayProfile:
-    """Minute-of-day profile of an analysis window on a TRANSFORMS scale; a
-    bin sums its days in time order, as a running sum over the minutes would."""
+def day_profile(series: ActivitySeries, transform: str = "raw") -> np.ndarray:
+    """The (1440,) minute-of-day means of an analysis window on a TRANSFORMS
+    scale; a minute sums its days in time order, as a running sum over the
+    minutes would, and divides by the window's day count."""
     require_complete(series)
-    return rows_profile(TRANSFORMS[transform](series.grid))
-
-
-def rows_profile(rows: np.ndarray) -> DayProfile:
-    """day_profile of a window's rows, already on their scale."""
-    n_days = rows.shape[0]
-    return DayProfile((np.arange(MINUTES_PER_DAY) + 0.5) / 60.0,
-                      np.full(MINUTES_PER_DAY, n_days), rows.sum(axis=0) / n_days)
+    return TRANSFORMS[transform](series.grid).sum(axis=0) / series.n_days
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,8 +27,8 @@ from . import stats
 from .cosinor import FitConfig, SigmoidalCosinorFit, export_fitted_curve, fit_sigmoidal_cosinor
 from .errors import DataError, InsufficientData, MisalignedSeries, TooFewGroups
 from .features import ActivityFeatures, FeatureConfig, compute_features
-from .ingest import (GROUP_ORDER, GroupLabel, _LEADING, _digit_table, aggregate_to_minutes,
-                     load_manifest, parse_triaxial_csv, read_table)
+from .ingest import (GROUP_ORDER, GroupLabel, _LEADING, _digit_table, _fill,
+                     aggregate_to_minutes, load_manifest, parse_triaxial_csv, read_table)
 from .preprocess import (
     ActivitySeries,
     NonwearBout,
@@ -49,13 +49,6 @@ GROUP_COLORS = {
 Z_95 = 1.96
 SVG_WIDTH = 960
 SVG_HEIGHT = 420
-
-
-def _fill(text: bytes, values: np.ndarray, marked: np.ndarray) -> bytes:
-    """text without its NUL padding, and with the %-directives that the
-    table writers put in the slots of values[marked] filled in order."""
-    text = text.translate(None, b"\0")
-    return text % tuple(values[marked].tolist()) if marked.any() else text
 
 
 # "%4d" of 0-9999 with NUL for each leading blank, then "%.2f" for _fill
@@ -256,7 +249,6 @@ class SubjectRecord:
 class PipelineResult:
     records: list[SubjectRecord]
     skipped: list[tuple[str, str, str]]   # subject_id, group, reason
-    outputs: dict[str, Path] = field(default_factory=dict)
 
 
 def _moving_average(arr: np.ndarray, window: int) -> np.ndarray:
@@ -451,7 +443,7 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
 
 
 def build_overlay(record: SubjectRecord) -> CurveOverlay:
-    observed = day_profile(record.window, record.fit.transform).means
+    observed = day_profile(record.window, record.fit.transform)
     fitted = export_fitted_curve(record.fit, resolution=1.0)[:, 1]
     return CurveOverlay(subject_id=record.subject_id, group=record.group,
                         observed=observed, fitted=fitted)
@@ -585,9 +577,8 @@ def load_cohort(manifest_path: Path, config: PipelineConfig, features: bool = Fa
                                             list[tuple[str, str, str]]]:
     """prepare_subject on each manifest subject in ID order; a DataError at
     any stage makes the subject a (subject_id, group, reason) skip."""
-    manifest = load_manifest(manifest_path.read_bytes())
     records, skipped = [], []
-    for entry in sorted(manifest.entries, key=lambda e: e.subject_id):
+    for entry in load_manifest(manifest_path.read_bytes()):
         try:
             records.append(prepare_subject(entry, manifest_path.parent, config,
                                            features, fit))
@@ -615,13 +606,13 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     records, skipped = load_cohort(manifest_path, config, features=True, fit=True)
-    skips = _write(out_dir / "skips.csv", skips_csv(skipped))
+    _write(out_dir / "skips.csv", skips_csv(skipped))
     if len({rec.group for rec in records}) < 2:
         raise TooFewGroups(skipped)
 
     features = _write(out_dir / "features.csv", features_csv(records))
     cosinor = _write(out_dir / "cosinor.csv", cosinor_csv(records))
-    comparison = write_comparison(features, cosinor, out_dir, config.posthoc, config.exact)
+    write_comparison(features, cosinor, out_dir, config.posthoc, config.exact)
     curves = cohort_curves(records, config.smooth)
 
     first_per_group = {}
@@ -630,16 +621,8 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     overlays = [build_overlay(first_per_group[g])
                 for g in GROUP_ORDER if g in first_per_group]
 
-    result = PipelineResult(records=records, skipped=skipped)
-    result.outputs = {
-        "features": features,
-        "cosinor": cosinor,
-        "comparison": comparison[0],
-        "comparison_txt": comparison[1],
-        "curves": _write(out_dir / "curves.csv", curves_csv(curves)),
-        "curves_svg": _write(out_dir / "curves.svg", render_curves_svg(curves)),
-        "overlays": _write(out_dir / "overlays.csv", overlays_csv(overlays)),
-        "overlays_svg": _write(out_dir / "overlays.svg", render_overlays_svg(overlays)),
-        "skips": skips,
-    }
-    return result
+    _write(out_dir / "curves.csv", curves_csv(curves))
+    _write(out_dir / "curves.svg", render_curves_svg(curves))
+    _write(out_dir / "overlays.csv", overlays_csv(overlays))
+    _write(out_dir / "overlays.svg", render_overlays_svg(overlays))
+    return PipelineResult(records=records, skipped=skipped)

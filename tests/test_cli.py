@@ -189,7 +189,7 @@ def test_subject_id_with_comma_round_trips_through_compare(tmp_path, capsys):
 def test_skip_reason_keeps_its_quotes(tmp_path, capsys):
     manifest = write_cohort(tmp_path / "c", sizes={GroupLabel.CCI: 1}, days=3)
     manifest.write_text(manifest.read_text().replace("p00,", "o'brien,", 1))
-    entry = load_manifest(manifest.read_bytes()).entries[0]
+    entry = load_manifest(manifest.read_bytes())[0]
     with pytest.raises(errors.InsufficientData) as exc:
         report.prepare_subject(entry, manifest.parent, PipelineConfig())
     assert '"' in str(exc.value)
@@ -501,6 +501,24 @@ def test_compare_table_without_a_key_column_exit_code_2(tmp_path, capsys, column
     assert main(_compare_argv(tmp_path, features=FEATURES.replace(column, "x", 1))) == 2
     assert (f"line 1: {tmp_path / 'f.csv'}: missing columns [{column!r}]"
             in capsys.readouterr().err)
+
+
+def test_compare_table_naming_a_column_twice_exit_code_2(tmp_path, capsys):
+    features = "subject_id,group,mean,mean\na,cci,1,9\nb,rr,2,8\nc,rr,3,7\n"
+    assert main(_compare_argv(tmp_path, features=features)) == 2
+    assert (f"line 1: {tmp_path / 'f.csv'}: column 'mean' named twice"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_synth_spec_naming_a_column_twice_exit_code_2(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text(",".join(SYNTH_COLUMNS) + ",min\na1,cci,10,50,0,5,14,3,1,20\n",
+                    encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"line 1: {spec}: column 'min' named twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("features, cosinor, error, message", [

@@ -18,7 +18,12 @@ from actirhythm.cosinor import (
     model_value,
 )
 from actirhythm.ingest import SynthSpec, generate_synthetic
-from actirhythm.preprocess import day_profile, select_analysis_window, to_activity_series
+from actirhythm.preprocess import (
+    MINUTE_MIDPOINTS,
+    day_profile,
+    select_analysis_window,
+    to_activity_series,
+)
 from conftest import make_window
 from reference_impls import (
     LoopSeries,
@@ -321,14 +326,16 @@ class TestProfileReduction:
     @pytest.mark.parametrize("days, alpha", [(3, -0.4), (5, 0.2)])
     def test_profile_and_rss_match_the_loop_oracle_bit_for_bit(
             self, rng, monkeypatch, transform, scale, days, alpha):
-        """day_profile is the oracle's minute-of-day profile, and the fit's
+        """day_profile is the oracle's minute-of-day profile at the minute
+        midpoints with a count of the window's days in each, and the fit's
         rss is LM's lowest profile rss plus the oracle's within-minute sum
         of squares."""
         window = window_with_removed_day(rng, days, alpha)
         t, y = full_data(window, scale)
         expected = loop_minute_profile(t, y)
-        for got, want in zip(day_profile(window, transform), expected):
-            assert got.tobytes() == want.tobytes()
+        got = (MINUTE_MIDPOINTS, np.full(1440, days), day_profile(window, transform))
+        for got_part, want in zip(got, expected, strict=True):
+            assert got_part.tobytes() == want.tobytes()
         within = float(np.sum((y - np.tile(expected[2], days)) ** 2))
 
         results = []
@@ -367,25 +374,27 @@ class TestProfileReduction:
         assert np.all(np.isfinite(jac))
 
     def test_residual_is_the_weighted_curve_bit_for_bit(self, rng):
-        profile = day_profile(window_with_removed_day(rng), "log1p")
+        """The residual at the scalar weight sqrt(n_days) is the one at a
+        weight of sqrt(n_m) per minute with n_m = n_days."""
+        means = day_profile(window_with_removed_day(rng), "log1p")
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
-        weight = np.sqrt(profile.counts)
-        expected = weight * profile.means - weight * curve.evaluate(
-            profile.t, p[0], np.exp(p[1]), np.tanh(p[3]), np.exp(p[4]), p[2])
-        assert cosinor._profile_problem(profile).fun(p).tobytes() == expected.tobytes()
+        weight = np.sqrt(np.full(1440, 5))
+        expected = weight * means - weight * curve.evaluate(
+            MINUTE_MIDPOINTS, p[0], np.exp(p[1]), np.tanh(p[3]), np.exp(p[4]), p[2])
+        assert cosinor._profile_problem(means, 5).fun(p).tobytes() == expected.tobytes()
 
     def test_residual_at_an_overflowing_amplitude_is_nan_without_a_warning(self, rng):
-        profile = day_profile(window_with_removed_day(rng), "log1p")
+        means = day_profile(window_with_removed_day(rng), "log1p")
         # exp(800) is inf, and beta = exp(10) makes the sigmoid exactly 0 where
         # cos - alpha < -0.034
-        residual = cosinor._profile_problem(profile).fun(np.array([0.5, 800.0, 13.3, 0.4, 10.0]))
+        residual = cosinor._profile_problem(means, 5).fun(np.array([0.5, 800.0, 13.3, 0.4, 10.0]))
         assert np.isnan(residual).any()
 
     def test_residual_returns_a_fresh_array_each_call(self, rng):
         """LM holds the current and the trial residual at once, so a later
         call must leave an earlier result as it was."""
-        profile = day_profile(window_with_removed_day(rng), "log1p")
-        problem = cosinor._profile_problem(profile)
+        means = day_profile(window_with_removed_day(rng), "log1p")
+        problem = cosinor._profile_problem(means, 5)
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
         q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
         first = problem.fun(p)
@@ -402,10 +411,10 @@ class TestProfileReduction:
         """jac(p) reads the terms the residual kept when p has the bits of
         the residual's last point, and evaluates them otherwise; either way
         it is the column_stack form of the oracle, bit for bit."""
-        profile = day_profile(window_with_removed_day(rng), "log1p")
+        means = day_profile(window_with_removed_day(rng), "log1p")
 
         def jac_after(*points, at):
-            problem = cosinor._profile_problem(profile)
+            problem = cosinor._profile_problem(means, 5)
             with np.errstate(over="ignore"):
                 for point in points:
                     problem.fun(point)
@@ -417,22 +426,22 @@ class TestProfileReduction:
             p = np.array(p)
             q = p + np.array([0.0, 0.1, -2.0, 0.3, -0.5])
             with np.errstate(over="ignore"):
-                expected = stacked_profile_jacobian(profile.t, profile.counts, p)
+                expected = stacked_profile_jacobian(MINUTE_MIDPOINTS, np.full(1440, 5), p)
             assert np.isfinite(expected).all()
             for jac in (jac_after(p, at=p), jac_after(q, at=p), jac_after(p, at=p.copy()),
                         jac_after(at=p), jac_after(p, q, at=p), jac_after(q, p, at=p)):
-                assert jac.shape == (profile.t.size, 5) and jac.flags.c_contiguous
+                assert jac.shape == (1440, 5) and jac.flags.c_contiguous
                 assert jac.tobytes() == expected.tobytes(), p
 
     def test_jacobian_at_the_same_point_twice_is_unchanged(self, rng):
-        profile = day_profile(window_with_removed_day(rng), "log1p")
-        problem = cosinor._profile_problem(profile)
+        means = day_profile(window_with_removed_day(rng), "log1p")
+        problem = cosinor._profile_problem(means, 5)
         p = np.array([0.5, 1.2, 13.3, 0.4, 1.8])
         problem.fun(p)
         first = problem.jac(p).copy()
         assert problem.jac(p).tobytes() == first.tobytes()
         assert first.tobytes() == stacked_profile_jacobian(
-            profile.t, profile.counts, p).tobytes()
+            MINUTE_MIDPOINTS, np.full(1440, 5), p).tobytes()
 
     def test_matches_full_data_fit(self, rng):
         series = window_with_removed_day(rng)

@@ -1216,13 +1216,19 @@ class TestAggregate:
 class TestManifest:
     def test_two_rows(self):
         m = load_manifest("subject_id,group,path\na,cci,a.csv\nb,rr,b.csv\n")
-        assert [e.subject_id for e in m.entries] == ["a", "b"]
-        assert m.entries[0].group is GroupLabel.CCI
-        assert m.entries[1].group is GroupLabel.RR
+        assert [e.subject_id for e in m] == ["a", "b"]
+        assert m[0].group is GroupLabel.CCI
+        assert m[1].group is GroupLabel.RR
+
+    def test_rows_out_of_id_order_come_back_sorted(self):
+        m = load_manifest("subject_id,group,path\nc,rr,c.csv\na,cci,a.csv\nb,cci,b.csv\n")
+        assert isinstance(m, tuple)
+        assert [(e.subject_id, e.source_path) for e in m] == [
+            ("a", "a.csv"), ("b", "b.csv"), ("c", "c.csv")]
 
     def test_case_insensitive_groups(self):
         m = load_manifest("subject_id,group,path\na,Control_ICU,a.csv\n")
-        assert m.entries[0].group is GroupLabel.CONTROL_ICU
+        assert m[0].group is GroupLabel.CONTROL_ICU
 
     def test_duplicate_subject(self):
         with pytest.raises(errors.DuplicateSubject):
@@ -1241,11 +1247,11 @@ class TestManifest:
     def test_byte_order_mark_is_skipped(self):
         text = "subject_id,group,path\na,cci,a.csv\n"
         for content in (codecs.BOM_UTF8 + text.encode(), "\ufeff" + text):
-            assert [e.subject_id for e in load_manifest(content).entries] == ["a"]
+            assert [e.subject_id for e in load_manifest(content)] == ["a"]
 
     def test_crlf_line_ends(self):
         m = load_manifest("subject_id,group,path\r\na,cci,a.csv\r\n")
-        assert m.entries[0].source_path == "a.csv"
+        assert m[0].source_path == "a.csv"
 
 
 class TestSynthetic:

@@ -11,6 +11,7 @@ from actirhythm.cosinor import fit_linear_cosinor, fit_sigmoidal_cosinor
 from actirhythm.features import compute_features, immobile_minutes, minute_profile, rmssd
 from actirhythm.ingest import TriaxialSeries
 from actirhythm.preprocess import (
+    MINUTE_MIDPOINTS,
     ActivitySeries,
     day_profile,
     NonwearBout,
@@ -284,9 +285,10 @@ class TestGridMatchesDayLoops:
         assert window.start_time == expected.start_time
         assert rmssd(window) == loop_rmssd(expected)
         for transform, scale in (("raw", np.asarray), ("log1p", np.log1p)):
-            profile = day_profile(window, transform)
-            for got, want in zip(profile, loop_minute_profile(*loop_fit_data(expected, scale))):
-                assert got.tobytes() == want.tobytes()
+            got = (MINUTE_MIDPOINTS, np.full(1440, days), day_profile(window, transform))
+            want = loop_minute_profile(*loop_fit_data(expected, scale))
+            for got_part, want_part in zip(got, want, strict=True):
+                assert got_part.tobytes() == want_part.tobytes()
 
 
 def _invalid_day():

@@ -433,9 +433,9 @@ class TestPipeline:
         result = run_pipeline(manifest, tmp_path / "out", FAST)
         assert len(result.records) == 8
         assert not result.skipped
-        for name in ("features", "cosinor", "comparison", "comparison_txt",
-                     "curves", "curves_svg", "overlays", "overlays_svg", "skips"):
-            assert result.outputs[name].exists(), name
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "comparison.csv", "comparison.txt", "cosinor.csv", "curves.csv", "curves.svg",
+            "features.csv", "overlays.csv", "overlays.svg", "skips.csv"]
         comparison = (tmp_path / "out" / "comparison.csv").read_text()
         rows = {line.split(",")[0] for line in comparison.splitlines()[1:]}
         assert len(rows) == 15
