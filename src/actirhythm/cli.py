@@ -181,7 +181,7 @@ def _cohort(args, **stages) -> list[report.SubjectRecord]:
     config = _config_from(args)
     args.out.mkdir(parents=True, exist_ok=True)
     records, skipped = report.load_cohort(args.manifest, config, **stages)
-    report._write(args.out / "skips.csv", report.skips_csv(skipped))
+    report.write_file(args.out / "skips.csv", report.skips_csv(skipped))
     _list_skips(skipped)
     if not records:
         raise DataError("no subject survived")
@@ -190,13 +190,13 @@ def _cohort(args, **stages) -> list[report.SubjectRecord]:
 
 def _cmd_features(args) -> int:
     records = _cohort(args, features=True)
-    report._write(args.out / "features.csv", report.features_csv(records))
+    report.write_file(args.out / "features.csv", report.features_csv(records))
     return 0
 
 
 def _cmd_cosinor(args) -> int:
     records = _cohort(args, fit=True)
-    report._write(args.out / "cosinor.csv", report.cosinor_csv(records))
+    report.write_file(args.out / "cosinor.csv", report.cosinor_csv(records))
     return 0
 
 
@@ -208,8 +208,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_curves(args) -> int:
     curves = report.cohort_curves(_cohort(args), args.smooth)
-    report._write(args.out / "curves.csv", report.curves_csv(curves))
-    report._write(args.out / "curves.svg", report.render_curves_svg(curves))
+    report.write_file(args.out / "curves.csv", report.curves_csv(curves))
+    report.write_file(args.out / "curves.svg", report.render_curves_svg(curves))
     return 0
 
 
@@ -252,8 +252,8 @@ def _cmd_synth(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     for sid, _, spec in subjects:
         series = generate_synthetic(spec, subject_id=sid)
-        report._write(args.out / f"{sid}.csv", serialize_triaxial_csv(series))
-    report._write(args.out / "manifest.csv",
+        report.write_file(args.out / f"{sid}.csv", serialize_triaxial_csv(series))
+    report.write_file(args.out / "manifest.csv",
                   report.csv_text(("subject_id", "group", "path"),
                                   [(sid, group.value, sid + ".csv")
                                    for sid, group, _ in subjects]))

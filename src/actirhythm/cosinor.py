@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import _OMEGA, antilogistic, fold  # antilogistic re-exported; stable sigmoid
+from .curve import OMEGA, fold
 from .nls import ResidualProblem, levenberg_marquardt, linear_least_squares
 from .preprocess import (MINUTE_MIDPOINTS, TRANSFORMS, ActivitySeries, day_profile,
                          require_complete)
@@ -81,14 +81,14 @@ def fit_linear_cosinor(series: ActivitySeries, config: FitConfig = FitConfig(),
     if means is None:
         means = day_profile(series, config.transform)
     weight = np.sqrt(series.n_days)
-    angle = _OMEGA * MINUTE_MIDPOINTS
+    angle = OMEGA * MINUTE_MIDPOINTS
     design = weight * np.column_stack([np.ones(angle.size), np.cos(angle), np.sin(angle)])
     b0, bc, bs = linear_least_squares(design, weight * means)
     amplitude = math.hypot(bc, bs)
     if amplitude <= 1e-12 * max(1.0, abs(b0)):
         acrophase = 0.0
     else:
-        acrophase = fold(math.atan2(bs, bc) / _OMEGA, 24.0)
+        acrophase = fold(math.atan2(bs, bc) / OMEGA, 24.0)
     return LinearCosinorFit(mesor=float(b0), amplitude=float(amplitude),
                             acrophase=float(acrophase))
 
@@ -144,7 +144,7 @@ def _profile_problem(means: np.ndarray, n_days: int) -> ResidualProblem:
             amplitude, beta = np.exp(w), np.exp(v)
             alpha = np.tanh(u)
             np.subtract(t, phase, out=angle)
-            np.multiply(angle, _OMEGA, out=angle)
+            np.multiply(angle, OMEGA, out=angle)
             # antilogistic(cos(angle), alpha, beta), with 1 + e formed once
             np.subtract(np.cos(angle, out=shifted), alpha, out=shifted)
             np.multiply(beta, shifted, out=z)
@@ -174,7 +174,7 @@ def _profile_problem(means: np.ndarray, n_days: int) -> ResidualProblem:
         # column j is -sqrt(n_days) times d/d(w, phase, u, v)
         columns = jacobian.T
         np.multiply(negative_weight, amplitude_s, out=columns[1])
-        np.multiply(slope, _OMEGA, out=work)
+        np.multiply(slope, OMEGA, out=work)
         np.multiply(work, np.sin(angle, out=sine), out=work)
         np.multiply(negative_weight, work, out=columns[2])
         np.negative(slope, out=work)
@@ -235,14 +235,3 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
         converged=bool(best.converged and not degenerate),
         n_points=scaled.size, degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)
-
-
-def export_fitted_curve(fit: SigmoidalCosinorFit,
-                        resolution: float = 1.0) -> np.ndarray:
-    """Sample the fitted curve over one 24 h cycle at ``resolution`` minutes;
-    returns an (n, 2) array of (hours, value)."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    minutes = np.arange(0.0, 1440.0, resolution)
-    t = minutes / 60.0
-    return np.column_stack([t, model_value(t, fit)])

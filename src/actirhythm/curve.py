@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_OMEGA = 2.0 * np.pi / 24.0
+OMEGA = 2.0 * np.pi / 24.0
 
 
 def fold(x: float, period: float) -> float:
@@ -36,7 +36,7 @@ def antilogistic(c, alpha: float, beta: float):
 
 def evaluate(t, min_: float, amplitude: float, alpha: float, beta: float, phase: float):
     """Curve value at time ``t`` (hours). Vectorized over ``t``."""
-    c = np.cos((np.asarray(t, dtype=float) - phase) * _OMEGA)
+    c = np.cos((np.asarray(t, dtype=float) - phase) * OMEGA)
     out = min_ + amplitude * antilogistic(c, alpha, beta)
     if np.ndim(out) == 0:
         return float(out)

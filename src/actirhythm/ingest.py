@@ -9,20 +9,12 @@ File formats:
                control_icu, cci, rr, control_healthy (case-insensitive).
 
 Epoch files are written, and parsed when in canonical form, a block of
-rows at a time. The writer lays out each block's rows in numpy: whole
-counts as digits from a table of 4-digit groups, NUL-padded and dropped
-by one translate, and the repr of any other count by one %-format of the
-block. A canonical file of more than one block is split at row
-boundaries into as many parts as the process has CPUs, and the parts are
-read in threads, so that such a parse holds the file's bytes, the parsed
-samples and one block per part. Each block's stamps come from
-_stamp_blocks, the one generator of canonical stamps. One byte reader
-reads every canonical block with numpy, its stamps compared as 8-byte
-words of those stamps and every other byte checked as it is read: whole
-counts, as device exports and the writer's ``%d.0`` rule give, in one
-pass of their digits, decimals as the correctly rounded quotient of their
-digits by a power of ten, and by float() only the fields that it cannot
-decide. Any other epoch file is parsed row by row from its decoded text.
+rows at a time (see serialize_triaxial_csv and parse_triaxial_csv). Each
+block's stamps come from _stamp_blocks, the one generator of canonical
+stamps, and the parse compares them as 8-byte words of those stamps. It
+reads whole counts, as device exports and the writer's ``%d.0`` give, in
+one pass of their digits. The writer lays out each block's rows, stamps
+and count slots, in numpy; numtext writes the counts.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curve
+from . import curve, numtext
 from .errors import (
     CountOverflow,
     DuplicateSubject,
@@ -631,62 +623,15 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
                           samples=np.frombuffer(counts, dtype=float).reshape(-1, 3))
 
 
-def _digit_table(places: int) -> np.ndarray:
-    """Every string of ``places`` decimal digits, in numeric order, as a
-    (10**places, places) array of ASCII bytes."""
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    return np.stack(np.meshgrid(*[digits] * places, indexing="ij"), axis=-1).reshape(-1, places)
-
-
-def _fill(text: bytes, values: np.ndarray, marked: np.ndarray) -> bytes:
-    """text without its NUL padding, and with the %-directives that the
-    writers put in the slots of values[..., marked] filled in row order.
-    marked has values' shape, or that of its last axis to mark columns."""
-    text = text.translate(None, b"\0")
-    return text % tuple(values[..., marked].ravel().tolist()) if marked.any() else text
-
-
-# "%4d" of 0-9999 with NUL for each leading blank (a leading zero but the
-# last digit): the leading group of four digits of a whole count
-_LEADING = _digit_table(4)
-_LEADING[:, :3][np.logical_and.accumulate(_LEADING[:, :3] == ord("0"), axis=1)] = 0
-_LEADING = _LEADING.view("S4").ravel()
-# The four digits of a group of a whole count by its place: "%04d" after
-# the leading group, _LEADING in it, and four NULs before it
-_GROUPS = np.concatenate([_digit_table(4).view("S4").ravel(), _LEADING, [b""]])
-# 10**(4 * k): the k-th group from the last is the leading one of a count
-# below _LEADS[k + 1] and at least _LEADS[k]
-_LEADS = 10 ** (4 * np.arange(5, dtype=np.int64))
-
-
-def _groups(top: float) -> int:
-    """The digit groups of a whole count ``top`` below 1e16."""
-    return int(np.searchsorted(_LEADS[1:], top, side="right")) + 1
-
-
-def _count_groups(column: np.ndarray) -> int:
-    """The digit groups of the slot of one block's column of counts: as
-    many as its largest count takes, or 0 if the column takes ``%r``: if it
-    has a count of 1e16 or more, -0.0, or a count that is not whole. Below
-    1e16 repr writes a whole float as all its digits and ``.0``, which is
-    the text of ``%d.0``."""
-    top = column.max()
-    if (top < 1e16 and not np.signbit(column).any()
-            and np.array_equal(np.trunc(column), column)):
-        return _groups(top)
-    return 0
-
-
 def _format_block(stamps: np.ndarray, samples: np.ndarray, buffer: np.ndarray) -> bytes:
     """The ASCII rows of one block, its stamps and (n, 3) counts, laid out
     in ``buffer``, a uint8 array of at least the block's bytes.
 
     Each row is the stamp and ",", then each count's slot and its "," or
-    LF. A column of whole counts (see _count_groups) takes as many digit
-    groups of _GROUPS as its largest count, and ".0"; any other column
-    takes "%r". _fill then drops the NULs and, only if a column took "%r",
-    fills in its counts by one %-format of the block."""
-    groups = [_count_groups(column) for column in samples.T]
+    LF. A column of whole counts (numtext.count_groups) takes as many digit
+    groups of numtext.GROUPS as its largest count, and ".0"; any other
+    column takes "%r", which numtext.fill formats."""
+    groups = [numtext.count_groups(column) for column in samples.T]
     width = 20 + sum(4 * g + 3 if g else 3 for g in groups)
     layout = buffer[:stamps.size * width].reshape(-1, width)
     layout[:, :19].view("S19")[:, 0] = stamps
@@ -696,20 +641,20 @@ def _format_block(stamps: np.ndarray, samples: np.ndarray, buffer: np.ndarray) -
         if g:
             n = column.astype(np.int64)
             for k in range(g - 1, -1, -1):   # from the first group to the last
-                # the group's digits in the part of _GROUPS for its place:
-                # after the leading group, the leading one, or before it
+                # the group's digits in the part of numtext.GROUPS for its
+                # place: after the leading group, the leading one, or before it
                 if k == g - 1:
-                    part = (n // _LEADS[k] if k else n) + 10000
+                    part = (n // numtext.BASES[k] if k else n) + 10000
                 else:
-                    part = n // _LEADS[k] % 10000 + (n < _LEADS[k + 1]) * 10000
+                    part = n // numtext.BASES[k] % 10000 + (n < numtext.BASES[k + 1]) * 10000
                 if k:
-                    part += (n < _LEADS[k]) * 10000
-                layout[:, at:at + 4].view("S4")[:, 0] = _GROUPS[part]
+                    part += (n < numtext.BASES[k]) * 10000
+                layout[:, at:at + 4].view("S4")[:, 0] = numtext.GROUPS[part]
                 at += 4
         layout[:, at:at + 3].view("S3")[:, 0] = b".0," if g else b"%r,"
         at += 3
     layout[:, -1] = ord("\n")
-    return _fill(layout.tobytes(), samples, np.equal(groups, 0))
+    return numtext.fill(layout.tobytes(), samples, np.equal(groups, 0))
 
 
 def serialize_triaxial_csv(series: TriaxialSeries) -> str:
@@ -718,22 +663,19 @@ def serialize_triaxial_csv(series: TriaxialSeries) -> str:
     Stamps are the canonical ones of _stamp_blocks, local times to the
     second: a start time's microseconds and UTC offset are dropped. A
     series that runs past year 9999 raises OverflowError. Each count is
-    written as its float's repr. The rows are made _STAMP_BLOCK at a time,
-    each block laid out in numpy (see _format_block): a count column whose
-    values in the block are all whole, at least 0 and below 1e16, and none
-    -0.0, is written as the ``%d.0`` of its integers from a table of digit
-    groups, which is the same text without a repr per count; any other
-    column as ``%r`` by one %-format of the block. The layout buffer is made
-    once for the series, and the blocks are joined as bytes and decoded
-    once, after the buffer and the list of blocks are dropped, so the
-    writer holds at most twice its text and one block.
+    written as its float's repr, _STAMP_BLOCK rows at a time by
+    _format_block in one layout buffer made for the series. The blocks are
+    joined as bytes and decoded once, after the buffer and the list of
+    blocks are dropped, so the writer holds at most twice its text and one
+    block.
     """
     start = series.start_time.replace(microsecond=0, tzinfo=None)
     blocks = [b"timestamp,axis1,axis2,axis3\n"]
     if len(series):
         # the widest row a block can take: each column's slot at the most
         # groups that a whole count below 1e16 in it can take
-        widest = 20 + sum(4 * _groups(min(c.max(), 1e16 - 2)) + 3 for c in series.samples.T)
+        widest = 20 + sum(4 * numtext.groups(min(c.max(), 1e16 - 2)) + 3
+                          for c in series.samples.T)
         buffer = np.empty(min(len(series), _STAMP_BLOCK) * widest, np.uint8)
         for i, stamps in _stamp_blocks(start, series.epoch_length, len(series)):
             blocks.append(_format_block(stamps, series.samples[i:i + stamps.size], buffer))

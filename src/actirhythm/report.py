@@ -1,11 +1,9 @@
 """Cohort orchestration and figure data: group average curves with normal
 95% confidence bands, per-subject observed/fitted overlays, and the
 CSV/SVG/text outputs of the full pipeline. Both SVG figures share one
-document frame, one axis pair and one point writer. The per-minute CSV
-writers and the point writer build their numbers from digit tables in
-numpy, byte-identical to "%.6g", "%d" and "%.2f": exact integer rounding
-(_rounded) gives each value's significant digits, and a value outside the
-tables' range gets its %-directive in its slot, which _fill formats.
+document frame and one axis pair. The per-minute CSV writers lay out each
+row's prefix and slots, and numtext writes the numbers: "%d" and "%.6g"
+in the CSVs, and "%.2f" for the figures' points.
 
 All file outputs are UTF-8 with LF line endings and are byte-deterministic
 for identical inputs.
@@ -14,7 +12,6 @@ for identical inputs.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -23,12 +20,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import stats
-from .cosinor import FitConfig, SigmoidalCosinorFit, export_fitted_curve, fit_sigmoidal_cosinor
+from . import numtext, stats
+from .cosinor import FitConfig, SigmoidalCosinorFit, fit_sigmoidal_cosinor, model_value
 from .errors import DataError, InsufficientData, MisalignedSeries, TooFewGroups
 from .features import ActivityFeatures, FeatureConfig, compute_features
-from .ingest import (GROUP_ORDER, GroupLabel, _LEADING, _digit_table, _fill,
-                     aggregate_to_minutes, load_manifest, parse_triaxial_csv, read_table)
+from .ingest import (GROUP_ORDER, GroupLabel, aggregate_to_minutes, load_manifest,
+                     parse_triaxial_csv, read_table)
 from .preprocess import (
     ActivitySeries,
     NonwearBout,
@@ -49,112 +46,10 @@ GROUP_COLORS = {
 Z_95 = 1.96
 SVG_WIDTH = 960
 SVG_HEIGHT = 420
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")
 
 
-# "%4d" of 0-9999 with NUL for each leading blank, then "%.2f" for _fill
-_WHOLES = np.append(_LEADING, b"%.2f")
-
-# 10**k for k in -4..9, each the double nearest it, and _EXP10[k + 13] = e with
-# 10**e <= 2**(k - 1) < 10**(e + 1) for k = frexp(x)[1] of an x in [1e-4, 1e6)
-_POW10 = np.array([float(f"1e{k}") for k in range(-4, 10)])
-_EXP10 = np.array([math.floor((k - 1) * math.log10(2)) for k in range(-13, 21)])
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of a into a high and a low part of 26 bits each."""
-    c = a * 134217729.0   # 2**27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
-def _rounded(v: np.ndarray, scale) -> np.ndarray:
-    """rint(v * scale) for v >= 0 and v * scale below 2**52, rounded as the
-    %-operator rounds: to nearest, ties to even, on the exact product.
-
-    The rounded product s can fall on the other side of a half from the
-    exact product only when s is that half, which is a double. There
-    Dekker's TwoProduct gives the product's rounding error err exactly
-    (no fused multiply-add), and err picks the side; where err is 0 the
-    tie is true and rint has already rounded it to even."""
-    s = v * scale
-    n = np.rint(s)
-    d = s - n
-    half = np.abs(d) == 0.5
-    if half.any():
-        a_hi, a_lo = _split(v[half])
-        b_hi, b_lo = _split(np.broadcast_to(scale, v.shape)[half])
-        err = ((a_hi * b_hi - s[half]) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        d = d[half]
-        n[half] += np.where(d * err > 0, 2 * d, 0.0)
-    return n
-
-
-def _strip(table: np.ndarray, first: int) -> np.ndarray:
-    """table with the trailing NULs, "0"s and "." of each row, from column
-    first on, set to NUL: %g drops trailing zeros and a bare point."""
-    tail = table[:, first:][:, ::-1]
-    drop = (tail == 0) | (tail == ord("0")) | (tail == ord("."))
-    tail[np.logical_and.accumulate(drop, axis=1)] = 0
-    return table
-
-
-def _sig6_group(e: int, first: int, last: bool) -> np.ndarray:
-    """The 1000 ways to write significant digits first to first + 2 of a
-    "%.6g" value of decimal exponent e in [-4, 5] as four bytes: the
-    three digits and the point where it falls among or after them (else
-    a NUL), with trailing zeros stripped if no later digit is nonzero."""
-    digits = _digit_table(3)
-    point = e + 1 - first
-    if 1 <= point <= 3 and e < 5:
-        table = np.insert(digits, point, ord("."), axis=1)
-    else:
-        table = np.insert(digits, 3, 0, axis=1)
-        point = 0 if point <= 0 else 4   # fraction digits only, or whole ones only
-    return _strip(table, point) if last else table
-
-
-# "%.6g" of a value v with 1e-4 <= |v| < 999999.5, or of zero, in fixed
-# notation and after a comma: v = n * 10**(e - 5) with n the six
-# significant digits (n = 0 for zero, with e = 0), and the field is
-# _LEADS[2 * (e + 4) + sign] (the comma, "-" and "0." with the zeros after
-# the point for e < 0), then _HEADS[(2 * (e + 4) + (n % 1000 == 0)) * 1000
-# + n // 1000] and _TAILS[(e + 4) * 1000 + n % 1000]
-_LEADS = np.array([b"," + b"-" * sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
-                   for e in range(-4, 6) for sign in (0, 1)], "S8")
-_HEADS = np.concatenate([_sig6_group(e, 0, last) for e in range(-4, 6)
-                         for last in (False, True)]).view("S4").ravel()
-_TAILS = np.concatenate([_sig6_group(e, 3, True) for e in range(-4, 6)]).view("S4").ravel()
-_SIG6 = np.dtype([("lead", "S8"), ("head", "S4"), ("tail", "S4")])
-
-
-def _sig6(v: np.ndarray, out: np.ndarray, formats: np.ndarray) -> np.ndarray:
-    """Write "," and "%.6g" % x for each x of v into the _SIG6 fields out
-    of v's shape, with NUL padding, and return where v is outside the
-    tables' range (nonzero below 1e-4, 999999.5 and up, and not finite):
-    those slots hold their column's entry of formats for _fill."""
-    a = np.abs(v)
-    fixed = (a >= 1e-4) & (a < 999999.5)
-    x = np.where(fixed, a, 1.0)
-    e = _EXP10[np.frexp(x)[1] + 13]
-    e += x >= _POW10[e + 5]   # 10**e <= x < 10**(e + 1)
-    n = _rounded(x, _POW10[9 - e])
-    carry = n == 1e6
-    n[carry] = 1e5
-    e += carry
-    zero = a == 0
-    n[zero] = 0
-    high, low = np.divmod(n.astype(np.intp), 1000)
-    e += 4
-    out["lead"] = _LEADS[2 * e + np.signbit(v)]
-    out["head"] = _HEADS[(2 * e + (low == 0)) * 1000 + high]
-    out["tail"] = _TAILS[e * 1000 + low]
-    other = ~(fixed | zero)
-    if other.any():
-        out.view("S16")[other] = np.broadcast_to(formats, v.shape)[other]
-    return other
-
-
-# rows a _sig6 call writes at most: its arrays take about 100 bytes a
+# rows a numtext.sig6 call writes at most: its arrays take about 100 bytes a
 # value, so a long block does not raise the run's peak memory
 _CHUNK_ROWS = 4096
 
@@ -165,14 +60,14 @@ def _csv_table(header: Sequence[str], prefixes: Sequence[Sequence[str]],
     csv_text quotes them, then its columns, the minutes as "%d" and the
     others as "%.6g".
 
-    _CHUNK_ROWS at a time, each row is a "\n" and its numbers' _sig6
+    _CHUNK_ROWS at a time, each row is a "\n" and its numbers' numtext.SIG6
     fields, and one replace puts the prefix after each "\n". The minutes
     go in truncated, -0.0 as 0.0, where "%.6g" writes them as "%d" does."""
     parts = [csv_text(header, ())[:-1]]
     for fields, (minutes, *columns) in zip(prefixes, blocks):
         prefix = ("\n" + csv_text(fields, ())[:-1]).encode()
         formats = np.array([b",%d"] + [b",%.6g"] * len(columns))
-        row = np.dtype([("start", "S1"), ("values", _SIG6, len(columns) + 1)])
+        row = np.dtype([("start", "S1"), ("values", numtext.SIG6, len(columns) + 1)])
         for start in range(0, len(minutes), _CHUNK_ROWS):
             part = slice(start, start + _CHUNK_ROWS)
             values = np.column_stack([np.trunc(minutes[part]) + 0.0]
@@ -180,8 +75,8 @@ def _csv_table(header: Sequence[str], prefixes: Sequence[Sequence[str]],
             buf = bytearray(len(values) * row.itemsize)
             rows = np.frombuffer(buf, row)
             rows["start"] = b"\n"
-            marked = _sig6(values, rows["values"], formats)
-            parts.append(_fill(buf, values, marked).replace(b"\n", prefix).decode())
+            marked = numtext.sig6(values, rows["values"], formats)
+            parts.append(numtext.fill(buf, values, marked).replace(b"\n", prefix).decode())
     return "".join(parts + ["\n"])
 
 
@@ -308,36 +203,6 @@ def _scale(v: np.ndarray, lo, hi, out_lo, out_hi) -> np.ndarray:
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-@functools.cache
-def _cents(sep: str) -> np.ndarray:
-    """".%02d" % c + sep for c in 0-99, and sep alone at 100 (after the
-    "%.2f" of _WHOLES), NUL-padded to a multiple of four bytes."""
-    table = [(".%02d" % c + sep).encode() for c in range(100)] + [sep.encode()]
-    return np.array(table, f"S{-(-len(table[0]) // 4) * 4}")
-
-
-def _points(x: np.ndarray, y: np.ndarray, sep: str = ",", join: str = " ") -> str:
-    """Each (x, y) pair as "x<sep>y" with two decimals ("%.2f"), the pairs
-    joined by join.
-
-    Every coordinate the renderers make from finite data lies in
-    [0, 10000). There ``n = _rounded(v, 100)`` is the value in cents as
-    "%.2f" rounds it, and each field is an entry of _WHOLES and one of
-    _cents(sep) or _cents(join). Any other value (not finite, sign bit
-    set, or 9999.995 and up) gets the "%.2f" of _WHOLES for _fill."""
-    v = np.column_stack((x, y))
-    covered = ~np.signbit(v) & (v < 9999.995)
-    whole, cents = np.divmod(_rounded(np.where(covered, v, 0.0), 100.0).astype(np.intp), 100)
-    if not covered.all():
-        whole[~covered], cents[~covered] = len(_WHOLES) - 1, 100
-    x_cents, y_cents = _cents(sep), _cents(join)
-    pairs = np.empty(len(v), [("x", "S4"), ("x_cents", x_cents.dtype),
-                              ("y", "S4"), ("y_cents", y_cents.dtype)])
-    pairs["x"], pairs["x_cents"] = _WHOLES[whole[:, 0]], x_cents[cents[:, 0]]
-    pairs["y"], pairs["y_cents"] = _WHOLES[whole[:, 1]], y_cents[cents[:, 1]]
-    return _fill(pairs.tobytes(), v, ~covered).decode()[:-len(join)]
-
-
 def _axes(x0, y0, x1, y1) -> list[str]:
     """The x axis from (x0, y0) to (x1, y0), the y axis to (x0, y1)."""
     return [f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333333"/>',
@@ -390,11 +255,11 @@ def render_curves_svg(curves: Sequence[GroupCurve]) -> str:
     xs = [_scale(c.times, 0.0, t_max, x0, x1) for c in curves]
     for c, x in zip(curves, xs):
         band = _scale(np.concatenate([c.ci_high, c.ci_low[::-1]]), 0.0, v_max, y0, y1)
-        points = _points(np.concatenate([x, x[::-1]]), band)
+        points = numtext.points(np.concatenate([x, x[::-1]]), band)
         parts.append(f'<polygon points="{points}" fill="{GROUP_COLORS[c.group]}" '
                      f'fill-opacity="0.2" stroke="none"/>')
     for c, x in zip(curves, xs):
-        d_attr = "M " + _points(x, _scale(c.mean, 0.0, v_max, y0, y1), " ", " L ")
+        d_attr = "M " + numtext.points(x, _scale(c.mean, 0.0, v_max, y0, y1), " ", " L ")
         parts.append(f'<path d="{d_attr}" fill="none" stroke="{GROUP_COLORS[c.group]}" '
                      f'stroke-width="1.2"/>')
     for i, c in enumerate(curves):
@@ -407,7 +272,9 @@ def render_curves_svg(curves: Sequence[GroupCurve]) -> str:
 
 
 def _xml_text(text: str) -> str:
-    """Escape &, < and > for SVG character data."""
+    """Escape &, < and > for SVG character data, and write each character
+    that XML 1.0 cannot hold (_NOT_XML) as U+FFFD."""
+    text = text.translate(_NOT_XML)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -429,8 +296,8 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
         v_hi = max(float(ov.observed.max()), float(ov.fitted.max())) or 1.0
         v_lo = min(0.0, float(ov.observed.min()), float(ov.fitted.min()))
         x = _scale(np.arange(ov.observed.size), 0, ov.observed.size - 1, px0, px1)
-        obs = _points(x, _scale(ov.observed, v_lo, v_hi * 1.05, py1, py0))
-        fit_pts = _points(x, _scale(ov.fitted, v_lo, v_hi * 1.05, py1, py0))
+        obs = numtext.points(x, _scale(ov.observed, v_lo, v_hi * 1.05, py1, py0))
+        fit_pts = numtext.points(x, _scale(ov.fitted, v_lo, v_hi * 1.05, py1, py0))
         parts += _axes(px0, py1, px1, py0)
         parts.append(f'<polyline points="{obs}" fill="none" stroke="#999999" '
                      f'stroke-width="0.8"/>')
@@ -444,7 +311,7 @@ def render_overlays_svg(overlays: Sequence[CurveOverlay]) -> str:
 
 def build_overlay(record: SubjectRecord) -> CurveOverlay:
     observed = day_profile(record.window, record.fit.transform)
-    fitted = export_fitted_curve(record.fit, resolution=1.0)[:, 1]
+    fitted = model_value(np.arange(1440) / 60.0, record.fit)
     return CurveOverlay(subject_id=record.subject_id, group=record.group,
                         observed=observed, fitted=fitted)
 
@@ -523,7 +390,7 @@ def skips_csv(skipped: Sequence[tuple[str, str, str]]) -> str:
     return csv_text(("subject_id", "group", "reason"), skipped)
 
 
-def _write(path: Path, text: str) -> Path:
+def write_file(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
@@ -535,8 +402,8 @@ def write_comparison(features: Path, cosinor: Path, out_dir: Path,
     columns = ("subject_id", "group")
     rows = stats.feature_table(read_table(features, columns), read_table(cosinor, columns),
                                posthoc, exact)
-    return (_write(out_dir / "comparison.csv", comparison_csv(rows)),
-            _write(out_dir / "comparison.txt", comparison_text(rows)))
+    return (write_file(out_dir / "comparison.csv", comparison_csv(rows)),
+            write_file(out_dir / "comparison.txt", comparison_text(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +473,12 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     records, skipped = load_cohort(manifest_path, config, features=True, fit=True)
-    _write(out_dir / "skips.csv", skips_csv(skipped))
+    write_file(out_dir / "skips.csv", skips_csv(skipped))
     if len({rec.group for rec in records}) < 2:
         raise TooFewGroups(skipped)
 
-    features = _write(out_dir / "features.csv", features_csv(records))
-    cosinor = _write(out_dir / "cosinor.csv", cosinor_csv(records))
+    features = write_file(out_dir / "features.csv", features_csv(records))
+    cosinor = write_file(out_dir / "cosinor.csv", cosinor_csv(records))
     write_comparison(features, cosinor, out_dir, config.posthoc, config.exact)
     curves = cohort_curves(records, config.smooth)
 
@@ -621,8 +488,8 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     overlays = [build_overlay(first_per_group[g])
                 for g in GROUP_ORDER if g in first_per_group]
 
-    _write(out_dir / "curves.csv", curves_csv(curves))
-    _write(out_dir / "curves.svg", render_curves_svg(curves))
-    _write(out_dir / "overlays.csv", overlays_csv(overlays))
-    _write(out_dir / "overlays.svg", render_overlays_svg(overlays))
+    write_file(out_dir / "curves.csv", curves_csv(curves))
+    write_file(out_dir / "curves.svg", render_curves_svg(curves))
+    write_file(out_dir / "overlays.csv", overlays_csv(overlays))
+    write_file(out_dir / "overlays.svg", render_overlays_svg(overlays))
     return PipelineResult(records=records, skipped=skipped)

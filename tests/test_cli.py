@@ -1,4 +1,5 @@
 import csv
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -236,6 +237,18 @@ def test_synth_rejects_subject_id_that_cannot_name_a_file(tmp_path, capsys, sid)
     # every row is parsed before anything is written
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.csv"]
+
+
+def test_subject_id_that_xml_cannot_hold(tmp_path, capsys):
+    """Every SVG of a run parses when a subject ID holds characters that
+    XML 1.0 cannot; the CSVs keep the ID as it is."""
+    manifest = write_cohort(tmp_path / "cohort", sizes={GroupLabel.CCI: 1, GroupLabel.RR: 1})
+    manifest.write_text(manifest.read_text().replace("p00,", "a\x01\x1b1,"), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+    for svg in ("curves.svg", "overlays.svg"):
+        ET.parse(out / svg)
+    assert "a\x01\x1b1,cci," in (out / "overlays.csv").read_text(encoding="utf-8")
 
 
 def test_nul_byte_in_manifest_path_skips_that_subject(cohort, tmp_path, capsys):

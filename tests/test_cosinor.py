@@ -10,13 +10,12 @@ from actirhythm import cosinor, curve
 from actirhythm.cosinor import (
     FitConfig,
     LinearCosinorFit,
-    antilogistic,
-    export_fitted_curve,
     fit_linear_cosinor,
     fit_sigmoidal_cosinor,
     initial_sigmoidal_params,
     model_value,
 )
+from actirhythm.curve import antilogistic
 from actirhythm.ingest import SynthSpec, generate_synthetic
 from actirhythm.preprocess import (
     MINUTE_MIDPOINTS,
@@ -264,29 +263,6 @@ class TestSigmoidalFit:
         assert fit.transform == "log1p"
         assert fit.amplitude == pytest.approx(4.0, rel=1e-6)
         assert hours_apart(fit.phase, 13.0) < 1e-6
-
-
-class TestExportCurve:
-    def fit(self):
-        t = midpoint_hours()
-        return fit_sigmoidal_cosinor(
-            make_window(sigmoid_curve(t, 10.0, 90.0, 0.2, 5.0, 13.0)), RAW)
-
-    def test_hourly_resolution_gives_24_points(self):
-        assert export_fitted_curve(self.fit(), resolution=60).shape == (24, 2)
-
-    def test_max_lands_nearest_phase(self):
-        fit = self.fit()
-        samples = export_fitted_curve(fit, resolution=60)
-        t_peak = samples[np.argmax(samples[:, 1]), 0]
-        assert hours_apart(t_peak, fit.phase) <= 0.5
-
-    def test_values_within_model_bounds(self):
-        fit = self.fit()
-        samples = export_fitted_curve(fit, resolution=1)
-        assert samples.shape == (1440, 2)
-        assert np.all(samples[:, 1] >= fit.min - 1e-9)
-        assert np.all(samples[:, 1] <= fit.min + fit.amplitude + 1e-9)
 
 
 def window_with_removed_day(rng, days=5, alpha=0.2):

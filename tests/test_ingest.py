@@ -28,6 +28,7 @@ from actirhythm.ingest import (
     parse_triaxial_csv,
     serialize_triaxial_csv,
 )
+from edge_values import DIGIT_COUNTS, EDGE_COUNTS, GROUP_EDGES, SMALL_COUNTS
 from reference_impls import (
     one_pass_serialize_triaxial_csv,
     row_loop_parse_triaxial_csv,
@@ -1032,16 +1033,7 @@ class TestSplitParse:
         assert set(readers) == {threading.current_thread()}
 
 
-# counts around the writer's rule: a whole count below 1e16 and not -0.0
-# is written as %d.0, anything else as its repr
-EDGE_COUNTS = [0.0, -0.0, 5e-324, 0.5, 2.0 ** 53, 2.0 ** 53 + 2, 1e16 - 2, 1e16, 1e22]
 WHOLE_COUNTS = st.integers(0, 10 ** 16 - 1).map(float)
-# whole counts on each side of the writer's digit groups of four, and
-# subnormal and other small counts
-GROUP_EDGES = [float(10 ** k + d) for k in (4, 8, 12, 15) for d in (-1, 0, 1)]
-SMALL_COUNTS = [1e-310, 2.2250738585072014e-308, 1e-5]
-# any of 0-16 digits, so that every count of digit groups is drawn
-DIGIT_COUNTS = st.integers(0, 16).flatmap(lambda d: st.integers(0, 10 ** d - 1)).map(float)
 
 
 @st.composite

@@ -3,8 +3,6 @@ import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
-from decimal import Decimal
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actirhythm import errors, report
+from actirhythm import curve, errors, numtext, report
+from actirhythm.cosinor import FitConfig, fit_sigmoidal_cosinor, model_value
 from actirhythm.ingest import GroupLabel
 from actirhythm.report import (
     CurveOverlay,
@@ -27,6 +26,7 @@ from actirhythm.report import (
 )
 from cohorts import write_cohort
 from conftest import make_window
+from edge_values import IN_RANGE, MINUTES, NOT_SIG6, OUT_OF_RANGE, SIG6, SUBJECT_IDS
 from reference_impls import loop_curves_csv, loop_overlays_csv, loop_points
 
 ICU = GroupLabel.CONTROL_ICU
@@ -176,75 +176,47 @@ class TestSvg:
         assert labels == ["a<b&c (cci)", "plain (control_icu)"]
 
 
+    @pytest.mark.parametrize("char", [*map(chr, [*range(9), 11, 12, *range(14, 32)]),
+                                      "\ufffe", "\uffff"])
+    def test_overlay_subject_id_that_xml_cannot_hold(self, char):
+        """A character that XML 1.0 cannot hold reads U+FFFD in the title."""
+        profile = np.linspace(0.0, 5.0, 5)
+        svg = render_overlays_svg([CurveOverlay(f"a{char}b{char}", CCI, profile, profile)])
+        ns = "{http://www.w3.org/2000/svg}"
+        labels = [t.text for t in ET.fromstring(svg).iter(ns + "text")]
+        assert labels == ["a\ufffdb\ufffd (cci)"]
+
+
+class TestBuildOverlay:
+    """The fitted curve at each whole minute of the day, next to the
+    observed day profile."""
+
+    def overlay(self):
+        t = (np.arange(5 * 1440) + 0.5) / 60.0
+        window = make_window(curve.evaluate(t, 10.0, 90.0, 0.2, 5.0, 13.0))
+        fit = fit_sigmoidal_cosinor(window, FitConfig(transform="raw"))
+        return report.build_overlay(report.SubjectRecord("s1", CCI, window, fit=fit)), fit
+
+    def test_max_lands_nearest_phase(self):
+        overlay, fit = self.overlay()
+        assert overlay.fitted.shape == overlay.observed.shape == (1440,)
+        assert abs(np.argmax(overlay.fitted) / 60.0 - fit.phase) <= 1 / 120
+
+    def test_values_within_model_bounds(self):
+        overlay, fit = self.overlay()
+        assert np.all(overlay.fitted >= fit.min - 1e-9)
+        assert np.all(overlay.fitted <= fit.min + fit.amplitude + 1e-9)
+
+    def test_fitted_is_the_model_at_whole_minutes(self):
+        overlay, fit = self.overlay()
+        hours = np.arange(0.0, 1440.0, 1.0) / 60.0
+        assert overlay.fitted.tobytes() == model_value(hours, fit).tobytes()
+
 # nan, both infinities, negative zero, the smallest subnormal, a huge
 # value and ties at two decimals, next to any float
 VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                                     1e300, 0.125, 2.675, -2.675]), st.floats())
-# ids that csv quotes, that carry %-format directives, a leading space,
-# non-ASCII text, or nothing
-SUBJECT_IDS = st.one_of(st.sampled_from(['a,%d "x"', "b%s", "%", "%%", '"', " lead",
-                                         "né 中%", "", "a\0b", "\0", "\x01", "%\x01\0"]),
-                        st.text(max_size=8))
-# minutes: whole ones, and those where "%d" truncates, drops the sign of a
-# negative zero, or writes digits "%.6g" does not (10**6 and up)
-MINUTES = st.one_of(st.integers(-10**6, 10**6).map(float),
-                    st.sampled_from([-0.0, -0.5, 0.5, 999999.9, -999999.9, 1e6, -1e6,
-                                     1e20, -1e20, 1e300, 2.0**63]),
-                    st.floats(-1e22, 1e22))
 GROUPS = st.sampled_from(list(GroupLabel))
-
-
-def _cut(k, j):
-    """k / 200 written to 17 significant digits, moved j in the last one."""
-    digits, exponent = f"{k / 200:.16e}".split("e")
-    return abs(float(f"{int(digits.replace('.', '')) + j}e{int(exponent) - 16}"))
-
-
-# 9999.995 and the doubles either side of it, 2**-39 apart
-TOP = st.integers(-1000, 1000).map(lambda j: 9999.995 + j * 2.0 ** -39)
-# coordinates the point writer formats in numpy, [0, 10000) below 9999.995:
-# exact ties at two decimals, 17-digit cuts near half a cent, the doubles
-# just below 9999.995, next to any float in the range
-IN_RANGE = st.one_of(st.integers(0, 79999).map(lambda k: k / 8),
-                     st.integers(0, 9999).map(lambda k: k + 0.125),
-                     st.builds(_cut, st.integers(0, 1999998), st.integers(-9, 9)),
-                     TOP, st.floats(0.0, 9999.995)).filter(lambda v: v < 9999.995)
-# values that _points leaves to _fill
-OUT_OF_RANGE = st.one_of(st.sampled_from([-0.0, -5e-324, -1e-9, math.nan, math.inf,
-                                          -math.inf, 1e4]),
-                         TOP.filter(lambda v: v >= 9999.995))
-
-
-@st.composite
-def sixth_digit_ties(draw):
-    """(v, j): v = (k + 0.5) / 10**j with six digits in k, exact as a
-    double (2k + 1 = 5**j * t for an odd t), or a double next to one."""
-    j = draw(st.integers(0, 9))
-    low, high = -(-200001 // 5**j), 1999999 // 5**j   # 10**5 <= k < 10**6
-    t = 2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1
-    v = ((5**j * t - 1) // 2 + 0.5) / 10**j
-    return float(np.nextafter(v, draw(st.sampled_from([0.0, v, math.inf])))), j
-
-
-# the doubles either side of 10**e for e in -4..5
-DECADES = st.builds(lambda e, side: float(np.nextafter(10.0 ** e, side)),
-                    st.integers(-4, 5), st.sampled_from([0.0, math.inf]))
-# magnitudes "%.6g" writes in fixed notation: sixth-digit ties, dyadic
-# k / 2**m (ties at the sixth digit among them), each power of ten and
-# its neighbours, the largest doubles below 999999.5, 9.999995 (which
-# rounds up to 10), zero, and any float in range
-SIG6_MAGNITUDES = st.one_of(
-    sixth_digit_ties().map(lambda vj: vj[0]),
-    st.builds(lambda k, m: k / 2**m, st.integers(1, 2**24), st.integers(0, 30)),
-    st.integers(-4, 5).map(lambda e: 10.0 ** e), DECADES,
-    st.integers(1, 1000).map(lambda i: 999999.5 - i * 2.0 ** -33),
-    st.sampled_from([9.999995, 0.0]), st.floats(1e-4, 999999.5, exclude_max=True),
-).filter(lambda v: v == 0 or 1e-4 <= v < 999999.5)
-SIG6 = st.builds(lambda v, negative: -v if negative else v, SIG6_MAGNITUDES, st.booleans())
-# values "%.6g" writes otherwise, which _sig6 leaves to _fill
-NOT_SIG6 = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1e-5, -1e-5, 1e6,
-                            999999.5, -999999.5, float(np.nextafter(1e-4, 0)), 5e-324,
-                            1e300])
 
 
 def _column(n, values=VALUES):
@@ -269,19 +241,19 @@ def overlay_sets(draw, values=VALUES):
 
 
 def _fill_spy():
-    """A wraps spy on report._fill."""
-    return mock.patch.object(report, "_fill", wraps=report._fill)
+    """A wraps spy on numtext.fill."""
+    return mock.patch.object(numtext, "fill", wraps=numtext.fill)
 
 
 def _filled(spy) -> int:
-    """How many values the spied _fill calls wrote by the %-operator."""
+    """How many values the spied fill calls wrote by the %-operator."""
     assert spy.called
     return sum(int(call.args[2].sum()) for call in spy.call_args_list)
 
 
 def _with_loop_points(render, items):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "_points", loop_points)
+        mp.setattr(numtext, "points", loop_points)
         return render(items)
 
 
@@ -310,14 +282,14 @@ class TestPerMinuteWriters:
            st.sampled_from([(",", " "), (" ", " L ")]))
     def test_points(self, pairs, sep_join):
         x, y = np.array(pairs).T
-        assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+        assert numtext.points(x, y, *sep_join) == loop_points(x, y, *sep_join)
 
     @given(st.lists(st.tuples(IN_RANGE, IN_RANGE), max_size=40),
            st.sampled_from([(",", " "), (" ", " L ")]))
     def test_points_in_range_are_formatted_in_numpy(self, pairs, sep_join):
         x, y = np.array(pairs, dtype=float).reshape(-1, 2).T
         with _fill_spy() as spy:
-            assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+            assert numtext.points(x, y, *sep_join) == loop_points(x, y, *sep_join)
         assert _filled(spy) == 0
 
     @given(st.lists(st.tuples(IN_RANGE, IN_RANGE), min_size=1, max_size=20),
@@ -327,7 +299,7 @@ class TestPerMinuteWriters:
         v[at % v.size] = bad
         x, y = v.reshape(-1, 2).T
         with _fill_spy() as spy:
-            assert report._points(x, y, *sep_join) == loop_points(x, y, *sep_join)
+            assert numtext.points(x, y, *sep_join) == loop_points(x, y, *sep_join)
         assert _filled(spy) == 1
 
     @given(curve_sets(SIG6), overlay_sets(SIG6))
@@ -391,24 +363,6 @@ class TestPerMinuteWriters:
         with pytest.raises(error):
             curves_csv([curve])
 
-    def test_decimal_exponent_table(self):
-        """Each binary exponent's least power of two has the _EXP10 entry
-        as its decimal exponent, exactly."""
-        for k, e in zip(range(-13, 21), report._EXP10.tolist()):
-            assert Fraction(10) ** e <= Fraction(2) ** (k - 1) < Fraction(10) ** (e + 1)
-
-    @given(sixth_digit_ties())
-    def test_rounded_sixth_digit_is_the_percent_rounding(self, tie):
-        v, j = tie
-        assert report._rounded(np.array([v]), 10.0 ** j)[0] == Decimal("%.6g" % v).scaleb(j)
-
-    @given(st.one_of(st.integers(0, 79999).map(lambda k: k / 8),
-                     st.builds(_cut, st.integers(0, 1999998), st.integers(-9, 9))))
-    def test_rounded_cents_are_the_percent_rounding(self, v):
-        v = np.array([v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)])
-        assert report._rounded(v, 100.0).tolist() == [
-            float(Decimal("%.2f" % x).scaleb(2)) for x in v.tolist()]
-
     def test_points_on_the_five_day_grid(self):
         """x = 64 + t * 121 / 12 lies within 1e-6 of a half cent at every
         12th minute; those pairs are formatted in numpy too."""
@@ -416,8 +370,8 @@ class TestPerMinuteWriters:
         assert np.count_nonzero(np.abs(x * 100 - np.rint(x * 100)) > 0.5 - 1e-6) == 600
         y = x[::-1] / 2
         with _fill_spy() as spy:
-            assert report._points(x, y) == loop_points(x, y)
-            assert report._points(x, y, " ", " L ") == loop_points(x, y, " ", " L ")
+            assert numtext.points(x, y) == loop_points(x, y)
+            assert numtext.points(x, y, " ", " L ") == loop_points(x, y, " ", " L ")
         assert _filled(spy) == 0
 
     def test_quoted_prefix_with_format_directives(self):
