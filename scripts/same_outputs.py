@@ -31,8 +31,14 @@ order, so that the commands' subject order comes from the manifest reader.
 Each tree also parses every file of that cohort and writes it again with
 its epoch writer, which puts multi-digit whole counts, rows with both
 ``%d.0`` and ``%r`` columns, a second block that starts mid-minute, and a
-month and a year end through the writer. Both trees write to the same
-out-dir paths, so every output file and stdout must be byte-identical.
+month and a year end through the writer. Last, this script writes a
+features and a cosinor table shaped like the benchmark's exact_compare
+tables (33 subjects in groups of 6/8/9/10, seeded values, t_l5 and
+immobile_minutes tied), and each tree runs ``compare``, ``compare
+--exact`` and ``compare --posthoc dunn`` on them, so that exact
+distributions are reused across features and tie patterns. Both trees
+write to the same out-dir paths, so every output file and stdout must be
+byte-identical.
 Each one that differs is named, as is each run of this checkout whose
 stderr holds a warning, and the exit status is then 1.
 
@@ -54,6 +60,12 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = [(seed, transform) for seed in (1, 2) for transform in ("log1p", "raw")]
 COMPARES = {"compare-exact": ["--exact"], "compare-dunn": ["--posthoc", "dunn"]}
 GROUPS = ("control_icu", "cci", "rr", "control_healthy")
+# the compare tables: columns, group sizes, and the runs on them by label
+FEATURES = ("mean", "sd", "m10", "t_m10", "l5", "t_l5", "ra", "rmssd",
+            "rmssd_sd", "immobile_minutes")
+CIRCADIAN = ("min", "amplitude", "phase", "alpha", "beta")
+TABLE_SIZES = (6, 8, 9, 10)
+TABLE_COMPARES = {"compare": [], **COMPARES}
 WHOLE_DAYS = 6
 # each subject's first stamp, epoch in seconds and count format by axis:
 # plain digits, "%d.0", "%.3f" of the count divided by 8, or the repr of
@@ -119,13 +131,53 @@ def demo(tree: Path, out: Path, seed: int, transform: str) -> dict[str, bytes]:
     shutil.rmtree(out, ignore_errors=True)
     stdout = _run(tree, [str(tree / "scripts" / "make_demo_cohort.py"), "--out", str(out),
                          "--seed", str(seed), "--transform", transform], out.parent)
-    tables = out / "results"
     for name, flags in COMPARES.items():
-        stdout += _run(tree, ["-m", "actirhythm.cli", "compare",
-                              "--features", str(tables / "features.csv"),
-                              "--cosinor", str(tables / "cosinor.csv"),
-                              "--out", str(out / name), *flags], out.parent)
+        stdout += compare(tree, out / "results", out / name, flags)
     return {**_files(out), "stdout": stdout}
+
+
+def compare(tree: Path, tables: Path, out: Path, flags: list[str]) -> bytes:
+    """The stdout of that tree's ``compare`` with flags on the features.csv
+    and cosinor.csv under tables, writing under out."""
+    return _run(tree, ["-m", "actirhythm.cli", "compare",
+                       "--features", str(tables / "features.csv"),
+                       "--cosinor", str(tables / "cosinor.csv"),
+                       "--out", str(out), *flags], out.parent)
+
+
+def table_compare(tree: Path, tables: Path, out: Path, flags: list[str]) -> dict[str, bytes]:
+    """Every file that tree's ``compare`` with flags writes under out from
+    the tables, by relative path, and its stdout under the key "stdout"."""
+    shutil.rmtree(out, ignore_errors=True)
+    stdout = compare(tree, tables, out, flags)
+    return {**_files(out), "stdout": stdout}
+
+
+def write_compare_tables(root: Path) -> Path:
+    """Write features.csv and cosinor.csv under root and return root. Each
+    column is shifted by group with its own effect; t_l5 takes multiples of
+    30 and immobile_minutes multiples of 15, so both have ties, and the
+    other columns hold seeded normals at 6 significant digits."""
+    root.mkdir()
+    rng = np.random.default_rng(33)
+    labels = [g for g, n in zip(GROUPS, TABLE_SIZES) for _ in range(n)]
+    effect = np.array([GROUPS.index(g) for g in labels], dtype=float)
+    columns = {}
+    for name in FEATURES + CIRCADIAN:
+        shift = rng.uniform(0.0, 1.2) * effect
+        if name == "immobile_minutes":
+            columns[name] = np.floor(rng.uniform(0, 6, len(labels)) + 2 * shift) * 15.0
+        elif name == "t_l5":
+            columns[name] = np.round(rng.normal(4.0, 1.0, len(labels)) + shift) * 30.0
+        else:
+            columns[name] = [float("%.6g" % v) for v in
+                             10.0 + rng.normal(0.0, 1.0, len(labels)) + shift]
+    for table, names in (("features", FEATURES), ("cosinor", CIRCADIAN)):
+        lines = ["subject_id,group," + ",".join(names)] + [
+            f"s{i:02d},{g}," + ",".join(repr(float(columns[c][i])) for c in names)
+            for i, g in enumerate(labels)]
+        (root / f"{table}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return root
 
 
 def write_whole_cohort(root: Path) -> tuple[Path, Path]:
@@ -209,6 +261,12 @@ def main(argv=None) -> int:
         differ += [f"re-serialized: {name}" for name in sorted(theirs.keys() | ours.keys())
                    if theirs.get(name) != ours.get(name)]
         print(f"re-serialized: {len(ours)} epoch files compared", file=sys.stderr)
+        tables = write_compare_tables(Path(tmp) / "tables")
+        for label, flags in TABLE_COMPARES.items():
+            theirs, ours = (table_compare(tree, tables, out, flags) for tree in (base, ROOT))
+            differ += [f"tables {label}: {name}" for name in sorted(theirs.keys() | ours.keys())
+                       if theirs.get(name) != ours.get(name)]
+            print(f"tables {label}: {len(ours)} outputs compared", file=sys.stderr)
     for line in differ:
         print(f"differs: {line}")
     for run in WARNED:

@@ -90,56 +90,40 @@ def _add_smooth_flag(p: argparse.ArgumentParser):
                         "minutes, 0 for none (default %(default)s)")
 
 
-def build_parser() -> _Parser:
+def _add_manifest(p: argparse.ArgumentParser):
+    p.add_argument("--manifest", required=True, type=Path)
+
+
+def _add_out(p: argparse.ArgumentParser):
+    p.add_argument("--out", required=True, type=Path)
+
+
+def _add_tables(p: argparse.ArgumentParser):
+    p.add_argument("--features", required=True, type=Path)
+    p.add_argument("--cosinor", required=True, type=Path)
+
+
+def _add_synth_flags(p: argparse.ArgumentParser):
+    p.add_argument("--spec", required=True, type=Path,
+                   help="CSV with columns " + ",".join(SYNTH_COLUMNS) + "[,seed]")
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="base seed added to each row's seed (default 0)")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The argument parser. If ``command`` names a subcommand, only its
+    subparser is registered, which is all a parse of its arguments reads;
+    otherwise every subparser is, for the top-level help and errors."""
     parser = _Parser(prog="actirhythm",
                      description="Actigraphy features, circadian curve fits, "
                                  "and group comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="report per-subject valid days")
-    p.add_argument("--manifest", required=True, type=Path)
-    _add_preprocess_flags(p)
-
-    p = sub.add_parser("features", help="write the statistical feature table")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_preprocess_flags(p)
-    _add_feature_flags(p)
-
-    p = sub.add_parser("cosinor", help="fit the sigmoidal cosine model")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_preprocess_flags(p)
-    _add_cosinor_flags(p)
-
-    p = sub.add_parser("compare", help="rank-based group comparison tables")
-    p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--cosinor", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_compare_flags(p)
-
-    p = sub.add_parser("curves", help="group average curves with bands")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_preprocess_flags(p)
-    _add_smooth_flag(p)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    p.add_argument("--spec", required=True, type=Path,
-                   help="CSV with columns " + ",".join(SYNTH_COLUMNS) + "[,seed]")
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed added to each row's seed (default 0)")
-
-    p = sub.add_parser("run", help="full pipeline")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    _add_preprocess_flags(p)
-    _add_feature_flags(p)
-    _add_cosinor_flags(p)
-    _add_compare_flags(p)
-    _add_smooth_flag(p)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        _, help_text, adders = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in adders:
+            add(p)
     return parser
 
 
@@ -274,24 +258,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# name -> (handler, help, the functions that add its arguments, in order)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "features": _cmd_features,
-    "cosinor": _cmd_cosinor,
-    "compare": _cmd_compare,
-    "curves": _cmd_curves,
-    "synth": _cmd_synth,
-    "run": _cmd_run,
+    "validate": (_cmd_validate, "report per-subject valid days",
+                 (_add_manifest, _add_preprocess_flags)),
+    "features": (_cmd_features, "write the statistical feature table",
+                 (_add_manifest, _add_out, _add_preprocess_flags, _add_feature_flags)),
+    "cosinor": (_cmd_cosinor, "fit the sigmoidal cosine model",
+                (_add_manifest, _add_out, _add_preprocess_flags, _add_cosinor_flags)),
+    "compare": (_cmd_compare, "rank-based group comparison tables",
+                (_add_tables, _add_out, _add_compare_flags)),
+    "curves": (_cmd_curves, "group average curves with bands",
+               (_add_manifest, _add_out, _add_preprocess_flags, _add_smooth_flag)),
+    "synth": (_cmd_synth, "generate a synthetic cohort", (_add_synth_flags,)),
+    "run": (_cmd_run, "full pipeline",
+            (_add_manifest, _add_out, _add_preprocess_flags, _add_feature_flags,
+             _add_cosinor_flags, _add_compare_flags, _add_smooth_flag)),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "exact", False) and args.posthoc == "dunn":
             parser.error("--exact applies to --posthoc ranksum only")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,14 @@ two-sided Mann-Whitney U (normal approximation with tie-corrected variance
 and continuity correction, optional exact permutation p from the rank-sum
 distribution, optional Dunn z tests), and median/IQR summaries.
 
-The exact null distribution depends only on the first group's size and the
-pooled tie pattern, so one comparison counts each distinct one once and
-every feature and pair with the same sizes and ties reuses it.
+Every test ranks from ``GroupSamples.runs``: one stable sort of the pooled
+values counts each group's values in each run of ties. Doubled mid-ranks
+(i + j + 2 for a run over 0-based positions i..j), rank sums and tie terms
+are then exact integers, and a pair's runs are the pooled runs its two
+groups hold. The exact null distribution depends only on the first group's
+size and the pair's tie pattern, so one comparison counts each distinct one
+once, as cumulative counts, and every feature and pair with the same sizes
+and ties reuses it.
 
 Significance markers follow a fixed letter scheme: a group's cell is
 flagged with the letter of every group it differs from, at p < 0.01 for
@@ -16,6 +21,7 @@ pairs involving the healthy controls and p < 0.05 otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,6 +57,22 @@ class GroupSamples:
     def from_lists(cls, pairs) -> "GroupSamples":
         return cls(tuple((label, np.asarray(vals, dtype=float))
                          for label, vals in pairs))
+
+    @functools.cached_property
+    def runs(self) -> np.ndarray:
+        """``runs[g, r]``: how many values of group g are in the r-th run of
+        equal values (+0.0 and -0.0 are equal) in ascending order. Counted
+        on first use and kept, so the arrays must not change after it."""
+        pooled = np.concatenate([v for _, v in self.groups])
+        order = np.argsort(pooled, kind="stable")
+        ordered = pooled[order]
+        starts = np.ones(pooled.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        run = np.cumsum(starts) - 1
+        width = int(starts.sum())
+        owner = np.repeat(np.arange(len(self.groups)), [v.size for _, v in self.groups])
+        return np.bincount(owner[order] * width + run,
+                           minlength=len(self.groups) * width).reshape(len(self.groups), width)
 
 
 @dataclass(frozen=True)
@@ -99,30 +121,12 @@ class GroupComparisonRow:
     pairwise: PairwiseFlags
 
 
-def ranks_with_ties(values) -> np.ndarray:
-    """Mid-ranks: tied values get the mean of the ranks they span."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable").tolist()
-    values = values.tolist()
-    n = len(values)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # i..j (0-based) share ranks i+1..j+1
-        rank = (i + j) / 2.0 + 1.0
-        for k in order[i:j + 1]:
-            ranks[k] = rank
-        i = j + 1
-    return np.array(ranks, dtype=float)
-
-
-def _tie_term(values: np.ndarray) -> float:
-    """sum(t^3 - t) over groups of tied values."""
-    _, counts = np.unique(values, return_counts=True)
-    return float(np.sum(counts.astype(float) ** 3 - counts))
+def _ranks(counts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the sizes t of runs of ties in ascending order, along the last
+    axis: each run's doubled mid-rank, the doubled rank sum of ``counts``
+    values in each run, and sum(t^3 - t)."""
+    doubled = 2 * np.cumsum(sizes, axis=-1) - sizes + 1
+    return doubled, (counts * doubled).sum(axis=-1), (sizes ** 3 - sizes).sum(axis=-1)
 
 
 def _normal_sf(z: float) -> float:
@@ -154,36 +158,31 @@ def kruskal_wallis(samples: GroupSamples) -> KwResult:
     groups = samples.groups
     if len(groups) < 2 or any(v.size < 1 for _, v in groups):
         raise InsufficientData("need >= 2 groups with >= 1 value each")
-    pooled = np.concatenate([v for _, v in groups])
-    n_total = pooled.size
+    n_total = sum(v.size for _, v in groups)
     if n_total < 3:
         raise InsufficientData("need at least 3 values in total")
     df = len(groups) - 1
-    ranks = ranks_with_ties(pooled)
+    _, rank_sums, tie_term = _ranks(samples.runs, samples.runs.sum(axis=0))
     h = 0.0
-    offset = 0
-    for _, v in groups:
-        r_sum = float(ranks[offset:offset + v.size].sum())
+    for doubled, (_, v) in zip(rank_sums.tolist(), groups):
+        r_sum = doubled / 2
         h += r_sum * r_sum / v.size
-        offset += v.size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
-    tie_term = _tie_term(pooled)
-    correction = 1.0 - tie_term / (n_total ** 3 - n_total)
+    correction = 1.0 - int(tie_term) / (n_total ** 3 - n_total)
     if correction == 0.0:
         return KwResult(h=0.0, df=df, p=1.0, degenerate=True)
     h = max(h / correction, 0.0)
     return KwResult(h=h, df=df, p=chi_square_sf(h, df))
 
 
-def _mwu_normal_p(x: np.ndarray, y: np.ndarray) -> float:
-    n1, n2 = x.size, y.size
-    pooled = np.concatenate([x, y])
+def _mwu_normal_p(n1: int, n2: int, doubled_sum: int, ties: int) -> float:
+    """Two-sided normal-approximation p, with tie-corrected variance and
+    continuity correction, of a first group of n1 values with doubled rank
+    sum ``doubled_sum`` in a pair whose sum(t^3 - t) is ``ties``."""
     n = n1 + n2
-    ranks = ranks_with_ties(pooled)
-    r1 = float(ranks[:n1].sum())
-    u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
+    u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - doubled_sum / 2
     u2 = n1 * n2 - u1
-    var = n1 * n2 / 12.0 * ((n + 1.0) - _tie_term(pooled) / (n * (n - 1.0)))
+    var = n1 * n2 / 12.0 * ((n + 1.0) - ties / (n * (n - 1.0)))
     if var <= 0:
         return 1.0
     z = (max(u1, u2) - n1 * n2 / 2.0 - 0.5) / math.sqrt(var)
@@ -192,38 +191,41 @@ def _mwu_normal_p(x: np.ndarray, y: np.ndarray) -> float:
 
 def _rank_sum_counts(doubled: Sequence[int], n1: int) -> np.ndarray:
     """``counts[s]``: the number of size-n1 subsets of ``doubled`` whose sum
-    is s, by one shift-add per item over all subset sizes."""
+    is s. One in-place shift-add per item, over only the subset sizes that
+    can still reach n1 and the sums the items before it reach; ascending
+    items keep those sums small."""
     top = sum(doubled)
     counts = np.zeros((n1 + 1, top + 1), dtype=np.int64)
     counts[0, 0] = 1
-    for r in doubled:
-        counts[1:, r:] += counts[:-1, :top + 1 - r].copy()
+    reach = 0
+    for i, r in enumerate(doubled):
+        low, high = max(1, n1 - len(doubled) + 1 + i), min(i + 1, n1)
+        dest = counts[low:high + 1, r:r + reach + 1]
+        np.add(dest, counts[low - 1:high, :reach + 1], out=dest)
+        reach += r
     return counts[n1]
 
 
-def _mwu_exact_p(x: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
-    """Exact two-sided p over all C(n1+n2, n1) group assignments, ties kept.
+def _mwu_exact_p(n1: int, doubled: tuple[int, ...], doubled_sum: int,
+                 memo: dict) -> float:
+    """Exact two-sided p over all C(n1+n2, n1) group assignments, ties kept,
+    of a first group of n1 values with doubled rank sum ``doubled_sum``
+    among the pair's ascending doubled mid-ranks ``doubled``.
 
-    Doubled mid-ranks are integers, so the permutation distribution of the
-    first group's doubled rank sum is counted exactly (Mann & Whitney 1947;
-    Streitberg & Roehmel 1986 for ties). U <= U_obs exactly when
-    R >= R_obs. The int64 counts are exact while C(n1+n2, n1) < 2**63,
-    i.e. for n1 + n2 <= 66. The distribution depends only on n1 and the
-    multiset of doubled ranks; ``memo`` maps that key to it, so a caller
-    that passes one dict to many tests counts each distribution once.
+    The permutation distribution of that integer sum is counted exactly
+    (Mann & Whitney 1947; Streitberg & Roehmel 1986 for ties); U <= U_obs
+    exactly when R >= R_obs. The int64 counts are exact while
+    C(n1+n2, n1) < 2**63, i.e. for n1 + n2 <= 66. ``memo`` maps the key
+    (n1, doubled) to the cumulative counts with a leading 0, so each
+    distribution is counted once and each tail is one lookup.
     """
-    memo = {} if memo is None else memo
-    n1 = x.size
-    ranks = ranks_with_ties(np.concatenate([x, y]))
-    doubled = np.rint(2.0 * ranks).astype(np.int64).tolist()
-    key = (n1, tuple(sorted(doubled)))
-    dist = memo.get(key)
-    if dist is None:
-        dist = memo[key] = _rank_sum_counts(doubled, n1)
-    obs = sum(doubled[:n1])
-    n_le = int(dist[obs:].sum())
-    n_ge = int(dist[:obs + 1].sum())
-    total = int(dist.sum())
+    key = (n1, doubled)
+    below = memo.get(key)
+    if below is None:
+        below = memo[key] = np.concatenate(([0], np.cumsum(_rank_sum_counts(doubled, n1))))
+    total = int(below[-1])
+    n_le = total - int(below[doubled_sum])
+    n_ge = int(below[doubled_sum + 1])
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
@@ -241,15 +243,25 @@ def pairwise_ranksum(samples: GroupSamples, exact: bool = False, *,
     ``exact`` takes the exact permutation p for pairs where both groups have
     n <= 12, the small-sample regime the analysis targets; larger pairs keep
     the normal approximation. ``memo`` holds the exact null distributions
-    counted so far (see ``_mwu_exact_p``); without one each test counts its
+    counted so far (see ``_mwu_exact_p``); without one each call counts its
     own.
     """
+    memo = {} if memo is None else memo
+    groups = samples.groups
+    pairs = list(itertools.combinations(range(len(groups)), 2))
+    runs = samples.runs
+    firsts = runs[[i for i, _ in pairs]]
+    pair_runs = firsts + runs[[j for _, j in pairs]]
+    doubled, observed, ties = _ranks(firsts, pair_runs)
     results = []
-    for (la, va), (lb, vb) in itertools.combinations(samples.groups, 2):
+    for (i, j), run_sizes, run_ranks, r1, t in zip(pairs, pair_runs, doubled,
+                                                   observed.tolist(), ties.tolist()):
+        (la, va), (lb, vb) = groups[i], groups[j]
         if exact and va.size <= 12 and vb.size <= 12:
-            p = _mwu_exact_p(va, vb, memo)
+            ranks = tuple(np.repeat(run_ranks, run_sizes).tolist())
+            p = _mwu_exact_p(va.size, ranks, r1, memo)
         else:
-            p = _mwu_normal_p(va, vb)
+            p = _mwu_normal_p(va.size, vb.size, r1, t)
         results.append(_pair_result(la, lb, p))
     return PairwiseFlags(pairs=tuple(results))
 
@@ -258,15 +270,10 @@ def pairwise_dunn(samples: GroupSamples) -> PairwiseFlags:
     """Dunn z tests on the pooled Kruskal-Wallis ranks (unadjusted p)."""
     labels = [label for label, _ in samples.groups]
     sizes = [v.size for _, v in samples.groups]
-    pooled = np.concatenate([v for _, v in samples.groups])
-    n = pooled.size
-    ranks = ranks_with_ties(pooled)
-    means = []
-    offset = 0
-    for size in sizes:
-        means.append(float(ranks[offset:offset + size].mean()))
-        offset += size
-    spread = n * (n + 1.0) / 12.0 - _tie_term(pooled) / (12.0 * (n - 1.0))
+    n = sum(sizes)
+    _, rank_sums, tie_term = _ranks(samples.runs, samples.runs.sum(axis=0))
+    means = [doubled / 2 / size for doubled, size in zip(rank_sums.tolist(), sizes)]
+    spread = n * (n + 1.0) / 12.0 - int(tie_term) / (12.0 * (n - 1.0))
     results = []
     for i, j in itertools.combinations(range(len(labels)), 2):
         var = spread * (1.0 / sizes[i] + 1.0 / sizes[j])

@@ -164,6 +164,127 @@ def brute_mwu_exact_p(x, y):
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
+# The rank tests as they were before ranks came from one sort per feature:
+# each test re-ranks its own pooled values with a Python loop and counts
+# ties with np.unique. Bodies as they were, names prefixed with loop_; the
+# p-value formulas and float operations are the package's, so its results
+# must equal these bit for bit.
+
+def loop_ranks_with_ties(values) -> np.ndarray:
+    """Mid-ranks: tied values get the mean of the ranks they span."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable").tolist()
+    values = values.tolist()
+    n = len(values)
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        # i..j (0-based) share ranks i+1..j+1
+        rank = (i + j) / 2.0 + 1.0
+        for k in order[i:j + 1]:
+            ranks[k] = rank
+        i = j + 1
+    return np.array(ranks, dtype=float)
+
+
+def loop_tie_term(values: np.ndarray) -> float:
+    """sum(t^3 - t) over groups of tied values."""
+    _, counts = np.unique(values, return_counts=True)
+    return float(np.sum(counts.astype(float) ** 3 - counts))
+
+
+def loop_normal_sf(z: float) -> float:
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def loop_kruskal_h(groups) -> tuple[float, bool]:
+    """The tie-corrected H of the groups (1-d float arrays) and whether all
+    pooled values are equal, by the package's formula on loop ranks."""
+    pooled = np.concatenate(groups)
+    n_total = pooled.size
+    ranks = loop_ranks_with_ties(pooled)
+    h = 0.0
+    offset = 0
+    for v in groups:
+        r_sum = float(ranks[offset:offset + v.size].sum())
+        h += r_sum * r_sum / v.size
+        offset += v.size
+    h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
+    tie_term = loop_tie_term(pooled)
+    correction = 1.0 - tie_term / (n_total ** 3 - n_total)
+    if correction == 0.0:
+        return 0.0, True
+    return max(h / correction, 0.0), False
+
+
+def loop_mwu_normal_p(x: np.ndarray, y: np.ndarray) -> float:
+    n1, n2 = x.size, y.size
+    pooled = np.concatenate([x, y])
+    n = n1 + n2
+    ranks = loop_ranks_with_ties(pooled)
+    r1 = float(ranks[:n1].sum())
+    u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
+    u2 = n1 * n2 - u1
+    var = n1 * n2 / 12.0 * ((n + 1.0) - loop_tie_term(pooled) / (n * (n - 1.0)))
+    if var <= 0:
+        return 1.0
+    z = (max(u1, u2) - n1 * n2 / 2.0 - 0.5) / math.sqrt(var)
+    return min(1.0, 2.0 * loop_normal_sf(max(z, 0.0)))
+
+
+def loop_rank_sum_counts(doubled, n1: int) -> np.ndarray:
+    """``counts[s]``: the number of size-n1 subsets of ``doubled`` whose sum
+    is s, by one shift-add per item over all subset sizes."""
+    top = sum(doubled)
+    counts = np.zeros((n1 + 1, top + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for r in doubled:
+        counts[1:, r:] += counts[:-1, :top + 1 - r].copy()
+    return counts[n1]
+
+
+def loop_mwu_exact_p(x: np.ndarray, y: np.ndarray) -> float:
+    """Exact two-sided p from the counted distribution of the first group's
+    doubled rank sum, counted afresh for each pair."""
+    n1 = x.size
+    ranks = loop_ranks_with_ties(np.concatenate([x, y]))
+    doubled = np.rint(2.0 * ranks).astype(np.int64).tolist()
+    dist = loop_rank_sum_counts(doubled, n1)
+    obs = sum(doubled[:n1])
+    n_le = int(dist[obs:].sum())
+    n_ge = int(dist[:obs + 1].sum())
+    total = int(dist.sum())
+    return min(1.0, 2.0 * min(n_le, n_ge) / total)
+
+
+def loop_pairwise_dunn(groups) -> list[float]:
+    """Dunn's unadjusted p for every pair of the groups (1-d float arrays),
+    in itertools.combinations order, on the pooled loop ranks."""
+    sizes = [v.size for v in groups]
+    pooled = np.concatenate(groups)
+    n = pooled.size
+    ranks = loop_ranks_with_ties(pooled)
+    means = []
+    offset = 0
+    for size in sizes:
+        means.append(float(ranks[offset:offset + size].mean()))
+        offset += size
+    spread = n * (n + 1.0) / 12.0 - loop_tie_term(pooled) / (12.0 * (n - 1.0))
+    results = []
+    for i, j in itertools.combinations(range(len(groups)), 2):
+        var = spread * (1.0 / sizes[i] + 1.0 / sizes[j])
+        if var <= 0:
+            p = 1.0
+        else:
+            z = abs(means[i] - means[j]) / math.sqrt(var)
+            p = min(1.0, 2.0 * loop_normal_sf(z))
+        results.append(p)
+    return results
+
+
 def sigmoid_curve(t, min_, amplitude, alpha, beta, phase):
     """Direct transcription of the model for generate-and-fit tests."""
     t = np.asarray(t, dtype=float)

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from actirhythm import errors, report
+from actirhythm import cli, errors, report
 from actirhythm.cli import SYNTH_COLUMNS, _config_from, build_parser, main
 from actirhythm.ingest import GroupLabel, load_manifest
 from actirhythm.report import PipelineConfig
@@ -11,6 +11,7 @@ from cohorts import write_cohort
 
 SMALL_SIZES = {GroupLabel.CONTROL_ICU: 2, GroupLabel.CCI: 2,
                GroupLabel.RR: 2, GroupLabel.CONTROL_HEALTHY: 2}
+COMMANDS = ("validate", "features", "cosinor", "compare", "curves", "synth", "run")
 
 
 @pytest.fixture
@@ -22,6 +23,58 @@ def test_usage_error_exit_code_1(capsys):
     assert main(["features", "--manifest"]) == 1
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def _help(parse, argv, capsys) -> str:
+    """What ``parse(argv)`` prints before it exits 0 on -h."""
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_and_errors_are_those_of_the_full_parser(command, capsys):
+    # main registers only the named command's subparser
+    full = build_parser().parse_args
+    assert _help(main, [command, "-h"], capsys) == _help(full, [command, "-h"], capsys)
+    with pytest.raises(errors.UsageError) as missing:
+        full([command])
+    assert main([command]) == 1
+    assert capsys.readouterr().err == f"usage error: {missing.value}\n"
+
+
+# argparse reads a leading "--" as the command
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--", "validate", "--manifest", "m.csv"]])
+def test_argv_without_a_command_errs_as_the_full_parser(argv, capsys):
+    with pytest.raises(errors.UsageError) as error:
+        build_parser().parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {error.value}\n"
+    if argv:
+        assert all(repr(command) in str(error.value) for command in COMMANDS)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    text = _help(main, ["-h"], capsys)
+    assert text == _help(build_parser().parse_args, ["-h"], capsys)
+    assert "{" + ",".join(COMMANDS) + "}" in text
+
+
+def test_each_main_call_builds_its_own_parser(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(build_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["compare"]) == 1
+    assert main(["compare"]) == 1
+    assert len(built) == 2 and built[0] is not built[1]
+    # with only compare registered, another command is not a choice
+    with pytest.raises(errors.UsageError, match="invalid choice: 'validate'"):
+        built[0].parse_args(["validate", "--manifest", "m.csv"])
 
 
 def test_missing_manifest_exit_code_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actirhythm import errors, stats
@@ -13,16 +14,22 @@ from actirhythm.stats import (
     CIRCADIAN_ORDER,
     FEATURE_ORDER,
     GroupSamples,
-    _mwu_exact_p,
     chi_square_sf,
     comparison_rows,
     kruskal_wallis,
     median_iqr,
     pairwise_dunn,
     pairwise_ranksum,
-    ranks_with_ties,
 )
-from reference_impls import brute_kruskal_h, brute_mid_ranks, brute_mwu_exact_p
+from reference_impls import (
+    brute_kruskal_h,
+    brute_mid_ranks,
+    brute_mwu_exact_p,
+    loop_kruskal_h,
+    loop_mwu_exact_p,
+    loop_mwu_normal_p,
+    loop_pairwise_dunn,
+)
 
 ICU = GroupLabel.CONTROL_ICU
 CCI = GroupLabel.CCI
@@ -34,6 +41,18 @@ def samples(*pairs):
     return GroupSamples.from_lists(list(pairs))
 
 
+def mid_ranks(*groups) -> list[list[float]]:
+    """Each group's mid-ranks in the pooled sample, ascending, as the rank
+    tests read them from ``GroupSamples.runs``."""
+    runs = samples(*zip(GROUP_ORDER, groups)).runs
+    doubled, _, _ = stats._ranks(runs, runs.sum(axis=0))
+    return [(np.repeat(doubled, row) / 2).tolist() for row in runs]
+
+
+def exact_p(x, y) -> float:
+    return pairwise_ranksum(samples((CCI, x), (RR, y)), exact=True).pairs[0].p
+
+
 class TestRanks:
     @pytest.mark.parametrize("values,expected", [
         ([10, 20, 30], [1, 2, 3]),
@@ -42,19 +61,24 @@ class TestRanks:
         ([3, 1, 2], [3, 1, 2]),
     ])
     def test_values(self, values, expected):
-        assert np.array_equal(ranks_with_ties(values), expected)
+        assert mid_ranks(values) == [sorted(expected)]
 
-    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf]),
-                              st.floats(allow_nan=False)), max_size=40))
-    def test_matches_brute_mid_ranks(self, values):
-        ranks = ranks_with_ties(values)
-        assert isinstance(ranks, np.ndarray) and ranks.dtype == np.float64
-        assert ranks.tolist() == brute_mid_ranks(values)
+    @given(st.lists(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf]),
+                  st.floats(allow_nan=False)), max_size=14), min_size=1, max_size=4))
+    def test_matches_brute_mid_ranks(self, groups):
+        ranks = brute_mid_ranks([v for g in groups for v in g])
+        offsets = np.cumsum([0] + [len(g) for g in groups]).tolist()
+        assert mid_ranks(*groups) == [sorted(ranks[a:b]) for a, b in
+                                      zip(offsets, offsets[1:])]
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
-    def test_ranks_sum(self, values):
+    def test_ranks_and_ties_sum(self, values):
         n = len(values)
-        assert ranks_with_ties(values).sum() == pytest.approx(n * (n + 1) / 2)
+        runs = samples((CCI, values)).runs
+        _, rank_sums, ties = stats._ranks(runs, runs.sum(axis=0))
+        assert rank_sums.tolist() == [n * (n + 1)]
+        assert ties == sum(t ** 3 - t for t in collections.Counter(values).values())
 
 
 class TestKruskalWallis:
@@ -111,7 +135,7 @@ class TestKruskalWallis:
         kw = kruskal_wallis(samples((CCI, x), (RR, y)))
         n1, n2 = len(x), len(y)
         n = n1 + n2
-        r1 = ranks_with_ties(np.concatenate([x, y]))[:n1].sum()
+        r1 = sum(brute_mid_ranks(np.concatenate([x, y]).tolist())[:n1])
         u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
         z = (u1 - n1 * n2 / 2) / math.sqrt(n1 * n2 * (n + 1) / 12.0)
         assert kw.h == pytest.approx(z * z, abs=1e-9)
@@ -209,8 +233,7 @@ class TestExactRankSum:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=9),
            st.lists(st.integers(0, 5), min_size=1, max_size=9))
     def test_matches_enumeration_with_ties(self, x, y):
-        p = _mwu_exact_p(np.array(x, float), np.array(y, float))
-        assert p == brute_mwu_exact_p(x, y)
+        assert exact_p(x, y) == brute_mwu_exact_p(x, y)
 
     def test_each_distribution_counted_once_per_comparison(self, monkeypatch):
         # groups of 6/8/9/10: every pair is exact; a and b are tie-free, so
@@ -243,9 +266,11 @@ class TestExactRankSum:
         assert len(tie_free) == 6
         assert len(counted) == len(set(counted)) == len(expected_keys)
         assert set(counted) == expected_keys
-        # a second comparison keeps nothing from the first
+        # a second comparison keeps nothing from the first: it counts every
+        # distribution again, in the same order
+        first = counted[:]
         assert comparison_rows(values, groups, order, exact=True) == rows
-        assert len(counted) == 2 * len(expected_keys)
+        assert counted[len(first):] == first
         for row in rows:
             columns = {g: [values[sid][row.feature] for sid in sorted(groups)
                            if groups[sid] is g] for g in GROUP_ORDER}
@@ -265,8 +290,32 @@ class TestExactRankSum:
         # assignments in the smaller tail: p = 2 * 563887 / 2704156
         x = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
         y = [9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4]
-        p = _mwu_exact_p(np.array(x, float), np.array(y, float))
-        assert p == float(Fraction(2 * 563887, math.comb(24, 12)))
+        assert exact_p(x, y) == float(Fraction(2 * 563887, math.comb(24, 12)))
+
+
+class TestLoopOracles:
+    """Ranks from one sort per feature give the bits of the per-test loop
+    ranks they replaced."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5]),
+                             min_size=1, max_size=13), min_size=2, max_size=4))
+    def test_rank_tests_equal_loop_oracles_bit_for_bit(self, groups):
+        arrays = [np.array(g, dtype=float) for g in groups]
+        s = samples(*zip(GROUP_ORDER, arrays))
+        if sum(len(g) for g in groups) >= 3:
+            kw = kruskal_wallis(s)
+            h, degenerate = loop_kruskal_h(arrays)
+            assert (kw.h.hex(), kw.degenerate) == (h.hex(), degenerate)
+            assert kw.p == (1.0 if degenerate else chi_square_sf(h, kw.df))
+        pairs = list(itertools.combinations(arrays, 2))
+        normal = [p.p.hex() for p in pairwise_ranksum(s).pairs]
+        assert normal == [loop_mwu_normal_p(x, y).hex() for x, y in pairs]
+        exact = [p.p.hex() for p in pairwise_ranksum(s, exact=True).pairs]
+        assert exact == [(loop_mwu_exact_p(x, y) if max(x.size, y.size) <= 12
+                          else loop_mwu_normal_p(x, y)).hex() for x, y in pairs]
+        dunn = [p.p.hex() for p in pairwise_dunn(s).pairs]
+        assert dunn == [p.hex() for p in loop_pairwise_dunn(arrays)]
 
 
 class TestMedianIqr:

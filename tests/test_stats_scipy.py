@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from actirhythm.ingest import GroupLabel
 from actirhythm.stats import (
     GroupSamples,
-    _mwu_exact_p,
-    _mwu_normal_p,
     chi_square_sf,
     kruskal_wallis,
     pairwise_dunn,
+    pairwise_ranksum,
 )
 
 sps = pytest.importorskip("scipy.stats")
@@ -24,6 +23,11 @@ TOL = 1e-12
 LABELS = (GroupLabel.CONTROL_ICU, GroupLabel.CCI, GroupLabel.RR,
           GroupLabel.CONTROL_HEALTHY)
 SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def ranksum_p(x, y, exact=False) -> float:
+    return pairwise_ranksum(GroupSamples(((LABELS[0], x), (LABELS[1], y))),
+                            exact=exact).pairs[0].p
 
 
 def tied_draw(rng, low=1, high=13):
@@ -61,7 +65,7 @@ def test_normal_ranksum_matches_scipy_asymptotic(seed):
     assume(np.ptp(np.concatenate([x, y])) > 0)
     ref = sps.mannwhitneyu(x, y, alternative="two-sided",
                            method="asymptotic", use_continuity=True)
-    assert _mwu_normal_p(x, y) == pytest.approx(ref.pvalue, rel=0, abs=TOL)
+    assert ranksum_p(x, y) == pytest.approx(ref.pvalue, rel=0, abs=TOL)
 
 
 @given(SEEDS)
@@ -71,7 +75,7 @@ def test_exact_ranksum_matches_scipy_exact_without_ties(seed):
     pooled = rng.permutation(n1 + n2).astype(float)
     x, y = pooled[:n1], pooled[n1:]
     ref = sps.mannwhitneyu(x, y, alternative="two-sided", method="exact")
-    assert _mwu_exact_p(x, y) == pytest.approx(ref.pvalue, rel=0, abs=TOL)
+    assert ranksum_p(x, y, exact=True) == pytest.approx(ref.pvalue, rel=0, abs=TOL)
 
 
 @given(st.floats(0.0, 200.0), st.integers(1, 60))
