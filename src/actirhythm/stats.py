@@ -5,14 +5,17 @@ two-sided Mann-Whitney U (normal approximation with tie-corrected variance
 and continuity correction, optional exact permutation p from the rank-sum
 distribution, optional Dunn z tests), and median/IQR summaries.
 
-Every test ranks from ``GroupSamples.runs``: one stable sort of the pooled
-values counts each group's values in each run of ties. Doubled mid-ranks
-(i + j + 2 for a run over 0-based positions i..j), rank sums and tie terms
-are then exact integers, and a pair's runs are the pooled runs its two
-groups hold. The exact null distribution depends only on the first group's
-size and the pair's tie pattern, so one comparison counts each distinct one
-once, as cumulative counts, and every feature and pair with the same sizes
-and ties reuses it.
+Every test ranks from ``GroupSamples.runs``: each group's count of values
+in each run of ties, in ascending order. Doubled mid-ranks (i + j + 2 for
+a run over 0-based positions i..j), rank sums and tie terms are then exact
+integers, and a pair's runs are the pooled runs its two groups hold. A
+comparison lays its cells out once, as one (features x subjects) array in
+subject-ID order, and ranks every feature with one stable sort of it; the
+runs, rank sums and tie terms of every feature and pair come from that
+sort at once. The exact null distribution depends only on the first
+group's size and the pair's run sizes, its key, so one comparison counts
+each distinct one once, as cumulative counts; pools without ties share one
+table per pool size.
 
 Significance markers follow a fixed letter scheme: a group's cell is
 flagged with the letter of every group it differs from, at p < 0.01 for
@@ -61,18 +64,30 @@ class GroupSamples:
     @functools.cached_property
     def runs(self) -> np.ndarray:
         """``runs[g, r]``: how many values of group g are in the r-th run of
-        equal values (+0.0 and -0.0 are equal) in ascending order. Counted
-        on first use and kept, so the arrays must not change after it."""
+        equal values in ascending order (see ``_tie_runs``). Counted on first
+        use and kept, so the arrays must not change after it."""
         pooled = np.concatenate([v for _, v in self.groups])
-        order = np.argsort(pooled, kind="stable")
-        ordered = pooled[order]
-        starts = np.ones(pooled.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        run = np.cumsum(starts) - 1
-        width = int(starts.sum())
         owner = np.repeat(np.arange(len(self.groups)), [v.size for _, v in self.groups])
-        return np.bincount(owner[order] * width + run,
-                           minlength=len(self.groups) * width).reshape(len(self.groups), width)
+        order = np.argsort(pooled, kind="stable")
+        return _tie_runs(pooled[None, order], owner[None, order], len(self.groups))[0]
+
+    @functools.cached_property
+    def rank_terms(self) -> tuple[list, ...]:
+        """``_rank_terms`` of ``runs``, as lists; kept like ``runs``."""
+        return tuple(term.tolist() for term in _rank_terms(self.runs))
+
+
+def _tie_runs(ordered: np.ndarray, owner: np.ndarray, n_groups: int) -> np.ndarray:
+    """``runs[f, g, r]`` for rows f of ascending values and the group g of
+    each value: how many values of group g are in row f's r-th run of equal
+    values (+0.0 and -0.0 are equal, each NaN is a run of its own). Columns
+    past a row's last run are 0; an empty run anywhere changes no rank."""
+    starts = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    rows, width = ordered.shape
+    key = (np.arange(rows)[:, None] * n_groups + owner) * width + np.cumsum(starts, axis=1) - 1
+    return np.bincount(key.ravel(), minlength=rows * n_groups * width).reshape(
+        rows, n_groups, width)
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,18 @@ def _ranks(counts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
     return doubled, (counts * doubled).sum(axis=-1), (sizes ** 3 - sizes).sum(axis=-1)
 
 
+def _rank_terms(runs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """From ``runs[..., g, r]``: each group's doubled rank sum in the pooled
+    sample and the pooled sum(t^3 - t); then, for each pair of groups in
+    ``itertools.combinations`` order, the pair's run sizes, its first
+    group's doubled rank sum within the pair and the pair's sum(t^3 - t)."""
+    pairs = list(itertools.combinations(range(runs.shape[-2]), 2))
+    firsts = runs[..., [i for i, _ in pairs], :]
+    pair_runs = firsts + runs[..., [j for _, j in pairs], :]
+    _, rank_sums, ties = _ranks(runs, runs.sum(axis=-2, keepdims=True))
+    return (rank_sums, ties[..., 0], pair_runs) + _ranks(firsts, pair_runs)[1:]
+
+
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -162,13 +189,13 @@ def kruskal_wallis(samples: GroupSamples) -> KwResult:
     if n_total < 3:
         raise InsufficientData("need at least 3 values in total")
     df = len(groups) - 1
-    _, rank_sums, tie_term = _ranks(samples.runs, samples.runs.sum(axis=0))
+    rank_sums, tie_term = samples.rank_terms[:2]
     h = 0.0
-    for doubled, (_, v) in zip(rank_sums.tolist(), groups):
+    for doubled, (_, v) in zip(rank_sums, groups):
         r_sum = doubled / 2
         h += r_sum * r_sum / v.size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
-    correction = 1.0 - int(tie_term) / (n_total ** 3 - n_total)
+    correction = 1.0 - tie_term / (n_total ** 3 - n_total)
     if correction == 0.0:
         return KwResult(h=0.0, df=df, p=1.0, degenerate=True)
     h = max(h / correction, 0.0)
@@ -189,11 +216,14 @@ def _mwu_normal_p(n1: int, n2: int, doubled_sum: int, ties: int) -> float:
     return min(1.0, 2.0 * _normal_sf(max(z, 0.0)))
 
 
-def _rank_sum_counts(doubled: Sequence[int], n1: int) -> np.ndarray:
-    """``counts[s]``: the number of size-n1 subsets of ``doubled`` whose sum
-    is s. One in-place shift-add per item, over only the subset sizes that
-    can still reach n1 and the sums the items before it reach; ascending
-    items keep those sums small."""
+def _rank_sum_counts(sizes: Sequence[int], n1: int) -> np.ndarray:
+    """``counts[s]``: the number of ways to draw n1 of the values whose
+    ascending runs of ties have ``sizes`` with doubled rank sum s. One
+    in-place shift-add per value, over only the subset sizes that can still
+    reach n1 and the sums the values before it reach; ascending values keep
+    those sums small."""
+    doubled = [2 * end - t + 1 for end, t in zip(itertools.accumulate(sizes), sizes)
+               for _ in range(t)]
     top = sum(doubled)
     counts = np.zeros((n1 + 1, top + 1), dtype=np.int64)
     counts[0, 0] = 1
@@ -206,26 +236,47 @@ def _rank_sum_counts(doubled: Sequence[int], n1: int) -> np.ndarray:
     return counts[n1]
 
 
-def _mwu_exact_p(n1: int, doubled: tuple[int, ...], doubled_sum: int,
+def _tie_free_counts(n1: int, n: int, tables: list) -> np.ndarray:
+    """``_rank_sum_counts`` of n values without ties, for n1 <= 12, from
+    ``tables[m][k, s]``: the number of k-subsets of the doubled ranks 2, 4,
+    ..., 2m whose sum is s. The tables grow to m = n, one shift-add per
+    value, so pools of every size and every n1 share them."""
+    while len(tables) <= n:
+        m, last = len(tables), tables[-1]
+        table = np.zeros((13, m * (m + 1) + 1), dtype=np.int64)
+        table[:, :last.shape[1]] = last
+        table[1:, 2 * m:] += last[:-1]
+        tables.append(table)
+    return tables[n][n1]
+
+
+def _mwu_exact_p(n1: int, sizes: tuple[int, ...], doubled_sum: int,
                  memo: dict) -> float:
     """Exact two-sided p over all C(n1+n2, n1) group assignments, ties kept,
-    of a first group of n1 values with doubled rank sum ``doubled_sum``
-    among the pair's ascending doubled mid-ranks ``doubled``.
+    of a first group of n1 values with doubled rank sum ``doubled_sum`` in a
+    pair whose ascending runs of ties have ``sizes`` (none empty).
 
     The permutation distribution of that integer sum is counted exactly
     (Mann & Whitney 1947; Streitberg & Roehmel 1986 for ties); U <= U_obs
     exactly when R >= R_obs. The int64 counts are exact while
     C(n1+n2, n1) < 2**63, i.e. for n1 + n2 <= 66. ``memo`` maps the key
-    (n1, doubled) to the cumulative counts with a leading 0, so each
-    distribution is counted once and each tail is one lookup.
+    (n1, sizes) to the cumulative counts with a leading 0, so each
+    distribution is counted once and each tail is one lookup; under the
+    key None it keeps the tables of ``_tie_free_counts``, which every
+    first-group size n1 <= 12 and pool without ties shares.
     """
-    key = (n1, doubled)
+    key = (n1, sizes)
     below = memo.get(key)
     if below is None:
-        below = memo[key] = np.concatenate(([0], np.cumsum(_rank_sum_counts(doubled, n1))))
-    total = int(below[-1])
-    n_le = total - int(below[doubled_sum])
-    n_ge = int(below[doubled_sum + 1])
+        if n1 <= 12 and max(sizes) == 1:
+            tables = memo.setdefault(None, [np.eye(13, 1, dtype=np.int64)])
+            counts = _tie_free_counts(n1, len(sizes), tables)
+        else:
+            counts = _rank_sum_counts(sizes, n1)
+        below = memo[key] = [0, *np.cumsum(counts).tolist()]
+    total = below[-1]
+    n_le = total - below[doubled_sum]
+    n_ge = below[doubled_sum + 1]
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
 
 
@@ -248,18 +299,12 @@ def pairwise_ranksum(samples: GroupSamples, exact: bool = False, *,
     """
     memo = {} if memo is None else memo
     groups = samples.groups
-    pairs = list(itertools.combinations(range(len(groups)), 2))
-    runs = samples.runs
-    firsts = runs[[i for i, _ in pairs]]
-    pair_runs = firsts + runs[[j for _, j in pairs]]
-    doubled, observed, ties = _ranks(firsts, pair_runs)
     results = []
-    for (i, j), run_sizes, run_ranks, r1, t in zip(pairs, pair_runs, doubled,
-                                                   observed.tolist(), ties.tolist()):
+    for (i, j), sizes, r1, t in zip(itertools.combinations(range(len(groups)), 2),
+                                    *samples.rank_terms[2:]):
         (la, va), (lb, vb) = groups[i], groups[j]
         if exact and va.size <= 12 and vb.size <= 12:
-            ranks = tuple(np.repeat(run_ranks, run_sizes).tolist())
-            p = _mwu_exact_p(va.size, ranks, r1, memo)
+            p = _mwu_exact_p(va.size, tuple(filter(None, sizes)), r1, memo)
         else:
             p = _mwu_normal_p(va.size, vb.size, r1, t)
         results.append(_pair_result(la, lb, p))
@@ -271,9 +316,9 @@ def pairwise_dunn(samples: GroupSamples) -> PairwiseFlags:
     labels = [label for label, _ in samples.groups]
     sizes = [v.size for _, v in samples.groups]
     n = sum(sizes)
-    _, rank_sums, tie_term = _ranks(samples.runs, samples.runs.sum(axis=0))
-    means = [doubled / 2 / size for doubled, size in zip(rank_sums.tolist(), sizes)]
-    spread = n * (n + 1.0) / 12.0 - int(tie_term) / (12.0 * (n - 1.0))
+    rank_sums, tie_term = samples.rank_terms[:2]
+    means = [doubled / 2 / size for doubled, size in zip(rank_sums, sizes)]
+    spread = n * (n + 1.0) / 12.0 - tie_term / (12.0 * (n - 1.0))
     results = []
     for i, j in itertools.combinations(range(len(labels)), 2):
         var = spread * (1.0 / sizes[i] + 1.0 / sizes[j])
@@ -335,21 +380,39 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
         raise ValueError(f"unknown posthoc {posthoc!r}")
     if exact and posthoc == "dunn":
         raise ValueError("exact applies to the rank-sum test, not to posthoc 'dunn'")
-    present = [g for g in GROUP_ORDER if g in set(groups.values())]
+    codes = {sid: GROUP_ORDER.index(label) for sid, label in groups.items()}
+    present = sorted(set(codes.values()))
     if len(present) < 2:
         raise InsufficientData("need subjects from at least 2 groups")
+    # one column per subject in ID order, which stable sorts keep for ties
     subjects = sorted(values)
+    table = np.array([[values[sid].get(name, math.nan) for sid in subjects]
+                      for name in order], dtype=float).reshape(len(order), len(subjects))
+    by_value = np.argsort(table, axis=1, kind="stable")
+    ordered = np.take_along_axis(table, by_value, axis=1)
+    # each value's group index in GROUP_ORDER; a non-finite value, dropped,
+    # is counted apart as group len(GROUP_ORDER)
+    owner = np.where(np.isfinite(ordered),
+                     np.array([codes[sid] for sid in subjects], dtype=int)[by_value],
+                     len(GROUP_ORDER))
+    runs = _tie_runs(ordered, owner, len(GROUP_ORDER) + 1)
+    terms = [term.tolist() for term in _rank_terms(runs[:, present])]
+    group_sizes = runs.sum(axis=2)
+    # each group's values ascending, the groups one after another
+    grouped = np.take_along_axis(ordered, np.argsort(owner, axis=1, kind="stable"), axis=1)
     memo: dict = {}   # exact null distributions, shared by every feature
     rows = []
-    for feature in order:
-        per_group: dict[GroupLabel, list[float]] = {g: [] for g in present}
-        for sid in subjects:
-            v = values[sid].get(feature, float("nan"))
-            if math.isfinite(v):
-                per_group[groups[sid]].append(v)
-        sampled = [(g, vals) for g, vals in per_group.items() if vals]
-        samples = GroupSamples.from_lists(sampled)
-        if len(sampled) >= 2 and sum(len(v) for _, v in sampled) >= 3:
+    for f, (feature, sizes, ends, ascending) in enumerate(zip(
+            order, group_sizes.tolist(), np.cumsum(group_sizes, axis=1).tolist(),
+            grouped.tolist())):
+        sampled = [g for g in present if sizes[g]]
+        samples = GroupSamples(tuple((GROUP_ORDER[g], grouped[f, ends[g] - sizes[g]:ends[g]])
+                                     for g in sampled))
+        # the cached properties, counted above for every feature at once
+        samples.__dict__["runs"] = runs[f, sampled]
+        if len(sampled) == len(present):
+            samples.__dict__["rank_terms"] = tuple(term[f] for term in terms)
+        if len(sampled) >= 2 and sum(sizes[:-1]) >= 3:
             kw = kruskal_wallis(samples)
             flags = pairwise_dunn(samples) if posthoc == "dunn" \
                 else pairwise_ranksum(samples, exact=exact, memo=memo)
@@ -357,19 +420,16 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
             kw = KwResult(h=0.0, df=max(len(sampled) - 1, 0), p=1.0, degenerate=True)
             flags = PairwiseFlags(pairs=())
         # markers come only from the pairs that were tested
-        significant = {frozenset((pair.a, pair.b)) for pair in flags.pairs
-                       if pair.significant}
+        hits = [ij for ij, pair in zip(itertools.combinations(sampled, 2), flags.pairs)
+                if pair.significant]
         cells = []
         for g in present:
-            vals = per_group[g]
-            if vals:
-                med, q25, q75 = median_iqr(vals)
-            else:
-                med = q25 = q75 = float("nan")
-            letters = [MARKER_LETTERS[other] for other in present
-                       if frozenset((g, other)) in significant]
-            cells.append(GroupCell(label=g, n=len(vals), median=med, q25=q25,
-                                   q75=q75, markers="".join(sorted(letters))))
+            vals = ascending[ends[g] - sizes[g]:ends[g]]
+            med, q25, q75 = median_iqr(vals) if vals else (math.nan,) * 3
+            marks = sorted(MARKER_LETTERS[GROUP_ORDER[j if i == g else i]]
+                           for i, j in hits if g in (i, j))
+            cells.append(GroupCell(label=GROUP_ORDER[g], n=sizes[g], median=med, q25=q25,
+                                   q75=q75, markers="".join(marks)))
         rows.append(GroupComparisonRow(feature=feature, cells=tuple(cells),
                                        kw=kw, pairwise=flags))
     return rows
@@ -387,6 +447,7 @@ def feature_table(feature_rows: Sequence[tuple[int, Mapping[str, str]]],
     error naming its line."""
     values: dict[str, dict[str, float]] = {}
     groups: dict[str, GroupLabel] = {}
+    labels: dict[str, GroupLabel] = {}   # group column text -> label
     for table, rows, names in (("features", feature_rows, FEATURE_ORDER),
                                ("cosinor", cosinor_rows, CIRCADIAN_ORDER)):
         seen = set()
@@ -398,7 +459,8 @@ def feature_table(feature_rows: Sequence[tuple[int, Mapping[str, str]]],
                 raise DuplicateSubject(f"line {line_no}: duplicate subject {sid!r} "
                                        f"in the {table} table")
             seen.add(sid)
-            group = GroupLabel.parse(row["group"], line_no)
+            group = labels.get(row["group"]) or labels.setdefault(
+                row["group"], GroupLabel.parse(row["group"], line_no))
             if groups.setdefault(sid, group) is not group:
                 raise MalformedRow(line_no, f"subject {sid!r} is {group.value} here "
                                             f"but {groups[sid].value} in the features table")

@@ -89,3 +89,12 @@ def comparison_hashes(root, kind: str, mode: str) -> tuple[str, str]:
 @pytest.mark.parametrize("mode", MODES)
 def test_comparison_bytes_are_pinned(tmp_path, capsys, kind, mode):
     assert comparison_hashes(tmp_path, kind, mode) == PINS[kind, mode]
+
+
+@pytest.mark.parametrize("kinds", [("tied", "edges"), ("edges", "tied")])
+def test_exact_runs_in_one_process_carry_nothing(tmp_path, capsys, kinds):
+    # the second comparison of a process must not see the exact distributions
+    # or the tie-free tables the first one counted
+    for kind in kinds:
+        (tmp_path / kind).mkdir()
+        assert comparison_hashes(tmp_path / kind, kind, "exact") == PINS[kind, "exact"]

@@ -13,6 +13,7 @@ from actirhythm.ingest import GROUP_ORDER, GroupLabel
 from actirhythm.stats import (
     CIRCADIAN_ORDER,
     FEATURE_ORDER,
+    MARKER_LETTERS,
     GroupSamples,
     chi_square_sf,
     comparison_rows,
@@ -253,24 +254,39 @@ class TestExactRankSum:
             for x, y in itertools.combinations(columns, 2):
                 doubled = sorted(int(2 * r) for r in brute_mid_ranks(x + y))
                 expected_keys.add((len(x), tuple(doubled)))
-        counted = []
-        real = stats._rank_sum_counts
+        # each tail counted, as (n1, the pair's doubled mid-ranks), and the
+        # pool size of each step of the tables without ties
+        counted, steps = [], []
+        tied, tie_free = stats._rank_sum_counts, stats._tie_free_counts
 
-        def spy(doubled, n1):
-            counted.append((n1, tuple(sorted(doubled))))
-            return real(doubled, n1)
+        def spy_tied(sizes, n1):
+            counted.append((n1, tuple(2 * end - t + 1 for end, t in
+                                      zip(itertools.accumulate(sizes), sizes)
+                                      for _ in range(t))))
+            return tied(sizes, n1)
 
-        monkeypatch.setattr(stats, "_rank_sum_counts", spy)
+        def spy_tie_free(n1, n, tables):
+            counted.append((n1, tuple(range(2, 2 * n + 1, 2))))
+            grown = len(tables)
+            result = tie_free(n1, n, tables)
+            steps.extend(range(grown, len(tables)))
+            return result
+
+        monkeypatch.setattr(stats, "_rank_sum_counts", spy_tied)
+        monkeypatch.setattr(stats, "_tie_free_counts", spy_tie_free)
         rows = comparison_rows(values, groups, order, exact=True)
-        tie_free = {key for key in expected_keys if len(set(key[1])) == len(key[1])}
-        assert len(tie_free) == 6
+        tie_free_keys = {key for key in expected_keys if len(set(key[1])) == len(key[1])}
+        assert len(tie_free_keys) == 6
         assert len(counted) == len(set(counted)) == len(expected_keys)
         assert set(counted) == expected_keys
+        # the six tie-free tails share one table per pool size, up to 9 + 10
+        assert steps == list(range(1, 20))
         # a second comparison keeps nothing from the first: it counts every
-        # distribution again, in the same order
-        first = counted[:]
+        # distribution and grows every table again, in the same order
+        first, first_steps = counted[:], steps[:]
         assert comparison_rows(values, groups, order, exact=True) == rows
         assert counted[len(first):] == first
+        assert steps[len(first_steps):] == first_steps
         for row in rows:
             columns = {g: [values[sid][row.feature] for sid in sorted(groups)
                            if groups[sid] is g] for g in GROUP_ORDER}
@@ -278,12 +294,13 @@ class TestExactRankSum:
                 assert pair.p == brute_mwu_exact_p(columns[pair.a], columns[pair.b])
 
     def test_memo_keeps_first_group_size_apart(self):
-        # 2 + 5 and 3 + 4 pool the same seven tie-free ranks
+        # 2 + 5 and 3 + 4 pool the same seven tie-free ranks; beside the two
+        # tails the memo holds only the shared tie-free tables (key None)
         memo = {}
         for x, y in (([1, 2], [3, 4, 5, 6, 7]), ([1, 2, 3], [4, 5, 6, 7])):
             flags = pairwise_ranksum(samples((CCI, x), (RR, y)), exact=True, memo=memo)
             assert flags.get(CCI, RR).p == brute_mwu_exact_p(x, y)
-        assert len(memo) == 2
+        assert memo.keys() == {(2, (1,) * 7), (3, (1,) * 7), None}
 
     def test_twelve_v_twelve_with_ties_matches_enumeration(self):
         # brute_mwu_exact_p on this pair counts 563887 of the C(24, 12)
@@ -352,7 +369,90 @@ class TestMedianIqr:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def cohorts(draw):
+    """(values, groups): 2-4 groups of 1-12 subjects whose IDs interleave
+    the groups, and three features of tied levels (+0.0 and -0.0 among
+    them) and free floats. Cells may be NaN or infinite, "b" may be absent
+    from a subject's mapping, and one group may have no value for "c"."""
+    labels = draw(st.lists(st.sampled_from(GROUP_ORDER), min_size=2, max_size=4,
+                           unique=True))
+    members = [g for g in labels for _ in range(draw(st.integers(1, 12)))]
+    ids = draw(st.permutations(range(len(members))))
+    blank = draw(st.sampled_from(labels + [None]))
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5] + NON_FINITE),
+                     st.floats(-10, 10))
+    values, groups = {}, {}
+    for i, g in zip(ids, members):
+        sid = f"s{i:02d}"
+        groups[sid] = g
+        values[sid] = {"a": draw(cell), "c": math.nan if g is blank else draw(cell)}
+        if draw(st.booleans()):
+            values[sid]["b"] = draw(cell)
+    return values, groups
+
+
+def oracle_row(values, groups, feature, posthoc, exact):
+    """The cells as (label, n, median, q25, q75, markers), H, the KW p and
+    the pair ps of one feature, from each group's finite values in ID order,
+    the loop oracles and np.quantile."""
+    present = [g for g in GROUP_ORDER if g in groups.values()]
+    columns = {g: np.array([values[sid].get(feature, math.nan) for sid in sorted(values)
+                            if groups[sid] is g]) for g in present}
+    columns = {g: v[np.isfinite(v)] for g, v in columns.items()}
+    sampled = [g for g in present if columns[g].size]
+    arrays = [columns[g] for g in sampled]
+    pairs = list(itertools.combinations(range(len(sampled)), 2))
+    h, kw_p, ps = 0.0, 1.0, []
+    if len(sampled) >= 2 and sum(v.size for v in arrays) >= 3:
+        h, degenerate = loop_kruskal_h(arrays)
+        kw_p = 1.0 if degenerate else chi_square_sf(h, len(sampled) - 1)
+        if posthoc == "dunn":
+            ps = loop_pairwise_dunn(arrays)
+        else:
+            ps = [loop_mwu_exact_p(arrays[i], arrays[j])
+                  if exact and max(arrays[i].size, arrays[j].size) <= 12
+                  else loop_mwu_normal_p(arrays[i], arrays[j]) for i, j in pairs]
+    markers = {g: [] for g in present}
+    for (i, j), p in zip(pairs, ps):
+        a, b = sampled[i], sampled[j]
+        if p < (0.01 if HEALTHY in (a, b) else 0.05):
+            markers[a].append(MARKER_LETTERS[b])
+            markers[b].append(MARKER_LETTERS[a])
+    cells = []
+    for g in present:
+        v = columns[g]
+        quartiles = [math.nan] * 3
+        if v.size:
+            quartiles = np.quantile(v, [0.5, 0.25, 0.75]).tolist()
+            # where +0.0 and -0.0 tie at a quantile numpy returns either;
+            # the stable sort of the ID-ordered values decides (median_iqr)
+            if {math.copysign(1.0, x) for x in v if x == 0.0} == {1.0, -1.0}:
+                quartiles = [m if q == 0.0 else q for q, m in zip(quartiles, median_iqr(v))]
+        cells.append((g, v.size, *[q.hex() for q in quartiles],
+                      "".join(sorted(markers[g]))))
+    return cells, h.hex(), kw_p.hex(), [p.hex() for p in ps]
+
+
 class TestComparisonRows:
+    @given(cohorts())
+    @example(({"s0": {"a": -0.0}, "s1": {"a": 0.0}, "s2": {"a": 1.0},
+               "s3": {"a": 0.0}, "s4": {"a": -0.0}},
+              {"s0": CCI, "s1": CCI, "s2": RR, "s3": RR, "s4": RR}))
+    def test_rows_equal_loop_oracles_bit_for_bit(self, cohort):
+        values, groups = cohort
+        for posthoc, exact in (("ranksum", False), ("ranksum", True), ("dunn", False)):
+            rows = comparison_rows(values, groups, ["a", "b", "c"], posthoc, exact)
+            for row in rows:
+                cells = [(c.label, c.n, c.median.hex(), c.q25.hex(), c.q75.hex(), c.markers)
+                         for c in row.cells]
+                got = (cells, row.kw.h.hex(), row.kw.p.hex(),
+                       [pair.p.hex() for pair in row.pairwise.pairs])
+                assert got == oracle_row(values, groups, row.feature, posthoc, exact)
+
     def _cohort(self, amp_factor=10.0, rng=None):
         rng = rng or np.random.default_rng(7)
         sizes = {ICU: 3, CCI: 5, RR: 6, HEALTHY: 10}
