@@ -12,9 +12,12 @@ Epoch files are written, and parsed when in canonical form, a block of
 rows at a time (see serialize_triaxial_csv and parse_triaxial_csv). Each
 block's stamps come from _stamp_blocks, the one generator of canonical
 stamps, and the parse compares them as 8-byte words of those stamps. It
-reads whole counts, as device exports and the writer's ``%d.0`` give, in
-one pass of their digits. The writer lays out each block's rows, stamps
-and count slots, in numpy; numtext writes the counts.
+lays out field bounds a contiguous row per column, reads whole counts, as
+device exports and the writer's ``%d.0`` give, in one pass of their
+digits, and returns column-major samples, each column one contiguous run
+for the minute sums and the vector magnitude. The writer lays out each
+block's rows, stamps and count slots, in numpy, in row order as its text
+runs; numtext writes the counts.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import os
 import re
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -304,7 +306,8 @@ def _digits(window: np.ndarray, end: np.ndarray, digits: np.ndarray,
     last ``digits`` digits before ``end``, less the byte (its ".") before
     its last ``past``, and True in ``other`` where a field has no digit, a
     byte that is not one, or a nonzero one past the 18th from the last (so
-    m < 1e18). Built digit by digit from the last, up to the 40th."""
+    m < 1e18). Built digit by digit from the last, up to the 40th. The
+    arrays are (columns, k) from _read_rows, a contiguous row per column."""
     near, far = (past.min(), past.max()) if past is not None else (math.inf, math.inf)
     shortest, m = digits.min(), np.zeros(end.shape, np.int64)
     other = digits < 1 if shortest < 1 else np.zeros(end.shape, bool)
@@ -393,9 +396,10 @@ def _read_rows(window: np.ndarray, stamps: np.ndarray,
     _stamp_blocks, byte for byte, and return k and the rows' length in
     bytes; None if any row breaks that form or the window holds no
     complete row. Every byte is checked: the stamps' as words, each comma
-    and LF by its place, and the counts' as they are read. The columns
-    whose first count is whole, as device exports write them, are read by
-    _whole_counts, and the others, or all if that fails, by _read_counts."""
+    and LF by its place, and the counts' as they are read, from bounds
+    copied once to (width, k), a row per column, into column-major ``out``:
+    the columns whose first count is whole, as device exports write them,
+    by _whole_counts, and the others, or all if that fails, by _read_counts."""
     m, width = out.shape
     # a row's only bytes at or below the comma: the comma after the stamp
     # and before each other count, LF, and the "+" of an exponent
@@ -421,19 +425,20 @@ def _read_rows(window: np.ndarray, stamps: np.ndarray,
             and (window_words[start + 8] == words[:, 1]).all()
             and (window_words[start + 11] >> 40 == words[:, 2]).all()):
         return None
-    begin, end = sep[:, :-1] + 1, sep[:, 1:]
-    first = window[begin[0, 0]:end[0, -1]].tobytes().split(b",")
+    sep = np.ascontiguousarray(sep.T)
+    begin, end = sep[:-1] + 1, sep[1:]
+    first = window[begin[0, 0]:end[-1, 0]].tobytes().split(b",")
     whole = [c for c, field in enumerate(first) if _WHOLE.fullmatch(field)]
     columns = slice(None) if len(whole) == width else whole
-    values = _whole_counts(window, begin[:, columns], end[:, columns]) if whole else None
+    values = _whole_counts(window, begin[columns], end[columns]) if whole else None
     if values is not None:
-        out[:k, columns] = values
+        out[:k, columns] = values.T
     rest = [c for c in range(width) if values is None or c not in whole]
     if rest:
-        values = _read_counts(window, begin[:, rest], end[:, rest])
+        values = _read_counts(window, begin[rest], end[rest])
         if values is None:
             return None
-        out[:k, rest] = values
+        out[:k, rest] = values.T
     return k, int(sep[-1, -1]) + 1
 
 
@@ -509,13 +514,13 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     count comes from the last line's stamp and is checked against the
     file's size before the samples array is made. The rows are then split
     at row boundaries into parts (see _split), each part's first stamp
-    giving its rows of the samples. The first part is read in the calling
-    thread and each other one in a thread of its own, and no thread
-    outlives the parse. _read_part reads each part a block of _stamp_blocks
-    at a time, straight from the bytes and checking each byte (see
-    _read_rows), so the parse holds the file's bytes, the samples and one
-    block per part. The series is returned only if every part read exactly
-    its bytes.
+    giving its rows of the column-major samples. The first part is read in
+    the calling thread and each other one in a thread of its own, and no
+    thread outlives the parse; one part imports no executor. _read_part
+    reads each part a block of _stamp_blocks at a time, straight from the
+    bytes and checking each byte (see _read_rows), so the parse holds the
+    file's bytes, the samples and one block per part. The series is
+    returned only if every part read exactly its bytes.
     """
     width = 1 if content.startswith(b"timestamp,vm\n") else 3
     header = b"timestamp,vm\n" if width == 1 else b"timestamp,axis1,axis2,axis3\n"
@@ -537,15 +542,18 @@ def _parse_columnar(content: bytes, subject_id: str) -> TriaxialSeries | None:
     parts = _split(content, len(header), start, epoch, n)
     if parts is None:
         return None
-    samples = np.zeros((n, 3))
+    samples = np.zeros((n, 3), order="F")
     bounds = [*parts, (len(content), n)]
     reads = [(content, pos, end, start + timedelta(seconds=k * epoch), epoch,
               samples[k:k_end, :width])
              for (pos, k), (end, k_end) in zip(bounds, bounds[1:])]
-    # the executor starts a thread only on submit, so one part starts none
-    with ThreadPoolExecutor(len(reads)) as pool:
-        others = [pool.submit(_read_part, *args) for args in reads[1:]]
-        results = [_read_part(*reads[0])] + [part.result() for part in others]
+    if len(reads) == 1:
+        results = [_read_part(*reads[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(len(reads)) as pool:
+            others = [pool.submit(_read_part, *args) for args in reads[1:]]
+            results = [_read_part(*reads[0])] + [part.result() for part in others]
     if not all(results):
         return None
     return TriaxialSeries(subject_id=subject_id, start_time=start,
@@ -562,13 +570,15 @@ def parse_triaxial_csv(content, subject_id: str) -> TriaxialSeries:
     A file in the canonical form that serialize_triaxial_csv writes is
     parsed block by block straight from its bytes with numpy: each count
     from its digits, correctly rounded, and by float() only where that
-    cannot decide, as in exponent form. A file of more than one block is
-    split into parts read in threads, one per CPU, and the parse holds the
-    bytes, the samples and one block per part. Every other file goes
-    through the row loop, which is the only code that reports errors in the
-    file's text, so each error's class, message and line number do not
-    depend on which path ran. (An epoch that does not align with minutes is
-    raised by TriaxialSeries after either path.)
+    cannot decide, as in exponent form, into column-major samples (field
+    bounds laid out per column). A file of more than one block is split
+    into parts read in threads, one per CPU, and the parse holds the
+    bytes, the samples and one block per part. The row loop and the writer
+    keep row order, as their text runs; a column-major writer was slower.
+    Every other file goes through the row loop, which is the only code
+    that reports errors in the file's text, so each error's class, message
+    and line number do not depend on which path ran. (An epoch that does
+    not align with minutes is raised by TriaxialSeries after either path.)
     """
     raw = content.encode() if isinstance(content, str) and content.isascii() else content
     if isinstance(raw, bytes):
@@ -697,12 +707,12 @@ def aggregate_to_minutes(series: TriaxialSeries) -> TriaxialSeries:
     n_minutes = len(series) // per_minute
     used = series.samples[: n_minutes * per_minute]
     summed = np.empty((n_minutes, 3))
-    # axis by axis, each minute's epochs added in order: the floats of a
-    # sum along axis 1 of a (n_minutes, per_minute, 3) view, whose inner
-    # loop of 3 counts costs twice the time
+    # axis by axis, each minute's epochs added in order to 0.0 (so that
+    # -0.0s sum to 0.0): the floats of a sum along axis 1 of a (n_minutes,
+    # per_minute, 3) view, whose inner loop of 3 counts costs twice the time
     with np.errstate(over="ignore"):
         for counts, total in zip(used.T, summed.T):
-            total[:] = counts[::per_minute]
+            np.add(counts[::per_minute], 0.0, out=total)
             for j in range(1, per_minute):
                 total += counts[j::per_minute]
     if not np.all(np.isfinite(summed)):

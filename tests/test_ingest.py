@@ -1,6 +1,8 @@
 import codecs
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -28,6 +30,7 @@ from actirhythm.ingest import (
     parse_triaxial_csv,
     serialize_triaxial_csv,
 )
+from actirhythm.preprocess import to_activity_series
 from edge_values import DIGIT_COUNTS, EDGE_COUNTS, GROUP_EDGES, SMALL_COUNTS
 from reference_impls import (
     one_pass_serialize_triaxial_csv,
@@ -692,10 +695,10 @@ class TestWholeCountReader:
             text = serialize_triaxial_csv(series)
             assert_series_equal(_parse_columnar(text.encode(), "s1"), series)
         # each call's first row of counts, and its fields' shape
-        calls = [(window[begin[0, 0]:end[0, -1]].tobytes(), begin.shape)
+        calls = [(window[begin[0, 0]:end[-1, 0]].tobytes(), begin.shape)
                  for window, begin, end in (call.args for call in read_counts.call_args_list)]
         lines = text.encode().split(b"\n")
-        assert calls == [(lines[1][20:], (7, 3)), (lines[8][20:], (7, 3))]
+        assert calls == [(lines[1][20:], (3, 7)), (lines[8][20:], (3, 7))]
         assert parse_outcome(parse_triaxial_csv, text) == parse_outcome(
             row_loop_parse_triaxial_csv, text)
 
@@ -1203,6 +1206,73 @@ class TestAggregate:
         out = aggregate_to_minutes(s)
         kept = (len(xs) // 4) * 4
         assert out.samples[:, 0].sum() == sum(xs[:kept])
+
+
+@st.composite
+def layout_samples(draw):
+    """An epoch of 1, 5, 15 or 60 s and (n, 3) counts of at least a minute
+    of it: whole counts, reprs and -0.0."""
+    epoch = draw(st.sampled_from([1, 5, 15, 60]))
+    per = 60 // epoch
+    n = draw(st.integers(per, 4 * per - 1))
+    counts = st.one_of(st.integers(0, 10 ** 6).map(float), st.floats(0, 1e6), st.just(-0.0))
+    return epoch, np.array(draw(st.lists(counts, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+
+
+class TestColumnMajorSamples:
+    """The columnar parse returns column-major samples; every consumer of a
+    series gives the same bytes for either layout."""
+
+    @given(layout_samples())
+    def test_either_layout_gives_the_same_outputs(self, case):
+        epoch, samples = case
+        c_order, f_order = (TriaxialSeries("s1", STARTS[0], epoch, layout(samples))
+                            for layout in (np.ascontiguousarray, np.asfortranarray))
+        assert f_order.samples.flags.f_contiguous
+        minutes = [aggregate_to_minutes(s) for s in (c_order, f_order)]
+        assert minutes[0].samples.tobytes() == minutes[1].samples.tobytes()
+        vm = [to_activity_series(s).values for s in minutes]
+        assert vm[0].tobytes() == vm[1].tobytes()
+        assert serialize_triaxial_csv(c_order) == serialize_triaxial_csv(f_order)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("header", ["timestamp,axis1,axis2,axis3", "timestamp,vm"])
+    def test_columnar_parse_returns_column_major_samples(self, header, parts):
+        """Whole counts and, in the first column of the three, reprs."""
+        width = header.count(",")
+        samples = np.zeros((40, 3))
+        samples[:, :width] = second_counts(40)[:, :width]
+        if width == 3:
+            samples[:, 0] = repr_counts(40)[:, 0]
+        series = TriaxialSeries("s1", STARTS[0], 15, samples)
+        text = serialize_triaxial_csv(series).replace("timestamp,axis1,axis2,axis3", header)
+        if width == 1:
+            text = text.replace(",0.0,0.0\n", "\n")
+        with (mock.patch.object(ingest, "_STAMP_BLOCK", 8),
+              mock.patch.object(ingest, "_PARTS", parts),
+              mock.patch.object(ingest, "_read_part", wraps=ingest._read_part) as read_part):
+            parsed = _parse_columnar(text.encode(), "s1")
+        assert read_part.call_count == parts
+        assert parsed.samples.flags.f_contiguous
+        assert_series_equal(parsed, series)
+
+    def test_a_one_part_parse_imports_no_executor(self, tmp_path):
+        """In a fresh interpreter, the CLI's imports and the parse of an
+        8,640-row canonical file leave concurrent.futures unimported."""
+        path = tmp_path / "s1.csv"
+        path.write_text(serialize_triaxial_csv(
+            TriaxialSeries("s1", STARTS[0], 60, second_counts(8640))))
+        code = ("import pathlib, sys\nimport actirhythm.cli\nfrom actirhythm import ingest\n"
+                f"content = pathlib.Path({str(path)!r}).read_bytes()\n"
+                "series = ingest.parse_triaxial_csv(content, 's1')\n"
+                "assert len(series) == 8640 and series.samples.flags.f_contiguous\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ingest.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 class TestManifest:
