@@ -248,13 +248,13 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     config = _config_from(args)
     try:
-        result = report.run_pipeline(args.manifest, args.out, config)
+        records, skipped = report.run_pipeline(args.manifest, args.out, config)
     except TooFewGroups as exc:
         _list_skips(exc.skipped)
         raise
-    _list_skips(result.skipped)
-    print(f"processed {len(result.records)} subjects "
-          f"({len(result.skipped)} skipped); outputs in {args.out}")
+    _list_skips(skipped)
+    print(f"processed {len(records)} subjects "
+          f"({len(skipped)} skipped); outputs in {args.out}")
     return 0
 
 

@@ -195,7 +195,8 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     config.multistart phase-rotated starts and keeps the lowest rss. A
     series constant on the fitting scale, or a fit whose amplitude collapses
     below 1e-9 of that scale's range, is returned with degenerate=True and
-    converged=False rather than raised.
+    converged=False rather than raised. A fit whose rss is not finite, as
+    for counts near the float limit, is not converged either.
     """
     require_complete(series)
     scaled = TRANSFORMS[config.transform](series.grid)
@@ -228,10 +229,10 @@ def fit_sigmoidal_cosinor(series: ActivitySeries,
     beta = float(np.exp(v))
     degenerate = amplitude < 1e-9 * data_range
     at_bound = bool(abs(u) > _BOUND_LIMIT or abs(v) > _BOUND_LIMIT)
+    rss = float(best.rss) + float(np.sum((scaled - means) ** 2))
     return SigmoidalCosinorFit(
         min=float(min_), amplitude=amplitude, alpha=alpha, beta=beta,
-        phase=fold(phase, 24.0), mesor=float(min_) + amplitude / 2.0,
-        rss=float(best.rss) + float(np.sum((scaled - means) ** 2)),
-        converged=bool(best.converged and not degenerate),
+        phase=fold(phase, 24.0), mesor=float(min_) + amplitude / 2.0, rss=rss,
+        converged=bool(best.converged and not degenerate and math.isfinite(rss)),
         n_points=scaled.size, degenerate=degenerate, at_bound=at_bound,
         transform=config.transform)

@@ -140,12 +140,6 @@ class SubjectRecord:
     fit: SigmoidalCosinorFit | None = None
 
 
-@dataclass
-class PipelineResult:
-    records: list[SubjectRecord]
-    skipped: list[tuple[str, str, str]]   # subject_id, group, reason
-
-
 def _moving_average(arr: np.ndarray, window: int) -> np.ndarray:
     """Centred moving average over ``window`` samples, each mean taken over
     the samples its window covers; the same length as ``arr`` even for a
@@ -461,9 +455,10 @@ def cohort_curves(records: Sequence[SubjectRecord], smoothing: int) -> list[Grou
     return group_average_curve(by_group, smoothing=smoothing)
 
 
-def run_pipeline(manifest_path: Path, out_dir: Path,
-                 config: PipelineConfig = PipelineConfig()) -> PipelineResult:
-    """Full cohort run; every output file is written under out_dir.
+def run_pipeline(manifest_path: Path, out_dir: Path, config: PipelineConfig = PipelineConfig()
+                 ) -> tuple[list[SubjectRecord], list[tuple[str, str, str]]]:
+    """Full cohort run; every output file is written under out_dir. Returns
+    ``load_cohort``'s records and skips.
 
     Subjects failing any stage land in the skip report and are excluded
     from all outputs. Fails only if fewer than two groups survive, with a
@@ -492,4 +487,4 @@ def run_pipeline(manifest_path: Path, out_dir: Path,
     write_file(out_dir / "curves.svg", render_curves_svg(curves))
     write_file(out_dir / "overlays.csv", overlays_csv(overlays))
     write_file(out_dir / "overlays.svg", render_overlays_svg(overlays))
-    return PipelineResult(records=records, skipped=skipped)
+    return records, skipped

@@ -5,17 +5,18 @@ two-sided Mann-Whitney U (normal approximation with tie-corrected variance
 and continuity correction, optional exact permutation p from the rank-sum
 distribution, optional Dunn z tests), and median/IQR summaries.
 
-Every test ranks from ``GroupSamples.runs``: each group's count of values
-in each run of ties, in ascending order. Doubled mid-ranks (i + j + 2 for
-a run over 0-based positions i..j), rank sums and tie terms are then exact
+Every test ranks from the runs and rank terms that a ``GroupSamples``
+holds from construction; its runs are each group's count of values in each
+run of ties, in ascending order. Doubled mid-ranks (i + j + 2 for a run
+over 0-based positions i..j), rank sums and tie terms are then exact
 integers, and a pair's runs are the pooled runs its two groups hold. A
 comparison lays its cells out once, as one (features x subjects) array in
 subject-ID order, and ranks every feature with one stable sort of it; the
-runs, rank sums and tie terms of every feature and pair come from that
-sort at once. The exact null distribution depends only on the first
-group's size and the pair's run sizes, its key, so one comparison counts
-each distinct one once, as cumulative counts; pools without ties share one
-table per pool size.
+runs, rank sums and tie terms of every feature and pair, and each cell's
+quartiles, come from that sort at once. The exact null distribution
+depends only on the first group's size and the pair's run sizes, its key,
+so one comparison counts each distinct one once, as cumulative counts;
+pools without ties share one table per pool size.
 
 Significance markers follow a fixed letter scheme: a group's cell is
 flagged with the letter of every group it differs from, at p < 0.01 for
@@ -24,7 +25,6 @@ pairs involving the healthy controls and p < 0.05 otherwise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,29 +52,23 @@ DEFAULT_ALPHA = 0.05
 
 @dataclass(frozen=True)
 class GroupSamples:
-    """Ordered (label, values) pairs, one value per subject."""
+    """Ordered (label, values) pairs, one value per subject; ``runs[g, r]``,
+    how many values of group g are in the r-th run of equal values in
+    ascending order (see ``_tie_runs``); and ``_rank_terms(runs)`` as lists.
+    The three must agree, so the arrays must not change."""
 
     groups: tuple[tuple[GroupLabel, np.ndarray], ...]
+    runs: np.ndarray
+    rank_terms: tuple[list, ...]
 
     @classmethod
     def from_lists(cls, pairs) -> "GroupSamples":
-        return cls(tuple((label, np.asarray(vals, dtype=float))
-                         for label, vals in pairs))
-
-    @functools.cached_property
-    def runs(self) -> np.ndarray:
-        """``runs[g, r]``: how many values of group g are in the r-th run of
-        equal values in ascending order (see ``_tie_runs``). Counted on first
-        use and kept, so the arrays must not change after it."""
-        pooled = np.concatenate([v for _, v in self.groups])
-        owner = np.repeat(np.arange(len(self.groups)), [v.size for _, v in self.groups])
+        groups = tuple((label, np.asarray(vals, dtype=float)) for label, vals in pairs)
+        pooled = np.concatenate([np.empty(0), *(v for _, v in groups)])  # even of none
+        owner = np.repeat(np.arange(len(groups)), [v.size for _, v in groups])
         order = np.argsort(pooled, kind="stable")
-        return _tie_runs(pooled[None, order], owner[None, order], len(self.groups))[0]
-
-    @functools.cached_property
-    def rank_terms(self) -> tuple[list, ...]:
-        """``_rank_terms`` of ``runs``, as lists; kept like ``runs``."""
-        return tuple(term.tolist() for term in _rank_terms(self.runs))
+        runs = _tie_runs(pooled[None, order], owner[None, order], len(groups))[0]
+        return cls(groups, runs, tuple(term.tolist() for term in _rank_terms(runs)))
 
 
 def _tie_runs(ordered: np.ndarray, owner: np.ndarray, n_groups: int) -> np.ndarray:
@@ -362,8 +356,7 @@ def median_iqr(values) -> tuple[float, float, float]:
     if any(map(math.isnan, values)):
         return math.nan, math.nan, math.nan
     values.sort()
-    return (_linear_quantile(values, 0.5), _linear_quantile(values, 0.25),
-            _linear_quantile(values, 0.75))
+    return tuple(_linear_quantile(values, q) for q in (0.5, 0.25, 0.75))
 
 
 def comparison_rows(values: Mapping[str, Mapping[str, float]],
@@ -406,13 +399,14 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
             order, group_sizes.tolist(), np.cumsum(group_sizes, axis=1).tolist(),
             grouped.tolist())):
         sampled = [g for g in present if sizes[g]]
-        samples = GroupSamples(tuple((GROUP_ORDER[g], grouped[f, ends[g] - sizes[g]:ends[g]])
-                                     for g in sampled))
-        # the cached properties, counted above for every feature at once
-        samples.__dict__["runs"] = runs[f, sampled]
-        if len(sampled) == len(present):
-            samples.__dict__["rank_terms"] = tuple(term[f] for term in terms)
         if len(sampled) >= 2 and sum(sizes[:-1]) >= 3:
+            # runs and rank terms as counted above for every feature at once,
+            # unless a present group has no value for this feature
+            samples = GroupSamples(
+                tuple((GROUP_ORDER[g], grouped[f, ends[g] - sizes[g]:ends[g]])
+                      for g in sampled), runs[f, sampled],
+                tuple(term[f] for term in terms) if len(sampled) == len(present)
+                else tuple(term.tolist() for term in _rank_terms(runs[f, sampled])))
             kw = kruskal_wallis(samples)
             flags = pairwise_dunn(samples) if posthoc == "dunn" \
                 else pairwise_ranksum(samples, exact=exact, memo=memo)
@@ -425,7 +419,9 @@ def comparison_rows(values: Mapping[str, Mapping[str, float]],
         cells = []
         for g in present:
             vals = ascending[ends[g] - sizes[g]:ends[g]]
-            med, q25, q75 = median_iqr(vals) if vals else (math.nan,) * 3
+            # the slice is ascending and finite, as median_iqr would sort it
+            med, q25, q75 = [_linear_quantile(vals, q) for q in (0.5, 0.25, 0.75)] \
+                if vals else (math.nan,) * 3
             marks = sorted(MARKER_LETTERS[GROUP_ORDER[j if i == g else i]]
                            for i, j in hits if g in (i, j))
             cells.append(GroupCell(label=GROUP_ORDER[g], n=sizes[g], median=med, q25=q25,

@@ -203,9 +203,9 @@ def test_c09_end_to_end_amplitude_separation(tmp_path):
     for draw in range(20):
         manifest = write_cohort(tmp_path / f"cohort{draw}", base_seed=draw,
                                 amp_factor=5.0)
-        result = run_pipeline(manifest, tmp_path / f"out{draw}",
-                              PipelineConfig(transform="raw"))
-        assert not result.skipped
+        _, skipped = run_pipeline(manifest, tmp_path / f"out{draw}",
+                                  PipelineConfig(transform="raw"))
+        assert not skipped
         rows = {}
         text = (tmp_path / f"out{draw}" / "comparison.csv").read_text()
         for line in text.splitlines()[1:]:

@@ -198,6 +198,14 @@ class TestSigmoidalFit:
         fit = fit_sigmoidal_cosinor(window, FitConfig(transform, multistart=3))
         assert fit.converged and np.isfinite(fit.rss)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_non_finite_rss_is_not_converged(self, scale):
+        y = scale * (1.0 + np.cos(2 * np.pi * midpoint_hours() / 24.0))
+        with np.errstate(all="ignore"):   # LM warns of overflow here; not tested
+            fit = fit_sigmoidal_cosinor(make_window(y), RAW)
+        assert not math.isfinite(fit.rss)
+        assert not fit.converged
+
     def test_stage_two_never_worsens_stage_one_seed(self, rng):
         t = midpoint_hours()
         y = sigmoid_curve(t, 20.0, 300.0, -0.2, 8.0, 9.0) + rng.normal(0, 30, t.size)

@@ -94,6 +94,12 @@ class TestLevenbergMarquardt:
         assert result.rss == pytest.approx(rss_direct, abs=1e-9)
         assert np.allclose(result.params, direct, atol=1e-6)
 
+    def test_step_small_has_an_absolute_floor(self):
+        # at a parameter of 0 only the + tol floor lets a step count as small
+        tol = nls._STEP_TOLERANCE
+        assert nls._step_small(np.array([tol * tol, 0.0]), np.array([0.0, 1.0]))
+        assert not nls._step_small(np.array([4 * tol * tol]), np.array([0.0]))
+
     def test_rosenbrock(self):
         def residual(p):
             a, b = p

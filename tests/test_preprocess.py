@@ -121,6 +121,23 @@ class TestNonwear:
         merged = detect_nonwear_bouts(make_series(values), 60, tolerance=2)
         assert merged == [NonwearBout(100, 80)]
 
+    def test_tolerance_merges_a_gap_equal_to_it(self):
+        values = np.ones(1440)
+        values[100:140] = 0
+        values[142:182] = 0
+        merged = detect_nonwear_bouts(make_series(values), 60, tolerance=2)
+        assert merged == [NonwearBout(100, 82)]
+
+    def test_tolerance_is_a_budget_per_bout(self):
+        values = np.ones(1440)
+        values[100:140] = 0
+        values[141:170] = 0
+        values[171:200] = 0  # two one-minute gaps
+        assert detect_nonwear_bouts(make_series(values), 60, tolerance=1) == [
+            NonwearBout(100, 70)]
+        assert detect_nonwear_bouts(make_series(values), 60, tolerance=2) == [
+            NonwearBout(100, 100)]
+
     @given(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=1, max_size=600),
            st.integers(1, 30))
     def test_matches_brute_force_scan(self, pattern, min_bout):

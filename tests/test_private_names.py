@@ -1,5 +1,6 @@
 """No module of the package reads another module's private names: what one
-module uses of another has a public name there."""
+module uses of another has a public name there. Nor does any module reach
+into an object's ``__dict__``, past a frozen dataclass's fields."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,9 @@ SOURCES = sorted(Path(actirhythm.__file__).parent.glob("*.py"))
 
 
 def private_reads(source: str) -> list[str]:
-    """Each relative import of a _-prefixed name in source, and each
-    ``<module>._name`` on a package module that source imports."""
+    """Each relative import of a _-prefixed name in source, each
+    ``<module>._name`` on a package module that source imports, and each
+    ``.__dict__``."""
     tree = ast.parse(source)
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level and node.module is None
@@ -28,6 +30,8 @@ def private_reads(source: str) -> list[str]:
               and node.value.id in modules and node.attr.startswith("_")
               and not node.attr.startswith("__")):
             found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"line {node.lineno}: .__dict__")
     return found
 
 
@@ -42,3 +46,8 @@ def test_the_guard_finds_both_patterns():
               "report._write(1)\nreport.__name__\nreport.write_file(1)\nlocal._name\n")
     assert private_reads(source) == ["line 2: from .ingest import _fill",
                                      "line 4: report._write"]
+
+
+def test_the_guard_finds_dict_access():
+    source = "samples = make()\nsamples.__dict__['runs'] = 1\nvars(samples)\n"
+    assert private_reads(source) == ["line 2: .__dict__"]

@@ -384,9 +384,9 @@ class TestPerMinuteWriters:
 class TestPipeline:
     def test_full_run_outputs(self, tmp_path):
         manifest = write_cohort(tmp_path / "cohort", sizes=SMALL_SIZES)
-        result = run_pipeline(manifest, tmp_path / "out", FAST)
-        assert len(result.records) == 8
-        assert not result.skipped
+        records, skipped = run_pipeline(manifest, tmp_path / "out", FAST)
+        assert len(records) == 8
+        assert not skipped
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "comparison.csv", "comparison.txt", "cosinor.csv", "curves.csv", "curves.svg",
             "features.csv", "overlays.csv", "overlays.svg", "skips.csv"]
@@ -421,8 +421,8 @@ class TestPipeline:
         manifest2.write_text(with_short, encoding="utf-8", newline="\n")
 
         run_pipeline(manifest, tmp_path / "base", FAST)
-        result = run_pipeline(manifest2, tmp_path / "plus", FAST)
-        assert [s[0] for s in result.skipped] == ["short"]
+        _, skipped = run_pipeline(manifest2, tmp_path / "plus", FAST)
+        assert [s[0] for s in skipped] == ["short"]
         assert "short" in (tmp_path / "plus" / "skips.csv").read_text()
         for name in ("features.csv", "cosinor.csv", "comparison.csv"):
             assert (tmp_path / "base" / name).read_bytes() == \
@@ -433,8 +433,8 @@ class TestPipeline:
         # row keeps kw_p 1 and empty markers
         manifest = write_cohort(tmp_path / "cohort",
                                 sizes={GroupLabel.CCI: 1, GroupLabel.RR: 1})
-        result = run_pipeline(manifest, tmp_path / "out", FAST)
-        assert len(result.records) == 2
+        records, _ = run_pipeline(manifest, tmp_path / "out", FAST)
+        assert len(records) == 2
         with (tmp_path / "out" / "comparison.csv").open(newline="",
                                                         encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))

@@ -95,6 +95,13 @@ class TestKruskalWallis:
         assert kw.p == 1.0
         assert kw.degenerate
 
+    @pytest.mark.parametrize("pairs", [
+        (), ((CCI, [1, 2, 3]),), ((CCI, []), (RR, [1, 2, 3])), ((CCI, [1]), (RR, [2]))],
+        ids=["no_groups", "one_group", "empty_group", "two_values"])
+    def test_too_little_data_raises(self, pairs):
+        with pytest.raises(errors.InsufficientData):
+            kruskal_wallis(samples(*pairs))
+
     def test_four_groups_df(self):
         kw = kruskal_wallis(samples((ICU, [1, 9, 3]), (CCI, [4, 2, 8, 1, 0]),
                                     (RR, [5, 5, 5, 2, 1, 9]),

@@ -26,7 +26,7 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def ranksum_p(x, y, exact=False) -> float:
-    return pairwise_ranksum(GroupSamples(((LABELS[0], x), (LABELS[1], y))),
+    return pairwise_ranksum(GroupSamples.from_lists(((LABELS[0], x), (LABELS[1], y))),
                             exact=exact).pairs[0].p
 
 
@@ -41,7 +41,7 @@ def test_kruskal_wallis_matches_scipy(seed):
     pooled = np.concatenate(groups)
     # all-equal data is reported as p = 1 here and as nan by scipy
     assume(np.ptp(pooled) > 0)
-    ours = kruskal_wallis(GroupSamples(tuple(zip(LABELS, groups))))
+    ours = kruskal_wallis(GroupSamples.from_lists(zip(LABELS, groups)))
     ref = sps.kruskal(*groups)
     assert ours.h == pytest.approx(ref.statistic, rel=1e-12, abs=TOL)
     assert ours.p == pytest.approx(ref.pvalue, rel=0, abs=TOL)
@@ -53,7 +53,7 @@ def test_two_group_dunn_matches_scipy_kruskal(seed):
     rng = np.random.default_rng(seed)
     x, y = tied_draw(rng), tied_draw(rng)
     assume(np.ptp(np.concatenate([x, y])) > 0)
-    flags = pairwise_dunn(GroupSamples(((LABELS[0], x), (LABELS[1], y))))
+    flags = pairwise_dunn(GroupSamples.from_lists(((LABELS[0], x), (LABELS[1], y))))
     ref = sps.kruskal(x, y)
     assert flags.pairs[0].p == pytest.approx(ref.pvalue, rel=0, abs=TOL)
 
